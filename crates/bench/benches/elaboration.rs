@@ -13,15 +13,12 @@
 //!   passes.
 //! - `bind_extras/{1x,10x}` — the score-many half: splicing a
 //!   response's helper items into the already-elaborated design.
-//! - `driver_elaborate/{1x,10x}` — the same cold walk routed through
-//!   the frontend-agnostic driver (parallel per-instance fragment
-//!   pre-build + splice); identical output, measured separately.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
 use sv_parser::{parse_snippet, parse_source};
-use sv_synth::{elaborate_design, elaborate_design_driver};
+use sv_synth::elaborate_design;
 
 /// A wide-hierarchy design: `cells` instantiated copies of a pipeline
 /// cell, each unrolling `depth` generate stages over array elements.
@@ -69,10 +66,6 @@ fn bench_elaboration(c: &mut Criterion) {
         let file = parse_source(&wide_hier_source(cells, depth)).unwrap();
         g.bench_function(format!("cold_elaborate/{label}"), |b| {
             b.iter(|| black_box(elaborate_design(black_box(&file), "top", &[]).unwrap()));
-        });
-
-        g.bench_function(format!("driver_elaborate/{label}"), |b| {
-            b.iter(|| black_box(elaborate_design_driver(black_box(&file), "top", &[]).unwrap()));
         });
 
         let design = elaborate_design(&file, "top", &[]).unwrap();

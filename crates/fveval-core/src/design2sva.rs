@@ -18,7 +18,7 @@ use fveval_data::DesignCase;
 use fveval_llm::{Backend, InferenceConfig};
 use sv_ast::{Expr, Instance, ModuleItem};
 use sv_parser::{parse_snippet, parse_source};
-use sv_synth::{elaborate_design, elaborate_design_driver, ElaboratedDesign, Netlist};
+use sv_synth::{elaborate_design, ElaboratedDesign, Netlist};
 
 /// A Design2SVA case compiled into reusable form: the split-elaborated
 /// design (testbench with the DUT bound in) plus the assertion-visible
@@ -62,15 +62,8 @@ pub fn compile_design(case: &DesignCase) -> Result<CompiledDesign, String> {
     });
     // One whole-file elaboration validates the collateral, harvests
     // the testbench parameters, and caches the helper-free netlist.
-    // `FVEVAL_ELAB=driver` routes it through the parallel elaboration
-    // driver (byte-identical output); the sequential walk is the
-    // default.
-    let extras = std::slice::from_ref(&dut_instance);
-    let design = match std::env::var("FVEVAL_ELAB").as_deref() {
-        Ok("driver") => elaborate_design_driver(&file, &case.tb_top, extras),
-        _ => elaborate_design(&file, &case.tb_top, extras),
-    }
-    .map_err(|e| e.to_string())?;
+    let design = elaborate_design(&file, &case.tb_top, std::slice::from_ref(&dut_instance))
+        .map_err(|e| e.to_string())?;
     let consts = design
         .params()
         .iter()

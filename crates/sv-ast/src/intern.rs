@@ -4,9 +4,7 @@
 //! hierarchical names, net-map keys — is interned once into a single
 //! append-only character arena and referred to by a [`Symbol`] (a
 //! `u32`). Scope lookups and net-map probes become integer compares,
-//! per-name cloning disappears (a `Symbol` is `Copy`), and
-//! content-digest hashing can run over the compact arena instead of
-//! re-walking heap-scattered `String`s.
+//! and per-name cloning disappears (a `Symbol` is `Copy`).
 //!
 //! The interner is *per design*: an [`Interner`] is created at the
 //! start of an elaboration, grows while flattening, and is frozen
@@ -193,26 +191,6 @@ impl Interner {
             &self.buf[lo as usize..hi as usize] == s
         })
     }
-
-    /// FNV-1a over the whole arena (text plus span structure): a cheap
-    /// canonical digest of every name the design uses, independent of
-    /// map iteration order.
-    pub fn arena_digest(&self) -> u64 {
-        let mut h = fnv_bytes(FNV_OFFSET, self.buf.as_bytes());
-        for &(lo, hi) in &self.spans {
-            h = fnv_bytes(h, &lo.to_le_bytes());
-            h = fnv_bytes(h, &hi.to_le_bytes());
-        }
-        h
-    }
-
-    /// All symbols in interning order, paired with their text.
-    pub fn iter(&self) -> impl Iterator<Item = (Symbol, &str)> {
-        self.spans
-            .iter()
-            .enumerate()
-            .map(move |(i, &(lo, hi))| (Symbol(i as u32), &self.buf[lo as usize..hi as usize]))
-    }
 }
 
 #[cfg(test)]
@@ -266,18 +244,5 @@ mod tests {
         assert_eq!(cont.resolve(b), "b");
         // The original is untouched.
         assert_eq!(base.len(), 1);
-    }
-
-    #[test]
-    fn arena_digest_tracks_content() {
-        let mut a = Interner::new();
-        a.intern("x");
-        a.intern("y");
-        let mut b = Interner::new();
-        b.intern("x");
-        b.intern("y");
-        assert_eq!(a.arena_digest(), b.arena_digest());
-        b.intern("z");
-        assert_ne!(a.arena_digest(), b.arena_digest());
     }
 }

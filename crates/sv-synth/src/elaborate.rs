@@ -17,12 +17,6 @@
 //!    execute processes (if/else merging via muxes) to produce each
 //!    atom's definition; extract register reset values by partial
 //!    evaluation under the asserted reset.
-//!
-//! Module instantiations can be intercepted by an [`InstanceRouter`]
-//! (the frontend-agnostic elaboration driver): a router that claims a
-//! module name supplies the child's flattened scope and port directions
-//! itself, letting non-SV frontends (or pre-flattened fragments) splice
-//! into the same netlist build.
 
 use crate::netexpr::{mask, Nx, NxBin, NxRed};
 use crate::netlist::{AtomDef, AtomId, AtomKind, NetBinding, Netlist, Seg};
@@ -43,7 +37,7 @@ pub struct ElabError {
 }
 
 impl ElabError {
-    pub(crate) fn new(message: impl Into<String>) -> ElabError {
+    fn new(message: impl Into<String>) -> ElabError {
         ElabError {
             message: message.into(),
         }
@@ -68,40 +62,40 @@ const MAX_GENERATE_ITERS: u32 = 10_000;
 // ---------------------------------------------------------------------
 
 /// A name scope: interned source name to its resolved meaning.
-pub(crate) type Scope = SymbolMap<Symbol, ScopeEntry>;
+type Scope = SymbolMap<Symbol, ScopeEntry>;
 
 /// An unpacked array's shape: element count plus the symbol of element
 /// zero. Elements are interned consecutively at declaration, so element
 /// `i` is `elem0.offset(i)` — array selects never re-hash a name.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct ArrayInfo {
-    pub(crate) count: u32,
-    pub(crate) elem0: Symbol,
+struct ArrayInfo {
+    count: u32,
+    elem0: Symbol,
 }
 
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct DeclInfo {
+struct DeclInfo {
     /// Interned flat hierarchical name.
-    pub(crate) flat: Symbol,
-    pub(crate) width: u32,
-    pub(crate) elem_width: u32,
-    pub(crate) lsb: u32,
+    flat: Symbol,
+    width: u32,
+    elem_width: u32,
+    lsb: u32,
     /// Unpacked array shape, if any.
-    pub(crate) elems: Option<ArrayInfo>,
-    pub(crate) is_top_input: bool,
+    elems: Option<ArrayInfo>,
+    is_top_input: bool,
 }
 
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum ScopeEntry {
+enum ScopeEntry {
     Const(u128),
     Net(DeclInfo),
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct FlatTarget {
-    pub(crate) net: Symbol,
-    pub(crate) lo: u32,
-    pub(crate) width: u32,
+struct FlatTarget {
+    net: Symbol,
+    lo: u32,
+    width: u32,
 }
 
 /// A flattened expression: the source [`Expr`] with parameters and
@@ -114,7 +108,7 @@ pub(crate) struct FlatTarget {
 /// `String` per identifier) with this `Symbol`-carrying form is the
 /// single biggest win of the interned elaboration path.
 #[derive(Debug, Clone)]
-pub(crate) enum Fx {
+enum Fx {
     Net(Symbol),
     Lit { width: Option<u32>, value: u128 },
     Fill(bool),
@@ -129,7 +123,7 @@ pub(crate) enum Fx {
 }
 
 #[derive(Debug, Clone)]
-pub(crate) enum FlatStmt {
+enum FlatStmt {
     Block(Vec<FlatStmt>),
     If {
         cond: Fx,
@@ -144,90 +138,30 @@ pub(crate) enum FlatStmt {
 }
 
 #[derive(Debug, Clone)]
-pub(crate) enum FlatItem {
+enum FlatItem {
     Decl(DeclInfo),
     Assign { target: FlatTarget, rhs: Fx },
     Proc { clocked: bool, body: FlatStmt },
 }
 
-/// Hook for the frontend-agnostic elaboration driver: intercepts module
-/// instantiations during flattening. A router that [`claims`] an
-/// instantiation supplies the child's flattened scope and port
-/// directions itself (typically by splicing a pre-flattened fragment
-/// into the [`Flattener`]); unclaimed instantiations fall back to
-/// in-file SV inlining.
-///
-/// [`claims`]: InstanceRouter::claims
-pub(crate) trait InstanceRouter {
-    /// Whether this router elaborates `module` (checked before the
-    /// in-file module table, so routed fragments win).
-    fn claims(&self, module: &str, prefix: &str) -> bool;
-
-    /// Flattens the claimed module under `prefix` into `fl`, returning
-    /// the child scope and the `(port name, direction)` list used to
-    /// wire the instantiation's connections.
-    fn flatten_external(
-        &self,
-        fl: &mut Flattener<'_>,
-        module: &str,
-        prefix: &str,
-        overrides: &HashMap<String, u128>,
-    ) -> Result<(Scope, Vec<(String, PortDir)>)>;
-}
-
-/// Port-direction source for an instantiation: the in-file child module,
-/// or the list a router handed back for an externally elaborated child.
-enum PortDirs<'m> {
-    InFile(&'m Module),
-    External(Vec<(String, PortDir)>),
-}
-
-impl PortDirs<'_> {
-    fn dir(&self, pname: &str) -> Option<PortDir> {
-        match self {
-            PortDirs::InFile(m) => m.port(pname).map(|p| p.dir),
-            PortDirs::External(v) => v.iter().find(|(n, _)| n == pname).map(|(_, d)| *d),
-        }
-    }
-}
-
-#[derive(Debug)]
-pub(crate) struct Flattener<'r> {
+#[derive(Debug, Default)]
+struct Flattener {
     /// The design's string arena; moved into the built netlist.
-    pub(crate) itn: Interner,
-    pub(crate) items: Vec<FlatItem>,
-    pub(crate) clock_name: Option<String>,
-    pub(crate) reset_name: Option<String>,
-    pub(crate) warnings: Vec<String>,
+    itn: Interner,
+    items: Vec<FlatItem>,
+    clock_name: Option<String>,
+    reset_name: Option<String>,
+    warnings: Vec<String>,
     /// Parameter values of the top module (prefix empty), in order.
-    pub(crate) top_params: Vec<(String, u128)>,
-    pub(crate) router: Option<&'r dyn InstanceRouter>,
+    top_params: Vec<(String, u128)>,
 }
 
-impl fmt::Debug for dyn InstanceRouter + '_ {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("InstanceRouter")
-    }
-}
-
-impl<'r> Flattener<'r> {
-    pub(crate) fn new(router: Option<&'r dyn InstanceRouter>) -> Flattener<'r> {
-        Flattener {
-            itn: Interner::new(),
-            items: Vec::new(),
-            clock_name: None,
-            reset_name: None,
-            warnings: Vec::new(),
-            top_params: Vec::new(),
-            router,
-        }
-    }
-
+impl Flattener {
     fn scope_get<'s>(&self, scope: &'s Scope, name: &str) -> Option<&'s ScopeEntry> {
         scope.get(&self.itn.lookup(name)?)
     }
 
-    pub(crate) fn flatten_module(
+    fn flatten_module(
         &mut self,
         file: &SourceFile,
         module: &Module,
@@ -271,7 +205,7 @@ impl<'r> Flattener<'r> {
         Ok(scope)
     }
 
-    pub(crate) fn flatten_items(
+    fn flatten_items(
         &mut self,
         file: &SourceFile,
         items: &[&ModuleItem],
@@ -498,29 +432,15 @@ impl<'r> Flattener<'r> {
                     let fx = self.flatten_expr(e, scope);
                     overrides.insert(name.clone(), fx_const_eval(&fx, &self.itn)?);
                 }
+                let child = file
+                    .module(&inst.module)
+                    .ok_or_else(|| ElabError::new(format!("unknown module '{}'", inst.module)))?;
                 let child_prefix = format!("{prefix}{}.", inst.name);
-                // The router (elaboration driver) gets first claim on the
-                // module name; unclaimed instances inline from the file.
-                let router = self.router;
-                let routed = router.is_some_and(|r| r.claims(&inst.module, &child_prefix));
-                let (child_scope, ports) = if routed {
-                    let (s, p) = router.expect("claimed").flatten_external(
-                        self,
-                        &inst.module,
-                        &child_prefix,
-                        &overrides,
-                    )?;
-                    (s, PortDirs::External(p))
-                } else {
-                    let child = file.module(&inst.module).ok_or_else(|| {
-                        ElabError::new(format!("unknown module '{}'", inst.module))
-                    })?;
-                    let s = self.flatten_module(file, child, &child_prefix, &overrides, &[])?;
-                    (s, PortDirs::InFile(child))
-                };
+                let child_scope =
+                    self.flatten_module(file, child, &child_prefix, &overrides, &[])?;
                 // Port connections become assigns in the right direction.
                 for (pname, conn) in &inst.conns {
-                    let dir = ports.dir(pname).ok_or_else(|| {
+                    let dir = child.port(pname).map(|p| p.dir).ok_or_else(|| {
                         ElabError::new(format!("module '{}' has no port '{pname}'", inst.module))
                     })?;
                     let child_info = match self.scope_get(&child_scope, pname) {
@@ -992,7 +912,7 @@ pub fn elaborate_with_extras(
     let module = file
         .module(top)
         .ok_or_else(|| ElabError::new(format!("unknown top module '{top}'")))?;
-    let mut fl = Flattener::new(None);
+    let mut fl = Flattener::default();
     fl.flatten_module(file, module, "", &HashMap::new(), extras)?;
     let Flattener {
         itn,
@@ -1073,23 +993,11 @@ pub fn elaborate_design(
     top: &str,
     extras: &[ModuleItem],
 ) -> Result<ElaboratedDesign> {
-    elaborate_design_routed(file, top, extras, None)
-}
-
-/// [`elaborate_design`] with an optional [`InstanceRouter`] — the entry
-/// point the elaboration driver uses to splice externally elaborated
-/// module fragments into the flattening walk.
-pub(crate) fn elaborate_design_routed(
-    file: &SourceFile,
-    top: &str,
-    extras: &[ModuleItem],
-    router: Option<&dyn InstanceRouter>,
-) -> Result<ElaboratedDesign> {
     let _span = fv_trace::span!("elaborate", top = top, extras = extras.len());
     let module = file
         .module(top)
         .ok_or_else(|| ElabError::new(format!("unknown top module '{top}'")))?;
-    let mut fl = Flattener::new(router);
+    let mut fl = Flattener::default();
     let scope = fl.flatten_module(file, module, "", &HashMap::new(), extras)?;
     let Flattener {
         itn,
@@ -1171,7 +1079,6 @@ impl ElaboratedDesign {
             reset_name: self.reset_name.clone(),
             warnings: Vec::new(),
             top_params: Vec::new(),
-            router: None,
         };
         let mut scope = self.scope.clone();
         let refs: Vec<&ModuleItem> = extras.iter().collect();
@@ -1189,235 +1096,6 @@ impl ElaboratedDesign {
             &warnings,
             &top_params,
         )
-    }
-}
-
-// ---------------------------------------------------------------------
-// Module fragments (elaboration driver)
-// ---------------------------------------------------------------------
-
-/// A module flattened in isolation (prefix-free), ready to be spliced
-/// into a design under an instance prefix (`Flattener::splice_fragment`).
-/// Fragments are what the elaboration driver's frontends produce: each
-/// carries its own private interner, so independent modules can flatten
-/// on separate threads and merge into the design's arena
-/// deterministically at splice time.
-#[derive(Debug, Clone)]
-pub struct Fragment {
-    /// The fragment's private arena; symbols below index into this.
-    pub(crate) itn: Interner,
-    pub(crate) items: Vec<FlatItem>,
-    /// The module's own name scope (keys are unprefixed source names).
-    pub(crate) scope: Scope,
-    /// Port names and directions, in declaration order.
-    pub(crate) ports: Vec<(String, PortDir)>,
-    /// First posedge signal seen, by source name (unprefixed, matching
-    /// what in-file inlining records).
-    pub(crate) clock_name: Option<String>,
-    /// First negedge signal seen, by source name.
-    pub(crate) reset_name: Option<String>,
-}
-
-impl Fragment {
-    /// Flattens `module` from `file` with the given parameter overrides
-    /// into a standalone fragment. Nested in-file instances are inlined
-    /// into the fragment.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the module is unknown or any contained item fails to
-    /// elaborate (see [`elaborate_with_extras`]).
-    pub fn from_sv(
-        file: &SourceFile,
-        module: &str,
-        overrides: &HashMap<String, u128>,
-    ) -> Result<Fragment> {
-        let m = file
-            .module(module)
-            .ok_or_else(|| ElabError::new(format!("unknown module '{module}'")))?;
-        let mut fl = Flattener::new(None);
-        let scope = fl.flatten_module(file, m, "", overrides, &[])?;
-        // Flattening emits no warnings today; if that changes, splice
-        // must learn to re-prefix their text.
-        debug_assert!(
-            fl.warnings.is_empty(),
-            "flatten-time warnings: {:?}",
-            fl.warnings
-        );
-        Ok(Fragment {
-            itn: fl.itn,
-            items: fl.items,
-            scope,
-            ports: m.ports.iter().map(|p| (p.name.clone(), p.dir)).collect(),
-            clock_name: fl.clock_name,
-            reset_name: fl.reset_name,
-        })
-    }
-}
-
-/// Splice state: rewrites fragment-arena symbols into the design arena,
-/// prefixing flat names with the instance path.
-struct Splicer<'a> {
-    itn: &'a mut Interner,
-    frag: &'a Fragment,
-    prefix: &'a str,
-    /// Fragment symbol index → design-arena symbol, filled lazily.
-    map: Vec<Option<Symbol>>,
-}
-
-impl Splicer<'_> {
-    fn map_sym(&mut self, s: Symbol) -> Symbol {
-        if let Some(m) = self.map[s.index()] {
-            return m;
-        }
-        let m = self
-            .itn
-            .intern_parts(&[self.prefix, self.frag.itn.resolve(s)]);
-        self.map[s.index()] = Some(m);
-        m
-    }
-
-    /// Remaps a declaration. Array element symbols are re-interned
-    /// eagerly and in order here so the consecutive-run invariant
-    /// (`elem0.offset(i)` addresses element `i`) holds in the design
-    /// arena; a lazy per-use remap would scatter them.
-    fn map_decl(&mut self, info: DeclInfo) -> DeclInfo {
-        let flat = self.map_sym(info.flat);
-        let elems = info.elems.map(|arr| {
-            let mut elem0 = None;
-            for i in 0..arr.count {
-                let s = self.map_sym(arr.elem0.offset(i));
-                let e0 = *elem0.get_or_insert(s);
-                debug_assert_eq!(s, e0.offset(i), "spliced array elements stay consecutive");
-            }
-            ArrayInfo {
-                count: arr.count,
-                elem0: elem0.unwrap_or(flat),
-            }
-        });
-        DeclInfo {
-            flat,
-            width: info.width,
-            elem_width: info.elem_width,
-            lsb: info.lsb,
-            elems,
-            // The fragment flattened as its own top; under a prefix its
-            // inputs are instance ports, not free top-level inputs.
-            is_top_input: false,
-        }
-    }
-
-    fn map_fx(&mut self, e: &Fx) -> Fx {
-        match e {
-            Fx::Net(s) => Fx::Net(self.map_sym(*s)),
-            Fx::Lit { width, value } => Fx::Lit {
-                width: *width,
-                value: *value,
-            },
-            Fx::Fill(b) => Fx::Fill(*b),
-            Fx::Unary(op, i) => Fx::Unary(*op, Box::new(self.map_fx(i))),
-            Fx::Binary(op, a, b) => {
-                Fx::Binary(*op, Box::new(self.map_fx(a)), Box::new(self.map_fx(b)))
-            }
-            Fx::Ternary(c, t, f) => Fx::Ternary(
-                Box::new(self.map_fx(c)),
-                Box::new(self.map_fx(t)),
-                Box::new(self.map_fx(f)),
-            ),
-            Fx::Concat(es) => Fx::Concat(es.iter().map(|x| self.map_fx(x)).collect()),
-            Fx::Replicate(n, x) => {
-                Fx::Replicate(Box::new(self.map_fx(n)), Box::new(self.map_fx(x)))
-            }
-            Fx::Index(b, i) => Fx::Index(Box::new(self.map_fx(b)), Box::new(self.map_fx(i))),
-            Fx::Slice(b, h, l) => Fx::Slice(
-                Box::new(self.map_fx(b)),
-                Box::new(self.map_fx(h)),
-                Box::new(self.map_fx(l)),
-            ),
-            Fx::SysCall(f, args) => Fx::SysCall(*f, args.iter().map(|x| self.map_fx(x)).collect()),
-        }
-    }
-
-    fn map_target(&mut self, t: FlatTarget) -> FlatTarget {
-        FlatTarget {
-            net: self.map_sym(t.net),
-            lo: t.lo,
-            width: t.width,
-        }
-    }
-
-    fn map_stmt(&mut self, s: &FlatStmt) -> FlatStmt {
-        match s {
-            FlatStmt::Block(ss) => FlatStmt::Block(ss.iter().map(|x| self.map_stmt(x)).collect()),
-            FlatStmt::If { cond, then, alt } => FlatStmt::If {
-                cond: self.map_fx(cond),
-                then: Box::new(self.map_stmt(then)),
-                alt: alt.as_ref().map(|a| Box::new(self.map_stmt(a))),
-            },
-            FlatStmt::Assign { target, rhs } => FlatStmt::Assign {
-                target: self.map_target(*target),
-                rhs: self.map_fx(rhs),
-            },
-            FlatStmt::Empty => FlatStmt::Empty,
-        }
-    }
-}
-
-impl Flattener<'_> {
-    /// Splices a pre-flattened module fragment into this flattening
-    /// under `prefix`, returning the child scope and port directions in
-    /// the shape [`InstanceRouter::flatten_external`] hands back.
-    ///
-    /// Every fragment symbol is re-interned into the design arena with
-    /// the prefix applied, so the resulting items are exactly what
-    /// in-file inlining of the same module under the same prefix would
-    /// have produced (clock/reset adoption included).
-    pub(crate) fn splice_fragment(
-        &mut self,
-        frag: &Fragment,
-        prefix: &str,
-    ) -> (Scope, Vec<(String, PortDir)>) {
-        let mut sp = Splicer {
-            itn: &mut self.itn,
-            frag,
-            prefix,
-            map: vec![None; frag.itn.len()],
-        };
-        for item in &frag.items {
-            let mapped = match item {
-                FlatItem::Decl(info) => FlatItem::Decl(sp.map_decl(*info)),
-                FlatItem::Assign { target, rhs } => FlatItem::Assign {
-                    target: sp.map_target(*target),
-                    rhs: sp.map_fx(rhs),
-                },
-                FlatItem::Proc { clocked, body } => FlatItem::Proc {
-                    clocked: *clocked,
-                    body: sp.map_stmt(body),
-                },
-            };
-            self.items.push(mapped);
-        }
-        // The child scope the instantiation wires ports through: keys
-        // stay unprefixed (looked up by source port name), entries move
-        // to the design arena.
-        let mut scope = Scope::default();
-        for (&k, entry) in &frag.scope {
-            let mapped = match entry {
-                ScopeEntry::Const(v) => ScopeEntry::Const(*v),
-                ScopeEntry::Net(info) => ScopeEntry::Net(sp.map_decl(*info)),
-            };
-            let key = sp.itn.intern(frag.itn.resolve(k));
-            scope.insert(key, mapped);
-        }
-        // First-of-kind clock/reset adoption, matching the in-file walk
-        // (which records the first posedge/negedge signal it meets).
-        if self.clock_name.is_none() {
-            self.clock_name = frag.clock_name.clone();
-        }
-        if self.reset_name.is_none() {
-            self.reset_name = frag.reset_name.clone();
-        }
-        (scope, frag.ports.clone())
     }
 }
 
@@ -2400,14 +2078,22 @@ mod tests {
 
     #[test]
     fn hierarchy_flattens_with_prefixes() {
+        // Two instances of a child holding an unpacked array: each keeps
+        // its own prefixed elements.
         let src = "module child (i, o);\ninput [3:0] i; output [3:0] o;\n\
-                   assign o = i + 4'd1;\nendmodule\n\
-                   module top (a, y);\ninput [3:0] a; output [3:0] y;\n\
-                   child u0 (.i(a), .o(y));\nendmodule\n";
+                   logic [3:0] mem [1:0];\n\
+                   assign mem[0] = i;\nassign mem[1] = mem[0] + 4'd1;\n\
+                   assign o = mem[1];\nendmodule\n\
+                   module top (a, b, y, z);\ninput [3:0] a; input [3:0] b;\n\
+                   output [3:0] y; output [3:0] z;\n\
+                   child u0 (.i(a), .o(y));\nchild u1 (.i(b), .o(z));\nendmodule\n";
         let nl = elab(src, "top");
         assert!(nl.net("u0.i").is_some());
         assert!(nl.net("u0.o").is_some());
         assert!(nl.net("y").is_some());
+        assert!(nl.net("u0.mem[1]").is_some());
+        assert!(nl.net("u1.mem[1]").is_some());
+        assert_eq!(nl.array("u0.mem"), Some(2));
     }
 
     #[test]
@@ -2447,6 +2133,10 @@ mod tests {
     fn unknown_signal_rejected() {
         let f = parse_source("module m (y);\noutput y;\nassign y = ghost;\nendmodule\n").unwrap();
         assert!(elaborate(&f, "m").is_err());
+        // An instance of a module the file does not declare.
+        let f = parse_source("module m (y);\noutput y;\nnope u0 (.p(y));\nendmodule\n").unwrap();
+        let err = elaborate_design(&f, "m", &[]).unwrap_err();
+        assert!(err.message.contains("unknown module 'nope'"), "{err}");
     }
 
     #[test]

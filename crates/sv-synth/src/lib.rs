@@ -22,18 +22,14 @@
 //! setup after a reset sequence). See the repository's `ARCHITECTURE.md`
 //! for where this crate sits in the evaluation spine.
 
-mod driver;
 mod elaborate;
 mod frame;
 mod netexpr;
 mod netlist;
 mod sim;
 
-pub use driver::{
-    elaborate_design_driver, elaborate_design_with_frontends, Frontend, JsonFrontend, SvFrontend,
-};
 pub use elaborate::{
-    elaborate, elaborate_design, elaborate_with_extras, ElabError, ElaboratedDesign, Fragment,
+    elaborate, elaborate_design, elaborate_with_extras, ElabError, ElaboratedDesign,
 };
 pub use frame::{FrameExpander, FrameValues};
 pub use netexpr::{Nx, NxBin, NxRed};
