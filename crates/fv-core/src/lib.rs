@@ -71,5 +71,5 @@ pub use prove::{
     check_vacuity, prove, prove_with_stats, replay_design_cex, DesignCex, ProofSession,
     ProveConfig, ProveEngine, ProveResult,
 };
-pub use stats::ProverStats;
+pub use stats::{Counter, CounterGroup, ProverStats};
 pub use table::SignalTable;

@@ -1,136 +1,178 @@
 //! Work counters describing how a formal query was discharged.
 
-/// Counters for one prover invocation (or an aggregate over many).
-///
-/// The incremental core answers each query by the cheapest applicable
-/// layer, in order:
-///
-/// 1. **constant folding / structural hashing** while the monitor is
-///    built (free — a query whose target folds to a constant is counted
-///    under `ternary_kills`, since three-valued propagation subsumes
-///    it),
-/// 2. **ternary simulation** (`ternary_kills`): the target is constant
-///    under every input assignment, so the SAT query is decided without
-///    the solver,
-/// 3. **random simulation** (`sim_kills`): 64-way bit-parallel patterns
-///    found a concrete witness, so a falsification query is SAT without
-///    the solver,
-/// 4. **SAT** (`sat_calls`): everything else goes to the CDCL solver;
-///    `solver_reuse_hits` counts the calls that were answered by a
-///    solver already warmed by a previous query of the same
-///    equivalence check / proof (learned clauses and variable
-///    activities carry over instead of being rebuilt).
-///
-/// The session counters describe *proof-context reuse* across
-/// candidate assertions (see [`crate::ProofSession`] and
-/// [`crate::EquivSession`]): `sessions_opened` counts how many shared
-/// contexts (unrolled AIG + solver, or reference encoding + solver)
-/// were built, `session_checks` how many candidate assertions streamed
-/// through them, and `unroll_reuse_hits` how much already-built
-/// encoding state (unrolled time frames, cached reference monitors)
-/// was served to a check instead of being rebuilt. A compile-once /
-/// score-many workload shows `sessions_opened` far below
-/// `session_checks`; the legacy one-shot entry points open one session
-/// per check, so there the two are equal.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProverStats {
-    /// Queries discharged by the CDCL SAT solver.
-    pub sat_calls: u64,
-    /// Falsification queries killed by random simulation (a witness
-    /// pattern was found before any SAT call).
-    pub sim_kills: u64,
-    /// Queries killed by ternary simulation / constant folding (the
-    /// target was provably constant without search).
-    pub ternary_kills: u64,
-    /// SAT calls served by a reused (already-warmed) solver instead of
-    /// a freshly built one.
-    pub solver_reuse_hits: u64,
-    /// Proof contexts (shared unrolling/solver sessions) built.
-    pub sessions_opened: u64,
-    /// Candidate assertions checked through a session.
-    pub session_checks: u64,
-    /// Already-built session state (unrolled time frames, cached
-    /// reference-assertion encodings) served to a check instead of
-    /// being re-encoded from scratch.
-    pub unroll_reuse_hits: u64,
-    /// Frames opened by the IC3/PDR engine (summed across checks).
-    pub pdr_frames: u64,
-    /// Blocked-cube clauses the PDR engine learned after
-    /// relative-induction generalization.
-    pub pdr_clauses_learned: u64,
-    /// Checks whose reported verdict came from the PDR engine (PDR ran
-    /// alone, or answered first / rescued an undetermined base schedule
-    /// in a portfolio race).
-    pub pdr_wins: u64,
-    /// Portfolio checks whose reported verdict came from the bounded
-    /// BMC + k-induction schedule.
-    pub bounded_wins: u64,
-    /// Engines cancelled mid-run because the other side of a portfolio
-    /// race answered first (or a budget expired).
-    pub engine_cancellations: u64,
-    /// Compiled designs served from a content-digest cache instead of
-    /// being re-elaborated (the compile-once half of compile-once /
-    /// score-many observed across identical design sources).
-    pub digest_reuse: u64,
+/// Declares [`ProverStats`] from one table. Each entry is a counter's
+/// doc, field name, `prover_stats.{md,csv}` column header and wire
+/// group, in column order. The struct, `merge`, `delta_since` and the
+/// [`ProverStats::counters`] view are generated from it, so adding a
+/// counter is adding one entry.
+macro_rules! counters {
+    (
+        $(#[$meta:meta])*
+        pub struct ProverStats {
+            $( $(#[doc = $doc:literal])* $field:ident: $header:literal, $group:ident; )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct ProverStats {
+            $( $(#[doc = $doc])* pub $field: u64, )*
+        }
+
+        impl ProverStats {
+            /// Accumulates another counter set into this one.
+            pub fn merge(&mut self, other: &ProverStats) {
+                $( self.$field += other.$field; )*
+            }
+
+            /// The counter delta `self - earlier`, where `earlier` is a
+            /// prior snapshot of the same monotonically growing counter
+            /// set. Sessions use this to report per-check work on top of
+            /// cumulative totals.
+            ///
+            /// # Panics
+            ///
+            /// Panics in debug builds if any counter of `earlier` exceeds
+            /// the corresponding counter of `self` (not a prior snapshot).
+            pub fn delta_since(&self, earlier: &ProverStats) -> ProverStats {
+                let sub = |a: u64, b: u64| {
+                    debug_assert!(a >= b, "delta_since needs a prior snapshot");
+                    a - b
+                };
+                ProverStats {
+                    $( $field: sub(self.$field, earlier.$field), )*
+                }
+            }
+
+            /// Every counter with its value, in declaration order. The
+            /// stats surfaces render from this view instead of naming
+            /// fields: `prover_stats.{md,csv}` takes [`Counter::header`]
+            /// as its column, `GET /v1/stats` puts [`Counter::key`] in
+            /// the [`Counter::group`] block, and `/metrics` exposes
+            /// `fveval_<group>_<key>_total`.
+            pub fn counters(&self) -> impl Iterator<Item = (&'static Counter, u64)> {
+                const COUNTERS: &[Counter] = &[
+                    $( Counter {
+                        key: stringify!($field),
+                        header: $header,
+                        group: CounterGroup::$group,
+                    }, )*
+                ];
+                COUNTERS.iter().zip([$( self.$field ),*])
+            }
+        }
+    };
+}
+
+counters! {
+    /// Counters for one prover invocation (or an aggregate over many).
+    ///
+    /// The incremental core answers each query by the cheapest applicable
+    /// layer, in order:
+    ///
+    /// 1. **constant folding / structural hashing** while the monitor is
+    ///    built (free — a query whose target folds to a constant is counted
+    ///    under `ternary_kills`, since three-valued propagation subsumes
+    ///    it),
+    /// 2. **ternary simulation** (`ternary_kills`): the target is constant
+    ///    under every input assignment, so the SAT query is decided without
+    ///    the solver,
+    /// 3. **random simulation** (`sim_kills`): 64-way bit-parallel patterns
+    ///    found a concrete witness, so a falsification query is SAT without
+    ///    the solver,
+    /// 4. **SAT** (`sat_calls`): everything else goes to the CDCL solver;
+    ///    `solver_reuse_hits` counts the calls that were answered by a
+    ///    solver already warmed by a previous query of the same
+    ///    equivalence check / proof (learned clauses and variable
+    ///    activities carry over instead of being rebuilt).
+    ///
+    /// The session counters describe *proof-context reuse* across
+    /// candidate assertions (see [`crate::ProofSession`] and
+    /// [`crate::EquivSession`]): `sessions_opened` counts how many shared
+    /// contexts (unrolled AIG + solver, or reference encoding + solver)
+    /// were built, `session_checks` how many candidate assertions streamed
+    /// through them, and `unroll_reuse_hits` how much already-built
+    /// encoding state (unrolled time frames, cached reference monitors)
+    /// was served to a check instead of being rebuilt. A compile-once /
+    /// score-many workload shows `sessions_opened` far below
+    /// `session_checks`; the legacy one-shot entry points open one session
+    /// per check, so there the two are equal.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ProverStats {
+        /// Queries discharged by the CDCL SAT solver.
+        sat_calls: "SAT calls", Prover;
+        /// SAT calls served by a reused (already-warmed) solver instead of
+        /// a freshly built one.
+        solver_reuse_hits: "Solver reuse hits", Prover;
+        /// Falsification queries killed by random simulation (a witness
+        /// pattern was found before any SAT call).
+        sim_kills: "Sim kills", Prover;
+        /// Queries killed by ternary simulation / constant folding (the
+        /// target was provably constant without search).
+        ternary_kills: "Ternary kills", Prover;
+        /// Proof contexts (shared unrolling/solver sessions) built.
+        sessions_opened: "Sessions opened", Prover;
+        /// Candidate assertions checked through a session.
+        session_checks: "Assertions checked", Prover;
+        /// Already-built session state (unrolled time frames, cached
+        /// reference-assertion encodings) served to a check instead of
+        /// being re-encoded from scratch.
+        unroll_reuse_hits: "Unroll reuse hits", Prover;
+        /// Compiled designs served from a content-digest cache instead of
+        /// being re-elaborated (the compile-once half of compile-once /
+        /// score-many observed across identical design sources).
+        digest_reuse: "Digest reuse", Cache;
+        /// Frames opened by the IC3/PDR engine (summed across checks).
+        pdr_frames: "PDR frames", Prover;
+        /// Blocked-cube clauses the PDR engine learned after
+        /// relative-induction generalization.
+        pdr_clauses_learned: "PDR clauses", Prover;
+        /// Checks whose reported verdict came from the PDR engine (PDR ran
+        /// alone, or answered first / rescued an undetermined base schedule
+        /// in a portfolio race).
+        pdr_wins: "PDR wins", Prover;
+        /// Portfolio checks whose reported verdict came from the bounded
+        /// BMC + k-induction schedule.
+        bounded_wins: "Bounded wins", Prover;
+        /// Engines cancelled mid-run because the other side of a portfolio
+        /// race answered first (or a budget expired).
+        engine_cancellations: "Engine cancellations", Prover;
+    }
+}
+
+/// The wire block a [`ProverStats`] counter reports under: its object
+/// in `GET /v1/stats` and its `fveval_<group>_…` family in `/metrics`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CounterGroup {
+    /// `prover`: how the formal core decided its queries.
+    Prover,
+    /// `cache`: reuse reported next to the verdict-cache counters.
+    Cache,
+}
+
+impl CounterGroup {
+    /// The block's key: `prover` or `cache`.
+    pub fn key(self) -> &'static str {
+        match self {
+            CounterGroup::Prover => "prover",
+            CounterGroup::Cache => "cache",
+        }
+    }
+}
+
+/// One [`ProverStats`] counter as the stats surfaces name it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Counter {
+    /// The field name, which is also the counter's JSON key.
+    pub key: &'static str,
+    /// The `prover_stats.{md,csv}` column header.
+    pub header: &'static str,
+    /// The wire block the counter reports under.
+    pub group: CounterGroup,
 }
 
 impl ProverStats {
     /// Total queries decided across all layers.
     pub fn queries(&self) -> u64 {
         self.sat_calls + self.sim_kills + self.ternary_kills
-    }
-
-    /// Accumulates another counter set into this one.
-    pub fn merge(&mut self, other: &ProverStats) {
-        self.sat_calls += other.sat_calls;
-        self.sim_kills += other.sim_kills;
-        self.ternary_kills += other.ternary_kills;
-        self.solver_reuse_hits += other.solver_reuse_hits;
-        self.sessions_opened += other.sessions_opened;
-        self.session_checks += other.session_checks;
-        self.unroll_reuse_hits += other.unroll_reuse_hits;
-        self.pdr_frames += other.pdr_frames;
-        self.pdr_clauses_learned += other.pdr_clauses_learned;
-        self.pdr_wins += other.pdr_wins;
-        self.bounded_wins += other.bounded_wins;
-        self.engine_cancellations += other.engine_cancellations;
-        self.digest_reuse += other.digest_reuse;
-    }
-
-    /// The counter delta `self - earlier`, where `earlier` is a prior
-    /// snapshot of the same monotonically growing counter set. Sessions
-    /// use this to report per-check work on top of cumulative totals.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if any counter of `earlier` exceeds the
-    /// corresponding counter of `self` (not a prior snapshot).
-    pub fn delta_since(&self, earlier: &ProverStats) -> ProverStats {
-        let sub = |a: u64, b: u64| {
-            debug_assert!(a >= b, "delta_since needs a prior snapshot");
-            a - b
-        };
-        ProverStats {
-            sat_calls: sub(self.sat_calls, earlier.sat_calls),
-            sim_kills: sub(self.sim_kills, earlier.sim_kills),
-            ternary_kills: sub(self.ternary_kills, earlier.ternary_kills),
-            solver_reuse_hits: sub(self.solver_reuse_hits, earlier.solver_reuse_hits),
-            sessions_opened: sub(self.sessions_opened, earlier.sessions_opened),
-            session_checks: sub(self.session_checks, earlier.session_checks),
-            unroll_reuse_hits: sub(self.unroll_reuse_hits, earlier.unroll_reuse_hits),
-            pdr_frames: sub(self.pdr_frames, earlier.pdr_frames),
-            pdr_clauses_learned: sub(self.pdr_clauses_learned, earlier.pdr_clauses_learned),
-            pdr_wins: sub(self.pdr_wins, earlier.pdr_wins),
-            bounded_wins: sub(self.bounded_wins, earlier.bounded_wins),
-            engine_cancellations: sub(self.engine_cancellations, earlier.engine_cancellations),
-            digest_reuse: sub(self.digest_reuse, earlier.digest_reuse),
-        }
-    }
-}
-
-impl std::ops::AddAssign for ProverStats {
-    fn add_assign(&mut self, rhs: ProverStats) {
-        self.merge(&rhs);
     }
 }
 
@@ -150,7 +192,7 @@ mod tests {
             unroll_reuse_hits: 3,
             ..ProverStats::default()
         };
-        a += ProverStats {
+        a.merge(&ProverStats {
             sat_calls: 10,
             sim_kills: 20,
             ternary_kills: 30,
@@ -164,7 +206,7 @@ mod tests {
             bounded_wins: 3,
             engine_cancellations: 1,
             digest_reuse: 2,
-        };
+        });
         assert_eq!(a.sat_calls, 11);
         assert_eq!(a.sim_kills, 22);
         assert_eq!(a.ternary_kills, 33);
@@ -194,7 +236,7 @@ mod tests {
             ..ProverStats::default()
         };
         let mut later = earlier;
-        later += ProverStats {
+        later.merge(&ProverStats {
             sat_calls: 4,
             session_checks: 1,
             unroll_reuse_hits: 6,
@@ -202,7 +244,7 @@ mod tests {
             pdr_wins: 1,
             digest_reuse: 4,
             ..ProverStats::default()
-        };
+        });
         let delta = later.delta_since(&earlier);
         assert_eq!(delta.sat_calls, 4);
         assert_eq!(delta.sessions_opened, 0);

@@ -108,7 +108,8 @@
 //! how many proof sessions were opened versus candidate assertions
 //! streamed through them (compile-once / score-many reuse), and how
 //! many verdicts came from the in-memory cache versus the persistent
-//! store. See `ARCHITECTURE.md` for what each column means.
+//! store. The README's *Prover statistics* table says what each column
+//! means.
 
 use fveval_core::EvalEngine;
 use fveval_harness::HarnessOptions;
@@ -875,39 +876,15 @@ fn main() -> ExitCode {
     }
     let prover = engine.prover_stats();
     if prover.queries() > 0 {
+        let counts: Vec<String> = prover
+            .counters()
+            .map(|(counter, value)| format!("{}={value}", counter.key))
+            .collect();
         eprintln!(
-            "[prover: {} queries | {} SAT calls ({} on a reused solver), \
-             {} sim kills, {} ternary kills]",
+            "[prover: queries={} {}]",
             prover.queries(),
-            prover.sat_calls,
-            prover.solver_reuse_hits,
-            prover.sim_kills,
-            prover.ternary_kills,
+            counts.join(" ")
         );
-        eprintln!(
-            "[sessions: {} opened, {} assertions checked, {} unrollings reused, \
-             {} compiles served by digest]",
-            prover.sessions_opened,
-            prover.session_checks,
-            prover.unroll_reuse_hits,
-            prover.digest_reuse,
-        );
-        let engine_work = prover.pdr_wins
-            + prover.bounded_wins
-            + prover.engine_cancellations
-            + prover.pdr_frames
-            + prover.pdr_clauses_learned;
-        if engine_work > 0 {
-            eprintln!(
-                "[engines: {} pdr wins, {} bounded wins, {} cancellations | \
-                 pdr: {} frames opened, {} clauses learned]",
-                prover.pdr_wins,
-                prover.bounded_wins,
-                prover.engine_cancellations,
-                prover.pdr_frames,
-                prover.pdr_clauses_learned,
-            );
-        }
     }
     if prover.queries() > 0 || stats.hits + stats.persisted_hits + stats.misses > 0 {
         let t = prover_stats_table(&prover, &stats);
@@ -971,51 +948,76 @@ fn write_slow_checks(dir: &Path, engine: &EvalEngine) {
 }
 
 /// Renders the run's formal-core work summary: one row of counters
-/// describing how verdicts were produced (see `ARCHITECTURE.md`).
+/// describing how verdicts were produced (see the README's *Prover
+/// statistics* table). The columns are `Queries`, then every
+/// `ProverStats` counter in declaration order, with the three
+/// verdict-cache columns once, right after the last cache-group
+/// counter.
 fn prover_stats_table(
     prover: &fveval_core::ProverStats,
     cache: &fveval_core::CacheStats,
 ) -> fveval_core::Table {
-    let mut t = fveval_core::Table::new(
-        "Prover statistics (this run)",
-        &[
-            "Queries",
-            "SAT calls",
-            "Solver reuse hits",
-            "Sim kills",
-            "Ternary kills",
-            "Sessions opened",
-            "Assertions checked",
-            "Unroll reuse hits",
-            "Digest reuse",
-            "Verdict-cache hits",
-            "Persisted hits",
-            "Cache misses",
-            "PDR frames",
-            "PDR clauses",
-            "PDR wins",
-            "Bounded wins",
-            "Engine cancellations",
+    let mut columns = vec![("Queries", prover.queries())];
+    let mut cache_at = None;
+    for (counter, value) in prover.counters() {
+        columns.push((counter.header, value));
+        if counter.group == fv_core::CounterGroup::Cache {
+            cache_at = Some(columns.len());
+        }
+    }
+    let at = cache_at.unwrap_or(columns.len());
+    columns.splice(
+        at..at,
+        [
+            ("Verdict-cache hits", cache.hits),
+            ("Persisted hits", cache.persisted_hits),
+            ("Cache misses", cache.misses),
         ],
     );
-    t.push_row([
-        prover.queries().to_string().into(),
-        prover.sat_calls.to_string().into(),
-        prover.solver_reuse_hits.to_string().into(),
-        prover.sim_kills.to_string().into(),
-        prover.ternary_kills.to_string().into(),
-        prover.sessions_opened.to_string().into(),
-        prover.session_checks.to_string().into(),
-        prover.unroll_reuse_hits.to_string().into(),
-        prover.digest_reuse.to_string().into(),
-        cache.hits.to_string().into(),
-        cache.persisted_hits.to_string().into(),
-        cache.misses.to_string().into(),
-        prover.pdr_frames.to_string().into(),
-        prover.pdr_clauses_learned.to_string().into(),
-        prover.pdr_wins.to_string().into(),
-        prover.bounded_wins.to_string().into(),
-        prover.engine_cancellations.to_string().into(),
-    ]);
+    let headers: Vec<&str> = columns.iter().map(|&(header, _)| header).collect();
+    let mut t = fveval_core::Table::new("Prover statistics (this run)", &headers);
+    t.push_row(columns.iter().map(|(_, value)| value.to_string().into()));
     t
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn prover_stats_columns_keep_their_order() {
+        let cache = fveval_core::CacheStats {
+            hits: 1,
+            persisted_hits: 2,
+            misses: 3,
+            entries: 4,
+        };
+        let t = prover_stats_table(&Default::default(), &cache);
+        assert_eq!(
+            t.headers,
+            [
+                "Queries",
+                "SAT calls",
+                "Solver reuse hits",
+                "Sim kills",
+                "Ternary kills",
+                "Sessions opened",
+                "Assertions checked",
+                "Unroll reuse hits",
+                "Digest reuse",
+                "Verdict-cache hits",
+                "Persisted hits",
+                "Cache misses",
+                "PDR frames",
+                "PDR clauses",
+                "PDR wins",
+                "Bounded wins",
+                "Engine cancellations",
+            ]
+        );
+        let row = &t.rows[0];
+        assert_eq!(row.len(), 17);
+        let cache_cells: [fveval_core::TableCell; 3] = ["1".into(), "2".into(), "3".into()];
+        assert_eq!(row[9..12], cache_cells, "cache columns follow Digest reuse");
+    }
 }

@@ -36,7 +36,7 @@ use crate::poll::{Interest, Poller};
 use crate::protocol::{EvalRequest, EvalResult, JobState, JobView, TaskSetRef};
 use crate::shard::{shard_of, Shard};
 use crate::store::VerdictStore;
-use fv_core::ProverStats;
+use fv_core::{CounterGroup, ProverStats};
 use fveval_core::{
     generated_task_specs, human_task_specs, machine_task_specs, CacheStats, EvalEngine,
 };
@@ -761,15 +761,42 @@ fn job_status(shared: &Arc<Shared>, id: u64, wait_ms: Option<&str>) -> Action {
     }
 }
 
+/// Reads every shard engine's cache and prover counters once and
+/// merges them: `(cache total, prover total, per-shard rows)`. Both
+/// stats surfaces render the totals and the rows from one such read,
+/// so a total always equals the sum of its rows, even while jobs run.
+fn engine_snapshot(shared: &Shared) -> (CacheStats, ProverStats, Vec<(CacheStats, ProverStats)>) {
+    let rows: Vec<_> = shared
+        .shards
+        .iter()
+        .map(|shard| (shard.engine.cache_stats(), shard.engine.prover_stats()))
+        .collect();
+    let (mut cache, mut prover) = (CacheStats::default(), ProverStats::default());
+    for (shard_cache, shard_prover) in &rows {
+        cache.merge(shard_cache);
+        prover.merge(shard_prover);
+    }
+    (cache, prover, rows)
+}
+
+/// A `/v1/stats` block: `head`, then every counter of `group` under
+/// its field name.
+fn counter_block(
+    head: impl IntoIterator<Item = (&'static str, Json)>,
+    prover: &ProverStats,
+    group: CounterGroup,
+) -> Json {
+    let counters = prover
+        .counters()
+        .filter(|(counter, _)| counter.group == group)
+        .map(|(counter, value)| (counter.key, value.into()));
+    Json::obj(head.into_iter().chain(counters))
+}
+
 fn stats_json(shared: &Arc<Shared>) -> Json {
     // Aggregate across shards: the cache/prover blocks keep their
     // pre-shard key paths, computed as the merge of every shard.
-    let mut cache = CacheStats::default();
-    let mut prover = ProverStats::default();
-    for shard in &shared.shards {
-        cache.merge(&shard.engine.cache_stats());
-        prover.merge(&shard.engine.prover_stats());
-    }
+    let (cache, prover, shard_counters) = engine_snapshot(shared);
     let (queued, running): (usize, usize) = shared
         .shards
         .iter()
@@ -794,8 +821,8 @@ fn stats_json(shared: &Arc<Shared>) -> Json {
     let shard_rows: Vec<(String, Json)> = shared
         .shards
         .iter()
-        .map(|shard| {
-            let shard_cache = shard.engine.cache_stats();
+        .zip(&shard_counters)
+        .map(|(shard, (shard_cache, shard_prover))| {
             (
                 shard.index.to_string(),
                 Json::obj([
@@ -808,21 +835,18 @@ fn stats_json(shared: &Arc<Shared>) -> Json {
                     ("retry_after_ms", shard.retry_after_ms().into()),
                     (
                         "cache",
-                        Json::obj([
-                            ("hits", shard_cache.hits.into()),
-                            ("persisted_hits", shard_cache.persisted_hits.into()),
-                            ("misses", shard_cache.misses.into()),
-                            ("entries", shard_cache.entries.into()),
-                            (
-                                "digest_reuse",
-                                shard.engine.prover_stats().digest_reuse.into(),
-                            ),
-                        ]),
+                        counter_block(
+                            [
+                                ("hits", shard_cache.hits.into()),
+                                ("persisted_hits", shard_cache.persisted_hits.into()),
+                                ("misses", shard_cache.misses.into()),
+                                ("entries", shard_cache.entries.into()),
+                            ],
+                            shard_prover,
+                            CounterGroup::Cache,
+                        ),
                     ),
-                    (
-                        "prover_queries",
-                        shard.engine.prover_stats().queries().into(),
-                    ),
+                    ("prover_queries", shard_prover.queries().into()),
                 ]),
             )
         })
@@ -850,32 +874,25 @@ fn stats_json(shared: &Arc<Shared>) -> Json {
         ),
         (
             "cache",
-            Json::obj([
-                ("hits", cache.hits.into()),
-                ("persisted_hits", cache.persisted_hits.into()),
-                ("misses", cache.misses.into()),
-                ("entries", cache.entries.into()),
-                ("persisted_hit_rate", cache.persisted_hit_rate().into()),
-                ("digest_reuse", prover.digest_reuse.into()),
-            ]),
+            counter_block(
+                [
+                    ("hits", cache.hits.into()),
+                    ("persisted_hits", cache.persisted_hits.into()),
+                    ("misses", cache.misses.into()),
+                    ("entries", cache.entries.into()),
+                    ("persisted_hit_rate", cache.persisted_hit_rate().into()),
+                ],
+                &prover,
+                CounterGroup::Cache,
+            ),
         ),
         (
             "prover",
-            Json::obj([
-                ("queries", prover.queries().into()),
-                ("sat_calls", prover.sat_calls.into()),
-                ("sim_kills", prover.sim_kills.into()),
-                ("ternary_kills", prover.ternary_kills.into()),
-                ("solver_reuse_hits", prover.solver_reuse_hits.into()),
-                ("sessions_opened", prover.sessions_opened.into()),
-                ("session_checks", prover.session_checks.into()),
-                ("unroll_reuse_hits", prover.unroll_reuse_hits.into()),
-                ("pdr_frames", prover.pdr_frames.into()),
-                ("pdr_clauses_learned", prover.pdr_clauses_learned.into()),
-                ("pdr_wins", prover.pdr_wins.into()),
-                ("bounded_wins", prover.bounded_wins.into()),
-                ("engine_cancellations", prover.engine_cancellations.into()),
-            ]),
+            counter_block(
+                [("queries", prover.queries().into())],
+                &prover,
+                CounterGroup::Prover,
+            ),
         ),
         ("store", store_json),
         ("shards", Json::Obj(shard_rows)),
@@ -914,41 +931,19 @@ fn hist_json() -> Json {
 }
 
 /// Renders the Prometheus `/metrics` exposition. Prover and cache
-/// totals are computed from the *same* merged shard-engine counters as
-/// [`stats_json`], so `/metrics`, `/v1/stats`, and a direct run's
-/// `prover_stats.csv` for the same work reconcile exactly. Per-shard
-/// series carry a `shard` label; the trailing registry snapshot adds
-/// the span-duration histograms.
+/// totals come from the same [`engine_snapshot`] as [`stats_json`], so
+/// `/metrics`, `/v1/stats`, and a direct run's `prover_stats.csv` for
+/// the same work reconcile exactly. Per-shard series carry a `shard`
+/// label; the trailing registry snapshot adds the span-duration
+/// histograms.
 fn metrics_text(shared: &Arc<Shared>) -> String {
-    let mut cache = CacheStats::default();
-    let mut prover = ProverStats::default();
-    for shard in &shared.shards {
-        cache.merge(&shard.engine.cache_stats());
-        prover.merge(&shard.engine.prover_stats());
-    }
+    let (cache, prover, shard_counters) = engine_snapshot(shared);
     let mut prom = fv_trace::prometheus::PromText::new();
     prom.counter("prover.queries", &[], prover.queries());
-    prom.counter("prover.sat_calls", &[], prover.sat_calls);
-    prom.counter("prover.sim_kills", &[], prover.sim_kills);
-    prom.counter("prover.ternary_kills", &[], prover.ternary_kills);
-    prom.counter("prover.solver_reuse_hits", &[], prover.solver_reuse_hits);
-    prom.counter("prover.sessions_opened", &[], prover.sessions_opened);
-    prom.counter("prover.session_checks", &[], prover.session_checks);
-    prom.counter("prover.unroll_reuse_hits", &[], prover.unroll_reuse_hits);
-    prom.counter("prover.pdr_frames", &[], prover.pdr_frames);
-    prom.counter(
-        "prover.pdr_clauses_learned",
-        &[],
-        prover.pdr_clauses_learned,
-    );
-    prom.counter("prover.pdr_wins", &[], prover.pdr_wins);
-    prom.counter("prover.bounded_wins", &[], prover.bounded_wins);
-    prom.counter(
-        "prover.engine_cancellations",
-        &[],
-        prover.engine_cancellations,
-    );
-    prom.counter("cache.digest_reuse", &[], prover.digest_reuse);
+    for (counter, value) in prover.counters() {
+        let dotted = format!("{}.{}", counter.group.key(), counter.key);
+        prom.counter(&dotted, &[], value);
+    }
     prom.counter("cache.hits", &[], cache.hits);
     prom.counter("cache.persisted_hits", &[], cache.persisted_hits);
     prom.counter("cache.misses", &[], cache.misses);
@@ -989,11 +984,9 @@ fn metrics_text(shared: &Arc<Shared>) -> String {
             shared.compactions.load(Ordering::Relaxed),
         );
     }
-    for shard in &shared.shards {
+    for (shard, (shard_cache, shard_prover)) in shared.shards.iter().zip(&shard_counters) {
         let label = shard.index.to_string();
         let labels: [(&str, &str); 1] = [("shard", label.as_str())];
-        let shard_prover = shard.engine.prover_stats();
-        let shard_cache = shard.engine.cache_stats();
         prom.counter("shard.accepted", &labels, shard.accepted());
         prom.counter("shard.served", &labels, shard.served());
         prom.counter("shard.failed", &labels, shard.failed());

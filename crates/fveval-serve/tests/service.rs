@@ -3,17 +3,20 @@
 //! (and identically across shard counts), a killed + restarted server
 //! re-serves warm work entirely from the persistent verdict store with
 //! zero prover calls, full shard queues push back with `429` +
-//! `Retry-After`, and long-polls stream per-case progress.
+//! `Retry-After`, long-polls stream per-case progress, and every
+//! `/v1/stats` response, even mid-run, has totals equal to the sum of
+//! its per-shard rows.
 
 use fveval_core::{CaseEvals, EvalEngine};
 use fveval_llm::{Backend, InferenceConfig};
+use fveval_serve::json::Json;
 use fveval_serve::testutil::{run_load, LoadConfig, TempDir};
 use fveval_serve::{
     build_tasks, resolve_backends, Client, EvalRequest, Server, ServerConfig, SubmitOutcome,
     TaskSetRef,
 };
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const WAIT: Duration = Duration::from_secs(120);
 
@@ -412,7 +415,7 @@ fn per_shard_stats_sum_to_the_aggregate_totals() {
     run_load(client.addr(), &cfg).expect("load run");
     let stats = client.stats().expect("stats");
     let shards = match stats.get("shards").unwrap() {
-        fveval_serve::json::Json::Obj(members) => members,
+        Json::Obj(members) => members,
         other => panic!("per-shard stats must be an object, got {}", other.encode()),
     };
     assert_eq!(shards.len(), 4, "one row per shard");
@@ -431,27 +434,91 @@ fn per_shard_stats_sum_to_the_aggregate_totals() {
     assert_eq!(sum("depth"), aggregate("queued"));
     assert_eq!(sum("in_flight"), aggregate("running"));
     // The aggregate cache block is the merge of the per-shard blocks.
-    let cache_sum = |field: &str| -> u64 {
-        shards
+    assert_totals_match_shard_rows(&stats);
+    client.shutdown().expect("shutdown");
+    server.join().unwrap().expect("clean exit");
+}
+
+#[test]
+fn stats_totals_equal_the_shard_rows_while_jobs_run() {
+    let (client, server) = start_sharded(2, 16, None);
+    let jobs: Vec<u64> = (0..6)
+        .map(|seed| {
+            let mut request = suite_request();
+            if let TaskSetRef::Suite { seed: s, .. } = &mut request.tasks {
+                *s = seed;
+            }
+            client.submit(&request).expect("submit")
+        })
+        .collect();
+    // Poll, a few milliseconds apart, until every job has finished:
+    // each response, mid-run or not, must be one consistent read of the
+    // shard engines.
+    let deadline = Instant::now() + WAIT;
+    let last = loop {
+        assert!(Instant::now() < deadline, "jobs finish within {WAIT:?}");
+        let stats = client.stats().expect("stats");
+        assert_totals_match_shard_rows(&stats);
+        let jobs_block = stats.get("jobs").expect("jobs block");
+        let finished: u64 = ["done", "failed"]
             .iter()
-            .map(|(_, row)| {
-                row.get("cache")
-                    .and_then(|c| c.get(field))
-                    .and_then(|v| v.as_u64())
-                    .unwrap()
-            })
-            .sum()
+            .map(|key| jobs_block.get(key).and_then(Json::as_u64).unwrap())
+            .sum();
+        if finished == jobs.len() as u64 {
+            break stats;
+        }
+        std::thread::sleep(Duration::from_millis(2));
     };
-    let cache = stats.get("cache").unwrap();
-    for field in ["hits", "persisted_hits", "misses", "entries"] {
-        assert_eq!(
-            cache_sum(field),
-            cache.get(field).and_then(|v| v.as_u64()).unwrap(),
-            "cache.{field} is the shard merge"
-        );
+    let queries = last.get("prover").and_then(|p| p.get("queries"));
+    assert!(
+        queries.and_then(Json::as_u64).unwrap() > 0,
+        "the jobs did prover work, so the sums compared are not all zero"
+    );
+    for id in jobs {
+        client.wait(id, WAIT).expect("job finishes");
     }
     client.shutdown().expect("shutdown");
     server.join().unwrap().expect("clean exit");
+}
+
+/// Asserts that the aggregate `cache` counters (the four `CacheStats`
+/// keys and `digest_reuse`) and `prover.queries` each equal the sum
+/// over the `shards` rows of the same `/v1/stats` response. A key
+/// missing from any row or from the aggregate fails.
+fn assert_totals_match_shard_rows(stats: &Json) {
+    let Some(Json::Obj(rows)) = stats.get("shards") else {
+        panic!("per-shard stats must be an object");
+    };
+    let sum = |block: Option<&str>, key: &str| -> u64 {
+        rows.iter()
+            .map(|(_, row)| {
+                let row = block.map_or(Some(row), |block| row.get(block));
+                row.and_then(|r| r.get(key))
+                    .and_then(Json::as_u64)
+                    .unwrap_or_else(|| panic!("shard row lacks {key}"))
+            })
+            .sum()
+    };
+    let cache = stats.get("cache").expect("cache block");
+    for key in [
+        "hits",
+        "persisted_hits",
+        "misses",
+        "entries",
+        "digest_reuse",
+    ] {
+        assert_eq!(
+            cache.get(key).and_then(Json::as_u64),
+            Some(sum(Some("cache"), key)),
+            "cache.{key} is the sum of the shard rows"
+        );
+    }
+    let prover = stats.get("prover").expect("prover block");
+    assert_eq!(
+        prover.get("queries").and_then(Json::as_u64),
+        Some(sum(None, "prover_queries")),
+        "prover.queries is the sum of the shard rows"
+    );
 }
 
 /// The value of an unlabeled series in a Prometheus text exposition.
@@ -485,24 +552,47 @@ fn metrics_exposition_reconciles_with_stats_json() {
     let stats = client.stats().expect("stats");
     let text = client.metrics().expect("metrics exposition");
 
-    // Every prover counter in /metrics equals the /v1/stats value —
-    // both are rendered from the same merged shard-engine stats, so
-    // this must be exact, not approximate.
-    let prover = stats.get("prover").expect("prover block");
-    for (json_field, series) in [
-        ("queries", "fveval_prover_queries_total"),
-        ("sat_calls", "fveval_prover_sat_calls_total"),
-        ("sim_kills", "fveval_prover_sim_kills_total"),
-        ("ternary_kills", "fveval_prover_ternary_kills_total"),
-        ("sessions_opened", "fveval_prover_sessions_opened_total"),
-        ("session_checks", "fveval_prover_session_checks_total"),
-        ("pdr_frames", "fveval_prover_pdr_frames_total"),
-    ] {
-        let expected = prover.get(json_field).and_then(|v| v.as_u64()).unwrap();
+    // The declared wire names are pinned: renaming a `ProverStats`
+    // field must not silently rename a /v1/stats key or a /metrics
+    // series.
+    let declared: Vec<(&str, &str)> = fv_core::ProverStats::default()
+        .counters()
+        .map(|(counter, _)| (counter.group.key(), counter.key))
+        .collect();
+    assert_eq!(
+        declared,
+        [
+            ("prover", "sat_calls"),
+            ("prover", "solver_reuse_hits"),
+            ("prover", "sim_kills"),
+            ("prover", "ternary_kills"),
+            ("prover", "sessions_opened"),
+            ("prover", "session_checks"),
+            ("prover", "unroll_reuse_hits"),
+            ("cache", "digest_reuse"),
+            ("prover", "pdr_frames"),
+            ("prover", "pdr_clauses_learned"),
+            ("prover", "pdr_wins"),
+            ("prover", "bounded_wins"),
+            ("prover", "engine_cancellations"),
+        ]
+    );
+    // Every declared counter (plus the derived query total) appears
+    // under its group in /v1/stats and as fveval_<group>_<key>_total in
+    // /metrics, with equal values: both are rendered from the same
+    // merged shard-engine stats, so this must be exact, not
+    // approximate.
+    for (group, key) in std::iter::once(("prover", "queries")).chain(declared) {
+        let expected = stats
+            .get(group)
+            .and_then(|block| block.get(key))
+            .and_then(|v| v.as_u64())
+            .unwrap_or_else(|| panic!("stats.{group}.{key} missing"));
+        let series = format!("fveval_{group}_{key}_total");
         assert_eq!(
-            prom_value(&text, series),
+            prom_value(&text, &series),
             expected,
-            "{series} reconciles with stats.prover.{json_field}"
+            "{series} reconciles with stats.{group}.{key}"
         );
     }
     assert!(
