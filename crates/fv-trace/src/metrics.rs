@@ -7,8 +7,16 @@
 //! so they use per-thread shards: each thread owns a private
 //! [`AtomicHistogram`] per metric name, found through a thread-local
 //! cache (no lock, no contention) and bumped with relaxed atomic
-//! adds. [`snapshot`] merges every thread's shards into plain
-//! [`Histogram`] values without pausing writers.
+//! adds. [`snapshot`] merges every live thread's shards, plus the
+//! retired totals, into plain [`Histogram`] values without pausing
+//! writers.
+//!
+//! A shard lives only as long as its thread. When a thread exits, its
+//! shards are folded into a per-name retired [`Histogram`] and leave
+//! the live list, so a process that spawns short-lived recording
+//! threads (an engine's scoped workers, once per served job) keeps
+//! one retired histogram per name instead of one shard per thread,
+//! while totals stay cumulative.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
@@ -120,13 +128,14 @@ impl AtomicHistogram {
     }
 }
 
-/// Global registry state: counters, gauges, and the list of every
-/// thread's histogram shards (kept alive past thread exit so totals
-/// stay cumulative).
+/// Global registry state: counters, gauges, the histogram shards of
+/// every live thread, and the folded totals of exited threads' shards.
+/// Lock order: `shards` before `retired`.
 struct Registry {
     counters: Mutex<BTreeMap<&'static str, u64>>,
     gauges: Mutex<BTreeMap<&'static str, i64>>,
     shards: Mutex<Vec<(&'static str, Arc<AtomicHistogram>)>>,
+    retired: Mutex<BTreeMap<&'static str, Histogram>>,
 }
 
 fn registry() -> &'static Registry {
@@ -135,13 +144,43 @@ fn registry() -> &'static Registry {
         counters: Mutex::new(BTreeMap::new()),
         gauges: Mutex::new(BTreeMap::new()),
         shards: Mutex::new(Vec::new()),
+        retired: Mutex::new(BTreeMap::new()),
     })
 }
 
+/// One thread's histogram shards, keyed by metric name. Dropped when
+/// the thread exits, which retires every shard it registered.
+#[derive(Default)]
+struct LocalHists(HashMap<&'static str, Arc<AtomicHistogram>>);
+
+impl Drop for LocalHists {
+    fn drop(&mut self) {
+        if self.0.is_empty() {
+            return;
+        }
+        let registry = registry();
+        // Both locks, in snapshot order, so a snapshot sees each shard
+        // either live or retired, never both and never neither. A
+        // poisoned registry keeps the shards live rather than panic in
+        // a destructor.
+        let Ok(mut live) = registry.shards.lock() else {
+            return;
+        };
+        let Ok(mut retired) = registry.retired.lock() else {
+            return;
+        };
+        for (name, shard) in self.0.drain() {
+            retired.entry(name).or_default().merge(&shard.load());
+            if let Some(at) = live.iter().position(|(_, s)| Arc::ptr_eq(s, &shard)) {
+                live.swap_remove(at);
+            }
+        }
+    }
+}
+
 thread_local! {
-    /// This thread's histogram shards, keyed by metric name.
-    static LOCAL_HISTS: RefCell<HashMap<&'static str, Arc<AtomicHistogram>>> =
-        RefCell::new(HashMap::new());
+    /// This thread's histogram shards.
+    static LOCAL_HISTS: RefCell<LocalHists> = RefCell::new(LocalHists::default());
 }
 
 /// Adds `delta` to the counter `name` (dotted, e.g. `serve.flushes`).
@@ -161,7 +200,7 @@ pub fn gauge_set(name: &'static str, value: i64) {
 pub fn observe(name: &'static str, value: u64) {
     LOCAL_HISTS.with(|local| {
         let mut local = local.borrow_mut();
-        let shard = local.entry(name).or_insert_with(|| {
+        let shard = local.0.entry(name).or_insert_with(|| {
             let shard = Arc::new(AtomicHistogram::new());
             registry()
                 .shards
@@ -210,9 +249,10 @@ pub struct Snapshot {
     pub histograms: BTreeMap<String, Histogram>,
 }
 
-/// Takes a cumulative snapshot of the registry. Writers are not
-/// paused; each shard is read atomically bucket-by-bucket, which can
-/// lag `count` by in-flight observations but never invents data.
+/// Takes a cumulative snapshot of the registry: the retired totals
+/// plus every live shard. Writers are not paused; each shard is read
+/// atomically bucket-by-bucket, which can lag `count` by in-flight
+/// observations but never invents data.
 pub fn snapshot() -> Snapshot {
     let registry = registry();
     let counters = registry
@@ -229,8 +269,15 @@ pub fn snapshot() -> Snapshot {
         .iter()
         .map(|(&k, &v)| (k.to_string(), v))
         .collect();
-    let mut histograms: BTreeMap<String, Histogram> = BTreeMap::new();
-    for (name, shard) in registry.shards.lock().unwrap().iter() {
+    let live = registry.shards.lock().unwrap();
+    let mut histograms: BTreeMap<String, Histogram> = registry
+        .retired
+        .lock()
+        .unwrap()
+        .iter()
+        .map(|(&name, hist)| (name.to_string(), hist.clone()))
+        .collect();
+    for (name, shard) in live.iter() {
         histograms
             .entry(name.to_string())
             .or_default()
@@ -307,5 +354,32 @@ mod tests {
             hist.count
         );
         assert_eq!(hist.buckets.iter().sum::<u64>(), hist.count);
+    }
+
+    #[test]
+    fn exited_threads_retire_their_shards_into_cumulative_totals() {
+        const THREADS: u64 = 64;
+        const NAME: &str = "test.metrics.retired";
+        let live = || registry().shards.lock().unwrap().len();
+        let before = live();
+        for v in 0..THREADS {
+            std::thread::spawn(move || observe(NAME, v)).join().unwrap();
+        }
+        let hist = &snapshot().histograms[NAME];
+        assert_eq!(hist.count, THREADS, "every exited thread still counts");
+        assert_eq!(hist.sum, (0..THREADS).sum::<u64>());
+        assert_eq!(hist.buckets.iter().sum::<u64>(), THREADS);
+        let named = registry()
+            .shards
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|(name, _)| *name == NAME)
+            .count();
+        assert_eq!(named, 0, "no shard outlives its thread");
+        assert!(
+            live() < before + THREADS as usize,
+            "the live list did not grow by one shard per exited thread"
+        );
     }
 }

@@ -12,15 +12,19 @@
 //!   token;
 //! - [`Poller::wait`] blocks (with a timeout) until at least one
 //!   registered descriptor is ready, and reports the ready set as
-//!   [`Event`]s.
+//!   [`Event`]s;
+//! - [`Waker`] lets another thread end a wait: its read end is
+//!   registered like any descriptor, and [`Waker::wake`] makes it
+//!   readable.
 //!
 //! Level-triggered semantics are used throughout: a descriptor stays
 //! ready until it is drained, so the loop never needs to worry about
 //! missed edges — a stalled peer simply stops producing events without
 //! blocking anyone else.
 
-use std::io;
-use std::os::fd::RawFd;
+use std::io::{self, Read, Write};
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 
 /// What to watch a descriptor for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -188,12 +192,68 @@ impl Drop for Poller {
     }
 }
 
+/// A cross-thread wake-up for a [`Poller`]: a non-blocking Unix socket
+/// pair. Register the read end ([`AsRawFd`]) for [`Interest::Read`];
+/// any thread may then call [`Waker::wake`] to end the poller's wait,
+/// and the polling thread calls [`Waker::drain`] when it sees the
+/// event. Wakes coalesce: while one is pending, more add nothing.
+#[derive(Debug)]
+pub struct Waker {
+    tx: UnixStream,
+    rx: UnixStream,
+}
+
+impl Waker {
+    /// Creates the socket pair, both ends non-blocking.
+    ///
+    /// # Errors
+    ///
+    /// Returns the OS error if the pair cannot be created.
+    pub fn new() -> io::Result<Waker> {
+        let (tx, rx) = UnixStream::pair()?;
+        tx.set_nonblocking(true)?;
+        rx.set_nonblocking(true)?;
+        Ok(Waker { tx, rx })
+    }
+
+    /// Makes the read end readable. Never blocks: a full buffer
+    /// (`WouldBlock`) means a wake is already pending.
+    pub fn wake(&self) {
+        loop {
+            match (&self.tx).write(&[1]) {
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                _ => return,
+            }
+        }
+    }
+
+    /// Empties the read end, so the next wait blocks until the next
+    /// [`Waker::wake`].
+    pub fn drain(&self) {
+        let mut buf = [0u8; 256];
+        loop {
+            match (&self.rx).read(&mut buf) {
+                Ok(n) if n > 0 => continue,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                _ => return,
+            }
+        }
+    }
+}
+
+impl AsRawFd for Waker {
+    /// The read end, to register with a [`Poller`].
+    fn as_raw_fd(&self) -> RawFd {
+        self.rx.as_raw_fd()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
-    use std::os::fd::AsRawFd;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn readiness_tracks_a_loopback_pair() {
@@ -243,5 +303,50 @@ mod tests {
         poller.wait(&mut events, 1000).unwrap();
         assert!(events.iter().any(|e| e.token == 2 && e.readable));
         poller.deregister(server_side.as_raw_fd());
+    }
+
+    #[test]
+    fn a_wake_from_another_thread_ends_a_long_wait() {
+        const WAKE: u64 = 9;
+        let poller = Poller::new().unwrap();
+        let waker = Waker::new().unwrap();
+        poller
+            .register(waker.as_raw_fd(), WAKE, Interest::Read)
+            .unwrap();
+        let mut events = Vec::new();
+        let started = Instant::now();
+        std::thread::scope(|scope| {
+            // The pause makes the wake land while the wait blocks; the
+            // assertions hold in either order.
+            scope.spawn(|| {
+                std::thread::sleep(Duration::from_millis(20));
+                waker.wake();
+            });
+            poller.wait(&mut events, 10_000).unwrap();
+        });
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "the wake, not the 10 s timeout, ended the wait"
+        );
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].token, WAKE);
+        assert!(events[0].readable);
+
+        // Many wakes (enough to fill the socket buffer, which must not
+        // block the waker) coalesce into one event.
+        for _ in 0..10_000 {
+            waker.wake();
+        }
+        poller.wait(&mut events, 0).unwrap();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].token, WAKE);
+
+        // Draining empties the pair: the next wait times out empty.
+        waker.drain();
+        poller.wait(&mut events, 0).unwrap();
+        assert!(events.is_empty(), "drained waker is quiet");
+        waker.wake();
+        poller.wait(&mut events, 0).unwrap();
+        assert_eq!(events.len(), 1, "and wakes again after the drain");
     }
 }

@@ -18,9 +18,33 @@ use crate::json::Json;
 use fveval_core::{CaseEvals, SampleEval};
 use fveval_llm::InferenceConfig;
 
+// Size limits on a decoded request. Each admits every size the shipped
+// CLI, tests and harness send (machine count 120, per_family 16,
+// mutations 2, samples 10) with room to spare, and keeps one request
+// from asking a shard for more than it can build. Depth and width need
+// none here: each family clamps them.
+
+/// Most cases a `machine` task set may ask for.
+const MAX_MACHINE_COUNT: u64 = 10_000;
+/// Most scenarios per family a `suite` may ask for.
+const MAX_PER_FAMILY: u64 = 256;
+/// Most OP-Tree mutants per scenario a `suite` may ask for.
+const MAX_MUTATIONS: u64 = 16;
+/// Most samples per `(model, case)` a request may ask for.
+const MAX_SAMPLES: u64 = 100;
+
+/// Passes `n`, the value of field `key`, if it is within `limit`;
+/// otherwise a message naming the field and its limit.
+fn bounded(key: &str, n: u64, limit: u64) -> Result<u64, String> {
+    if n > limit {
+        return Err(format!("'{key}' is {n}; the limit is {limit}"));
+    }
+    Ok(n)
+}
+
 /// What to evaluate: a named shipped task set, or an inline generated
 /// suite (the `fveval-gen` families).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum TaskSetRef {
     /// The shipped NL2SVA-Human set (79 cases, fixed).
     Human,
@@ -107,34 +131,52 @@ impl TaskSetRef {
         match kind {
             "human" => Ok(TaskSetRef::Human),
             "machine" => Ok(TaskSetRef::Machine {
-                count: value
-                    .get("count")
-                    .and_then(Json::as_u64)
-                    .ok_or("machine set needs 'count'")? as usize,
+                count: bounded(
+                    "count",
+                    value
+                        .get("count")
+                        .and_then(Json::as_u64)
+                        .ok_or("machine set needs 'count'")?,
+                    MAX_MACHINE_COUNT,
+                )? as usize,
                 seed: decode_u64(value.get("seed")).ok_or("machine set needs 'seed'")?,
             }),
-            "suite" => Ok(TaskSetRef::Suite {
-                families: value
-                    .get("families")
-                    .and_then(Json::as_arr)
-                    .unwrap_or(&[])
-                    .iter()
-                    .map(|f| {
-                        f.as_str()
-                            .map(str::to_string)
-                            .ok_or_else(|| "family names must be strings".to_string())
-                    })
-                    .collect::<Result<_, _>>()?,
-                per_family: value
-                    .get("per_family")
-                    .and_then(Json::as_u64)
-                    .ok_or("suite needs 'per_family'")? as usize,
-                seed: decode_u64(value.get("seed")).ok_or("suite needs 'seed'")?,
-                depth: decode_opt_u32(value.get("depth"))?,
-                width: decode_opt_u32(value.get("width"))?,
-                // Absent on pre-mutation clients: default to none.
-                mutations: value.get("mutations").and_then(Json::as_u64).unwrap_or(0) as usize,
-            }),
+            "suite" => {
+                let families = value.get("families").and_then(Json::as_arr).unwrap_or(&[]);
+                // No more entries than there are generator families.
+                bounded(
+                    "families",
+                    families.len() as u64,
+                    fveval_gen::generators().len() as u64,
+                )?;
+                Ok(TaskSetRef::Suite {
+                    families: families
+                        .iter()
+                        .map(|f| {
+                            f.as_str()
+                                .map(str::to_string)
+                                .ok_or_else(|| "family names must be strings".to_string())
+                        })
+                        .collect::<Result<_, _>>()?,
+                    per_family: bounded(
+                        "per_family",
+                        value
+                            .get("per_family")
+                            .and_then(Json::as_u64)
+                            .ok_or("suite needs 'per_family'")?,
+                        MAX_PER_FAMILY,
+                    )? as usize,
+                    seed: decode_u64(value.get("seed")).ok_or("suite needs 'seed'")?,
+                    depth: decode_opt_u32(value.get("depth"))?,
+                    width: decode_opt_u32(value.get("width"))?,
+                    // Absent on pre-mutation clients: default to none.
+                    mutations: bounded(
+                        "mutations",
+                        value.get("mutations").and_then(Json::as_u64).unwrap_or(0),
+                        MAX_MUTATIONS,
+                    )? as usize,
+                })
+            }
             other => Err(format!("unknown task-set kind '{other}'")),
         }
     }
@@ -241,11 +283,14 @@ impl EvalRequest {
                 })
                 .collect::<Result<_, _>>()?,
             cfg: inference,
-            samples: value
-                .get("samples")
-                .and_then(Json::as_u64)
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or("request needs 'samples'")?,
+            samples: bounded(
+                "samples",
+                value
+                    .get("samples")
+                    .and_then(Json::as_u64)
+                    .ok_or("request needs 'samples'")?,
+                MAX_SAMPLES,
+            )? as u32,
         })
     }
 }
@@ -610,6 +655,74 @@ mod tests {
             TaskSetRef::Human.route_digest(),
             TaskSetRef::Machine { count: 8, seed: 0 }.route_digest()
         );
+    }
+
+    /// Asserts that `make(limit)` decodes unchanged and `make(limit +
+    /// 1)` is rejected with a message naming `field` and the limit.
+    fn assert_limit(field: &str, limit: u64, make: impl Fn(u64) -> EvalRequest) {
+        let at = make(limit);
+        let back = EvalRequest::decode(&parse(&at.encode().encode()).unwrap());
+        assert_eq!(back, Ok(at), "{field} at its limit is accepted");
+        let beyond = make(limit + 1).encode().encode();
+        let err = EvalRequest::decode(&parse(&beyond).unwrap()).unwrap_err();
+        assert_eq!(
+            err,
+            format!("'{field}' is {}; the limit is {limit}", limit + 1)
+        );
+    }
+
+    fn with_tasks(tasks: TaskSetRef) -> EvalRequest {
+        EvalRequest {
+            tasks,
+            models: vec![],
+            cfg: InferenceConfig::greedy(),
+            samples: 1,
+        }
+    }
+
+    fn suite(families: u64, per_family: u64, mutations: u64) -> TaskSetRef {
+        TaskSetRef::Suite {
+            families: vec!["fifo".to_string(); families as usize],
+            per_family: per_family as usize,
+            seed: 1,
+            depth: None,
+            width: None,
+            mutations: mutations as usize,
+        }
+    }
+
+    #[test]
+    fn machine_count_is_bounded() {
+        assert_limit("count", MAX_MACHINE_COUNT, |n| {
+            with_tasks(TaskSetRef::Machine {
+                count: n as usize,
+                seed: 1,
+            })
+        });
+    }
+
+    #[test]
+    fn suite_family_list_is_bounded_by_the_generators() {
+        let generators = fveval_gen::generators().len() as u64;
+        assert_limit("families", generators, |n| with_tasks(suite(n, 1, 0)));
+    }
+
+    #[test]
+    fn suite_per_family_is_bounded() {
+        assert_limit("per_family", MAX_PER_FAMILY, |n| with_tasks(suite(1, n, 0)));
+    }
+
+    #[test]
+    fn suite_mutations_are_bounded() {
+        assert_limit("mutations", MAX_MUTATIONS, |n| with_tasks(suite(1, 1, n)));
+    }
+
+    #[test]
+    fn samples_are_bounded() {
+        assert_limit("samples", MAX_SAMPLES, |n| EvalRequest {
+            samples: n as u32,
+            ..with_tasks(TaskSetRef::Human)
+        });
     }
 
     #[test]

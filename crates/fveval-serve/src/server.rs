@@ -8,19 +8,22 @@
 //! connection. Long-poll job watches (`GET /v1/jobs/<id>?wait_ms=`)
 //! park their connection inside the loop and are answered the moment
 //! the job's observable state changes (a case group completes, the job
-//! finishes) or the wait deadline passes.
+//! finishes) or the wait deadline passes: every job change writes to a
+//! [`Waker`] registered with the loop's poller, so the loop wakes at
+//! once instead of on its next tick.
 //!
 //! Evaluation model: [`ServerConfig::shards`] engine shards, each a
 //! [`Shard`] owning a private [`fveval_core::EvalEngine`] drained by
 //! one worker thread. Jobs route by the request's task-content digest
 //! ([`TaskSetRef::route_digest`] mod shard count), so a design's
 //! `CompiledDesign`/`ProofSession` state always lands on the same
-//! shard. Every shard queue is bounded ([`ServerConfig::queue_depth`]);
-//! a submit that finds its shard full is answered `429 Too Many
-//! Requests` with a `Retry-After` header and a `retry_after_ms` body
-//! hint. A maintenance thread compacts a fragmented [`VerdictStore`]
-//! in the background whenever every shard is idle, instead of only at
-//! shutdown.
+//! shard, and each worker builds a task set once and reuses it from
+//! its `TaskMemo` on every later job. Every shard queue is bounded
+//! ([`ServerConfig::queue_depth`]); a submit that finds its shard full
+//! is answered `429 Too Many Requests` with a `Retry-After` header and
+//! a `retry_after_ms` body hint. A maintenance thread compacts a
+//! fragmented [`VerdictStore`] in the background whenever every shard
+//! is idle, instead of only at shutdown.
 //!
 //! Determinism is unchanged from the single-engine server: shards
 //! partition *jobs*, not cases, and every engine computes the same
@@ -32,9 +35,9 @@
 
 use crate::http;
 use crate::json::{parse, Json};
-use crate::poll::{Interest, Poller};
+use crate::poll::{Interest, Poller, Waker};
 use crate::protocol::{EvalRequest, EvalResult, JobState, JobView, TaskSetRef};
-use crate::shard::{shard_of, Shard};
+use crate::shard::{shard_of, Shard, TaskMemo, MEMO_TASKS};
 use crate::store::VerdictStore;
 use fv_core::{CounterGroup, ProverStats};
 use fveval_core::{
@@ -106,8 +109,10 @@ const DRAIN_GRACE: Duration = Duration::from_millis(300);
 /// dropped after this long.
 const CONN_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Event-loop tick: the upper bound on how long parked long-polls and
-/// timeouts wait beyond their trigger.
+/// Event-loop tick: the longest the loop sleeps with nothing ready, and
+/// so the upper bound on how late a wait deadline or an idle timeout
+/// fires. Job progress does not wait for it: the worker's wake ends the
+/// sleep, so parked long-polls answer as soon as their job moves.
 const TICK_MS: i32 = 25;
 
 /// Longest honored `?wait_ms=` long-poll window.
@@ -144,6 +149,9 @@ struct State {
 #[derive(Debug)]
 struct Shared {
     shards: Vec<Shard>,
+    /// Wakes the event loop whenever a job changes (see
+    /// [`Shared::bump`]).
+    waker: Waker,
     store: Mutex<Option<VerdictStore>>,
     state: Mutex<State>,
     shutdown: AtomicBool,
@@ -161,8 +169,11 @@ impl Shared {
         self.shutdown.load(Ordering::SeqCst) && self.shards.iter().all(Shard::idle)
     }
 
-    fn bump(job: &mut Job) {
+    /// Records an observable change to `job` and wakes the event loop,
+    /// whose tick pass then answers the job's parked long-polls.
+    fn bump(&self, job: &mut Job) {
         job.version += 1;
+        self.waker.wake();
     }
 
     fn view_of(&self, id: u64, job: &Job) -> JobView {
@@ -275,8 +286,10 @@ impl Server {
                 Shard::new(index, engine, config.queue_depth)
             })
             .collect();
+        let waker = Waker::new().map_err(|e| format!("cannot create waker: {e}"))?;
         let shared = Arc::new(Shared {
             shards,
+            waker,
             store: Mutex::new(store),
             state: Mutex::new(State {
                 next_id: 1,
@@ -363,10 +376,16 @@ impl Server {
             .set_nonblocking(true)
             .map_err(|e| format!("cannot unblock listener: {e}"))?;
         let poller = Poller::new().map_err(|e| format!("cannot create poller: {e}"))?;
+        // Connection tokens count up from 1, so neither reserved token
+        // is ever handed to a connection.
         const LISTENER: u64 = 0;
+        const WAKE: u64 = u64::MAX;
         poller
             .register(self.listener.as_raw_fd(), LISTENER, Interest::Read)
             .map_err(|e| format!("cannot register listener: {e}"))?;
+        poller
+            .register(self.shared.waker.as_raw_fd(), WAKE, Interest::Read)
+            .map_err(|e| format!("cannot register waker: {e}"))?;
         let mut conns: HashMap<u64, Conn> = HashMap::new();
         let mut next_token: u64 = 1;
         let mut events = Vec::new();
@@ -378,6 +397,12 @@ impl Server {
             for event in events.clone() {
                 if event.token == LISTENER {
                     self.accept_ready(&poller, &mut conns, &mut next_token);
+                    continue;
+                }
+                if event.token == WAKE {
+                    // A job moved: the tick pass below answers its
+                    // parked long-polls.
+                    self.shared.waker.drain();
                     continue;
                 }
                 let Some(conn) = conns.get_mut(&event.token) else {
@@ -576,7 +601,7 @@ fn step_conn(
         ConnState::Parked { .. } => {
             // The only read event a parked watcher produces is its
             // peer hanging up; probe and drop if so. (Answers come
-            // from the tick pass, not from readiness.)
+            // from the tick pass, not from this socket's readiness.)
             let mut probe = [0u8; 64];
             match conn.stream.read(&mut probe) {
                 Ok(0) => false,
@@ -1016,6 +1041,9 @@ fn metrics_text(shared: &Arc<Shared>) -> String {
 /// surviving a `kill -9` right after.
 fn worker_loop(shared: &Arc<Shared>, index: usize) {
     let shard = &shared.shards[index];
+    // Routing sends each task set to exactly one shard, so this
+    // worker-owned memo needs no lock and never duplicates a set.
+    let mut memo = TaskMemo::new(MEMO_TASKS);
     loop {
         let Some(id) = shard.pop(&shared.shutdown) else {
             return;
@@ -1025,14 +1053,14 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
             let mut state = shared.state.lock().expect("state poisoned");
             state.jobs.get_mut(&id).map(|job| {
                 job.state = JobState::Running;
-                Shared::bump(job);
+                shared.bump(job);
                 job.request.clone()
             })
         };
         let outcome = {
             let _span = fv_trace::span!("serve.job", shard = index, job = id);
             match request {
-                Some(request) => run_job(shared, shard, id, &request),
+                Some(request) => run_job(shared, shard, &mut memo, id, &request),
                 // Evicted before it ran (tiny retain bound): nothing to do.
                 None => Err("job evicted before it ran".to_string()),
             }
@@ -1061,7 +1089,7 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
                     shared.jobs_failed.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            Shared::bump(job);
+            shared.bump(job);
         }
         // Bound memory: retain only the most recent finished results.
         state.finished.push_back(id);
@@ -1078,16 +1106,20 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
 fn run_job(
     shared: &Arc<Shared>,
     shard: &Shard,
+    memo: &mut TaskMemo,
     id: u64,
     request: &EvalRequest,
 ) -> Result<EvalResult, String> {
-    let tasks = build_tasks(&request.tasks)?;
+    let tasks = {
+        let _span = fv_trace::span!("serve.build", shard = shard.index, job = id);
+        memo.get_or_build(&request.tasks, build_tasks)?
+    };
     let models = resolve_backends(&request.models)?;
     {
         let mut state = shared.state.lock().expect("state poisoned");
         if let Some(job) = state.jobs.get_mut(&id) {
             job.cases_total = tasks.len() as u64;
-            Shared::bump(job);
+            shared.bump(job);
         }
     }
     let backends: Vec<&dyn Backend> = models.iter().map(|m| m as &dyn Backend).collect();
@@ -1098,7 +1130,7 @@ fn run_job(
             // moves forward.
             if done as u64 > job.cases_done {
                 job.cases_done = done as u64;
-                Shared::bump(job);
+                shared.bump(job);
             }
         }
     };
@@ -1147,7 +1179,8 @@ fn maintenance_loop(shared: &Arc<Shared>) {
 /// Materializes a task-set reference into an engine work-list. Public
 /// so the direct-path CLI and the integration tests evaluate *the
 /// same* task list a server would, making byte-identical comparisons
-/// meaningful.
+/// meaningful. The server itself calls it through each shard worker's
+/// memo, once per distinct task set.
 ///
 /// # Errors
 ///

@@ -11,11 +11,18 @@
 //! backpressure surface: a submit that finds `queued + in-flight` at
 //! the bound is rejected (`429`) with a [`Shard::retry_after_ms`]
 //! hint derived from an EWMA of recent job durations on that shard.
+//!
+//! Routing also means each task set is built on one shard only: a
+//! shard worker keeps the sets it built in a `TaskMemo`, so a task
+//! set that is submitted again is not regenerated (nor its mutants
+//! re-proved) on every job.
 
+use crate::protocol::TaskSetRef;
 use fveval_core::EvalEngine;
-use std::collections::VecDeque;
+use fveval_llm::TaskSpec;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 /// Routes a task-content digest to a shard: `digest mod shards`.
@@ -186,6 +193,60 @@ impl Shard {
     }
 }
 
+/// How many tasks one shard worker's `TaskMemo` holds at most.
+pub(crate) const MEMO_TASKS: usize = 4096;
+
+/// A built task list, shared between the memo and the jobs using it.
+type BuiltTasks = Arc<[Arc<TaskSpec>]>;
+
+/// One shard worker's built task sets, keyed by their reference. The
+/// worker owns it, so it needs no lock. It holds at most `bound` tasks
+/// (an empty set counts as one): a set that would push it past the
+/// bound clears it first, and a set larger than the bound is built on
+/// every use and never stored. Build errors are never stored.
+///
+/// Reusing a built set changes no verdict: the engine's caches key on
+/// each task's id and content digest, not on the `Arc` that holds it.
+#[derive(Debug)]
+pub(crate) struct TaskMemo {
+    sets: HashMap<TaskSetRef, BuiltTasks>,
+    tasks: usize,
+    bound: usize,
+}
+
+impl TaskMemo {
+    /// An empty memo holding at most `bound` tasks.
+    pub(crate) fn new(bound: usize) -> TaskMemo {
+        TaskMemo {
+            sets: HashMap::new(),
+            tasks: 0,
+            bound,
+        }
+    }
+
+    /// The stored tasks of `key`, or `build(key)`'s, stored if they fit.
+    pub(crate) fn get_or_build(
+        &mut self,
+        key: &TaskSetRef,
+        build: impl FnOnce(&TaskSetRef) -> Result<Vec<Arc<TaskSpec>>, String>,
+    ) -> Result<BuiltTasks, String> {
+        if let Some(tasks) = self.sets.get(key) {
+            return Ok(Arc::clone(tasks));
+        }
+        let tasks: BuiltTasks = build(key)?.into();
+        let weight = tasks.len().max(1);
+        if weight <= self.bound {
+            if self.tasks + weight > self.bound {
+                self.sets.clear();
+                self.tasks = 0;
+            }
+            self.tasks += weight;
+            self.sets.insert(key.clone(), Arc::clone(&tasks));
+        }
+        Ok(tasks)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,5 +313,92 @@ mod tests {
         assert!(shard.try_enqueue(2));
         assert!(shard.try_enqueue(3));
         assert_eq!(shard.retry_after_ms(), 800);
+    }
+
+    /// A `build` for [`TaskMemo::get_or_build`] that counts its calls:
+    /// it builds machine sets and fails on every other kind.
+    fn counting_build(
+        calls: &AtomicUsize,
+    ) -> impl FnOnce(&TaskSetRef) -> Result<Vec<Arc<TaskSpec>>, String> + '_ {
+        move |key| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            match key {
+                TaskSetRef::Machine { .. } => crate::build_tasks(key),
+                _ => Err("only machine sets build here".to_string()),
+            }
+        }
+    }
+
+    #[test]
+    fn task_memo_builds_each_set_once_within_its_bound() {
+        let calls = AtomicUsize::new(0);
+        let machine = |count, seed| TaskSetRef::Machine { count, seed };
+        let mut memo = TaskMemo::new(5);
+        let first = memo
+            .get_or_build(&machine(2, 1), counting_build(&calls))
+            .unwrap();
+        let again = memo
+            .get_or_build(&machine(2, 1), counting_build(&calls))
+            .unwrap();
+        assert!(
+            Arc::ptr_eq(&first, &again),
+            "a repeated set is the stored Arc"
+        );
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
+        let other = memo
+            .get_or_build(&machine(2, 2), counting_build(&calls))
+            .unwrap();
+        assert!(
+            !Arc::ptr_eq(&first, &other),
+            "a different set is built anew"
+        );
+        assert_eq!(calls.load(Ordering::Relaxed), 2);
+        assert_eq!((memo.sets.len(), memo.tasks), (2, 4));
+
+        // 4 + 2 > 5: the memo clears before storing the new set.
+        let third = memo
+            .get_or_build(&machine(2, 3), counting_build(&calls))
+            .unwrap();
+        assert_eq!((memo.sets.len(), memo.tasks), (1, 2));
+        let rebuilt = memo
+            .get_or_build(&machine(2, 1), counting_build(&calls))
+            .unwrap();
+        assert!(!Arc::ptr_eq(&first, &rebuilt), "a cleared set is rebuilt");
+        assert_eq!(first.len(), rebuilt.len());
+        assert!(Arc::ptr_eq(
+            &third,
+            &memo
+                .get_or_build(&machine(2, 3), counting_build(&calls))
+                .unwrap()
+        ));
+        assert_eq!(calls.load(Ordering::Relaxed), 4);
+
+        // A set larger than the bound is built on every use, and the
+        // stored sets stay.
+        for _ in 0..2 {
+            assert_eq!(
+                memo.get_or_build(&machine(6, 4), counting_build(&calls))
+                    .unwrap()
+                    .len(),
+                6
+            );
+        }
+        assert_eq!(calls.load(Ordering::Relaxed), 6);
+        assert_eq!((memo.sets.len(), memo.tasks), (2, 4));
+    }
+
+    #[test]
+    fn task_memo_never_stores_an_error() {
+        let calls = AtomicUsize::new(0);
+        let mut memo = TaskMemo::new(MEMO_TASKS);
+        for _ in 0..2 {
+            let err = memo
+                .get_or_build(&TaskSetRef::Human, counting_build(&calls))
+                .unwrap_err();
+            assert!(err.contains("only machine sets"), "{err}");
+        }
+        assert_eq!(calls.load(Ordering::Relaxed), 2, "each failure is retried");
+        assert!(memo.sets.is_empty());
+        assert_eq!(memo.tasks, 0);
     }
 }

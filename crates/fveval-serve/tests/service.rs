@@ -3,9 +3,10 @@
 //! (and identically across shard counts), a killed + restarted server
 //! re-serves warm work entirely from the persistent verdict store with
 //! zero prover calls, full shard queues push back with `429` +
-//! `Retry-After`, long-polls stream per-case progress, and every
-//! `/v1/stats` response, even mid-run, has totals equal to the sum of
-//! its per-shard rows.
+//! `Retry-After`, long-polls stream per-case progress and answer as
+//! soon as their job moves, oversized requests are refused without
+//! harm to the server, and every `/v1/stats` response, even mid-run,
+//! has totals equal to the sum of its per-shard rows.
 
 use fveval_core::{CaseEvals, EvalEngine};
 use fveval_llm::{Backend, InferenceConfig};
@@ -350,6 +351,90 @@ fn long_polls_stream_progress_and_finish_with_full_counts() {
     assert!(total > 0, "a finished job knows its case count");
     assert_eq!(view.cases_done, total, "finished jobs report full progress");
     assert!(view.shard.is_some(), "finished frames name their shard");
+    client.shutdown().expect("shutdown");
+    server.join().unwrap().expect("clean exit");
+}
+
+#[test]
+fn long_polls_answer_when_the_job_moves_not_on_the_event_loop_tick() {
+    // The event loop's idle tick (`TICK_MS` in the server).
+    const TICK: Duration = Duration::from_millis(25);
+    // One shard with one engine worker: the job's cases settle one at
+    // a time, and each settled case moves the job.
+    let server = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        shards: 1,
+        engine_jobs: 1,
+        ..ServerConfig::default()
+    })
+    .expect("server binds");
+    let client = Client::new(server.local_addr().to_string());
+    let server = std::thread::spawn(move || server.run());
+    // A cold job that runs for many ticks, so the loop below parks a
+    // long-poll on a running job many times over.
+    let request = EvalRequest {
+        tasks: TaskSetRef::Machine {
+            count: 2_000,
+            seed: 1,
+        },
+        models: vec!["gpt-4o".to_string()],
+        cfg: InferenceConfig::greedy(),
+        samples: 1,
+    };
+    let id = client.submit(&request).expect("submit");
+    let mut polls = Vec::new();
+    loop {
+        let started = Instant::now();
+        let view = client.job_wait(id, 10_000).expect("long-poll");
+        polls.push(started.elapsed());
+        match view.state {
+            fveval_serve::JobState::Done => break,
+            fveval_serve::JobState::Failed => panic!("job failed: {:?}", view.error),
+            _ => {}
+        }
+    }
+    polls.sort();
+    let median = polls[polls.len() / 2];
+    assert!(
+        median < TICK,
+        "median long-poll of {} took {median:?}, not below the {TICK:?} tick",
+        polls.len()
+    );
+    // Task building is timed under its own span.
+    let stats = client.stats().expect("stats");
+    let build = stats
+        .get("hist")
+        .and_then(|hist| hist.get("span.serve.build.us"))
+        .expect("serve.build histogram");
+    assert!(build.get("count").and_then(Json::as_u64).unwrap() >= 1);
+    client.shutdown().expect("shutdown");
+    server.join().unwrap().expect("clean exit");
+}
+
+#[test]
+fn oversized_requests_get_400_and_the_server_keeps_serving() {
+    let (client, server) = start_sharded(1, 16, None);
+    // A 2^40-case machine set. Were it accepted, the shard worker's
+    // allocation for it would abort the whole process.
+    let huge = EvalRequest {
+        tasks: TaskSetRef::Machine {
+            count: 1 << 40,
+            seed: 1,
+        },
+        models: vec!["gpt-4o".to_string()],
+        cfg: InferenceConfig::greedy(),
+        samples: 1,
+    };
+    let err = client.submit(&huge).unwrap_err();
+    assert!(err.contains("HTTP 400"), "{err}");
+    assert!(err.contains("'count'") && err.contains("10000"), "{err}");
+    let small = EvalRequest {
+        tasks: TaskSetRef::Machine { count: 2, seed: 1 },
+        ..huge
+    };
+    let id = client.submit(&small).expect("submit");
+    let view = client.wait(id, WAIT).expect("completes");
+    assert_eq!(view.result.unwrap().models[0].1.len(), 2);
     client.shutdown().expect("shutdown");
     server.join().unwrap().expect("clean exit");
 }
