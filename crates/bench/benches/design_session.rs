@@ -8,8 +8,9 @@
 //! `ProofSession` spine (one elaboration, one shared unrolled formula
 //! and solver per design) on identical response streams:
 //!
-//! - `fresh_per_sample_table5_scale` — the old per-response cost:
-//!   `elaborate_with_extras` + `prove_with_stats` for every sample.
+//! - `fresh_per_sample_table5_scale` — the old per-response cost: a
+//!   whole-file compile (`compile_design`) and a fresh prover for
+//!   every sample.
 //! - `session_per_design_table5_scale` — `compile_design` once per
 //!   design, every sample streamed through one
 //!   `Design2svaRunner::open_session` session.

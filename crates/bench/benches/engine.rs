@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fv_core::{check_equivalence, prove, EquivConfig, ProveConfig, SignalTable};
 use fveval_bench::pigeonhole;
-use fveval_core::{design_task_specs, machine_task_specs, EvalEngine};
+use fveval_core::{compile_design, design_task_specs, machine_task_specs, EvalEngine};
 use fveval_data::{
     fsm_sweep, generate_machine_cases, generate_pipeline, human_cases, machine_signal_table,
     signal_table_for, testbenches, MachineGenConfig, PipelineParams,
@@ -110,30 +110,16 @@ fn bench_model_checking(c: &mut Criterion) {
             expr_ops: 3,
             seed: 77,
         });
-        let mut src = case.design_source.clone();
-        src.push('\n');
-        src.push_str(&case.tb_source);
-        let file = parse_source(&src).unwrap();
-        let design = file.module(&case.top).unwrap();
-        let conns: Vec<(String, sv_ast::Expr)> = design
-            .port_order
-            .iter()
-            .map(|p| (p.clone(), sv_ast::Expr::ident(p.clone())))
-            .collect();
-        let inst = sv_ast::ModuleItem::Instance(sv_ast::Instance {
-            module: case.top.clone(),
-            name: "dut".into(),
-            params: vec![],
-            conns,
-        });
-        let netlist = sv_synth::elaborate_with_extras(&file, &case.tb_top, &[inst]).unwrap();
+        let compiled = compile_design(&case).unwrap();
         let assertion = parse_assertion_str(&case.golden[0]).unwrap();
         g.bench_with_input(
             BenchmarkId::new("prove_pipeline_depth", depth),
             &depth,
             |b, _| {
                 b.iter(|| {
-                    black_box(prove(&netlist, &assertion, &[], ProveConfig::default()).unwrap())
+                    black_box(
+                        prove(compiled.netlist(), &assertion, &[], ProveConfig::default()).unwrap(),
+                    )
                 })
             },
         );
@@ -224,28 +210,7 @@ fn bench_formal_core(c: &mut Criterion) {
     // proven (BMC sweep + k-induction), the dominant cost of Table 5.
     let mut proven_suite = Vec::new();
     for case in fsm_sweep(6, 0xF0CB) {
-        let mut src = case.design_source.clone();
-        src.push('\n');
-        src.push_str(&case.tb_source);
-        let file = parse_source(&src).unwrap();
-        let design = file.module(&case.top).unwrap();
-        let conns: Vec<(String, sv_ast::Expr)> = design
-            .port_order
-            .iter()
-            .map(|p| (p.clone(), sv_ast::Expr::ident(p.clone())))
-            .collect();
-        let inst = sv_ast::ModuleItem::Instance(sv_ast::Instance {
-            module: case.top.clone(),
-            name: "dut".into(),
-            params: vec![],
-            conns,
-        });
-        let netlist = sv_synth::elaborate_with_extras(&file, &case.tb_top, &[inst]).unwrap();
-        let consts: Vec<(String, u32, u128)> = netlist
-            .params
-            .iter()
-            .map(|(n, v)| (n.clone(), 32u32, *v))
-            .collect();
+        let compiled = compile_design(&case).unwrap();
         let assertions: Vec<sv_ast::Assertion> = case
             .golden
             .iter()
@@ -259,17 +224,21 @@ fn bench_formal_core(c: &mut Criterion) {
                     })
             })
             .collect();
-        proven_suite.push((netlist, assertions, consts));
+        proven_suite.push((compiled, assertions));
     }
-    g.bench_function("prove_fsm_goldens", |b| {
-        b.iter(|| {
-            for (netlist, assertions, consts) in &proven_suite {
-                for a in assertions {
-                    let _ = black_box(prove(netlist, a, consts, ProveConfig::default()));
-                }
+    let one_pass = || {
+        for (compiled, assertions) in &proven_suite {
+            for a in assertions {
+                let _ = black_box(prove(
+                    compiled.netlist(),
+                    a,
+                    compiled.consts(),
+                    ProveConfig::default(),
+                ));
             }
-        })
-    });
+        }
+    };
+    g.bench_function("prove_fsm_goldens", |b| b.iter(one_pass));
 
     // Observability overhead (fv-trace). The span sites are always
     // compiled in (the workspace carries no feature flags), so the
@@ -300,25 +269,12 @@ fn bench_formal_core(c: &mut Criterion) {
     });
     g.bench_function("trace_overhead/prove_fsm_goldens_timing_on", |b| {
         fv_trace::set_timing_enabled(true);
-        b.iter(|| {
-            for (netlist, assertions, consts) in &proven_suite {
-                for a in assertions {
-                    let _ = black_box(prove(netlist, a, consts, ProveConfig::default()));
-                }
-            }
-        });
+        b.iter(one_pass);
         fv_trace::set_timing_enabled(false);
     });
 
     // Derived bound: disabled per-site nanoseconds × sites per pass,
     // as a fraction of the pass itself.
-    let one_pass = || {
-        for (netlist, assertions, consts) in &proven_suite {
-            for a in assertions {
-                let _ = black_box(prove(netlist, a, consts, ProveConfig::default()));
-            }
-        }
-    };
     const SITES: u64 = 2_000_000;
     let t0 = std::time::Instant::now();
     for i in 0..SITES {

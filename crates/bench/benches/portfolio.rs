@@ -15,7 +15,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fv_core::{prove_with_stats, ProveConfig, ProveEngine, ProveResult};
-use fveval_gen::{bind_scenario, GenParams};
+use fveval_gen::GenParams;
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -33,7 +33,7 @@ fn bench_portfolio(c: &mut Criterion) {
     let scenario = fveval_gen::generator("deepcnt")
         .expect("deepcnt registered")
         .generate(&GenParams::default());
-    let bound = bind_scenario(&scenario).expect("deepcnt binds");
+    let compiled = scenario.compile().expect("deepcnt compiles");
     let headline = scenario
         .candidates
         .iter()
@@ -45,9 +45,9 @@ fn bench_portfolio(c: &mut Criterion) {
     // both reachability-aware configurations close it.
     let run = |engine| {
         prove_with_stats(
-            &bound.netlist,
+            compiled.netlist(),
             &assertion,
-            &bound.consts,
+            compiled.consts(),
             engine_cfg(engine),
         )
         .unwrap()

@@ -42,10 +42,17 @@
 //! shared trace and solver. The one-shot entry points ([`prove`],
 //! [`check_equivalence`]) are thin wrappers that open a session per
 //! call, so there is exactly one proving code path.
+//!
+//! Design sessions start from a [`CompiledDesign`], the one Design2SVA
+//! compile (design bound into its testbench as `dut`), shared by the
+//! evaluation engine and the scenario generator's golden validation
+//! and mutant gating. [`SignalTable::from_netlist`] is the one rule
+//! for which nets an assertion may name.
 
 #![deny(missing_docs)]
 
 mod cex;
+mod compiled;
 mod env;
 mod equiv;
 mod error;
@@ -59,6 +66,7 @@ mod stats;
 mod table;
 
 pub use cex::CexValue;
+pub use compiled::CompiledDesign;
 pub use env::{DesignTraceEnv, FreeTraceEnv, TraceEnv};
 pub use equiv::{
     check_equivalence, EquivConfig, EquivOutcome, EquivSession, Equivalence, TraceCex,

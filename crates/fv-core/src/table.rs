@@ -1,6 +1,7 @@
 //! Signal width tables for free-trace (testbench) contexts.
 
 use std::collections::HashMap;
+use sv_synth::Netlist;
 
 /// Declared signals of a verification context: name to bit width.
 ///
@@ -29,6 +30,24 @@ impl SignalTable {
     /// Creates an empty table.
     pub fn new() -> SignalTable {
         SignalTable::default()
+    }
+
+    /// The assertion scope of an elaborated testbench: every net an
+    /// assertion can name at its width, and every top-level parameter
+    /// as a 32-bit constant. Array elements (`mem[0]`) and nets inside
+    /// an instance (`dut.count`) are not nameable in SVA and are left
+    /// out.
+    pub fn from_netlist(netlist: &Netlist) -> SignalTable {
+        let mut table = SignalTable::new();
+        for (name, binding) in netlist.net_names() {
+            if !name.contains('[') && !name.contains('.') {
+                table.insert(name, binding.width);
+            }
+        }
+        for (name, value) in &netlist.params {
+            table.insert_const(name.clone(), 32, *value);
+        }
+        table
     }
 
     /// Declares a signal.
@@ -120,6 +139,31 @@ mod tests {
         let t: SignalTable = [("a", 1u32), ("b", 8)].into_iter().collect();
         assert_eq!(t.len(), 2);
         assert_eq!(t.width("b"), Some(8));
+    }
+
+    #[test]
+    fn netlist_scope_leaves_out_array_elements_and_instance_nets() {
+        let compiled = crate::CompiledDesign::new(
+            "module cnt (clk, q);\ninput clk; output [3:0] q;\n\
+             reg [3:0] count;\nalways @(posedge clk) begin count <= count + 4'd1; end\n\
+             assign q = count;\nendmodule\n",
+            "module tb (clk, q);\nparameter S1 = 2;\ninput clk; input [3:0] q;\n\
+             logic [3:0] mem [1:0];\nassign mem[0] = q;\nassign mem[1] = mem[0];\n\
+             endmodule\n",
+            "cnt",
+            "tb",
+        )
+        .unwrap();
+        let netlist = compiled.netlist();
+        assert!(netlist.net("mem[0]").is_some());
+        assert!(netlist.net("dut.count").is_some());
+        let t = SignalTable::from_netlist(netlist);
+        assert_eq!(t.width("q"), Some(4));
+        assert_eq!(t.width("clk"), Some(1));
+        assert_eq!(t.width("mem[0]"), None);
+        assert_eq!(t.width("dut.count"), None);
+        assert_eq!(t.constant("S1"), Some((32, 2)));
+        assert_eq!(t.width("S1"), None);
     }
 
     #[test]

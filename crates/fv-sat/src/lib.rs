@@ -27,13 +27,11 @@
 #![deny(missing_docs)]
 
 mod clause;
-mod dimacs;
 mod heap;
 mod luby;
 mod solver;
 
 pub use clause::{Clause, ClauseRef};
-pub use dimacs::{parse_dimacs, solver_from_dimacs, to_dimacs, ParseDimacsError};
 pub use solver::{SolveResult, Solver, SolverStats};
 
 /// A boolean variable, identified by a dense non-negative index.

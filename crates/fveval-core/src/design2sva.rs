@@ -13,82 +13,26 @@
 
 use crate::engine::{design_task_specs, EvalEngine};
 use crate::metrics::{CaseEvals, SampleEval};
-use fv_core::{ProofSession, ProveConfig, ProveResult, ProverStats};
+use fv_core::{CompiledDesign, ProofSession, ProveConfig, ProveResult, ProverStats};
 use fveval_data::DesignCase;
 use fveval_llm::{Backend, InferenceConfig};
-use sv_ast::{Expr, Instance, ModuleItem};
-use sv_parser::{parse_snippet, parse_source};
-use sv_synth::{elaborate_design, ElaboratedDesign, Netlist};
+use sv_ast::ModuleItem;
+use sv_parser::parse_snippet;
 
-/// A Design2SVA case compiled into reusable form: the split-elaborated
-/// design (testbench with the DUT bound in) plus the assertion-visible
-/// testbench constants. One `CompiledDesign` is shared — via the
-/// engine's content-addressed cache — by every backend and sample that
-/// scores against the case.
-#[derive(Debug, Clone)]
-pub struct CompiledDesign {
-    design: ElaboratedDesign,
-    /// Parameter constants visible to assertions (state encodings).
-    consts: Vec<(String, u32, u128)>,
-}
-
-/// Parses the design + testbench, builds the DUT binding, and runs the
-/// whole-file elaboration — the formal tool's compile step for a
-/// Design2SVA case, paid once per design.
+/// Compiles a Design2SVA case — the formal tool's compile step, paid
+/// once per design (see [`CompiledDesign::new`]).
 ///
 /// # Errors
 ///
 /// Returns a message if the (generated) collateral itself fails to
 /// parse or elaborate — covered by dataset tests, so unexpected here.
 pub fn compile_design(case: &DesignCase) -> Result<CompiledDesign, String> {
-    let mut src = String::with_capacity(case.design_source.len() + case.tb_source.len() + 1);
-    src.push_str(&case.design_source);
-    src.push('\n');
-    src.push_str(&case.tb_source);
-    let file = parse_source(&src).map_err(|e| e.to_string())?;
-    let design = file
-        .module(&case.top)
-        .ok_or_else(|| format!("missing design module {}", case.top))?;
-    let conns: Vec<(String, Expr)> = design
-        .port_order
-        .iter()
-        .map(|p| (p.clone(), Expr::ident(p.clone())))
-        .collect();
-    let dut_instance = ModuleItem::Instance(Instance {
-        module: case.top.clone(),
-        name: "dut".into(),
-        params: vec![],
-        conns,
-    });
-    // One whole-file elaboration validates the collateral, harvests
-    // the testbench parameters, and caches the helper-free netlist.
-    let design = elaborate_design(&file, &case.tb_top, std::slice::from_ref(&dut_instance))
-        .map_err(|e| e.to_string())?;
-    let consts = design
-        .params()
-        .iter()
-        .map(|(n, v)| (n.clone(), 32u32, *v))
-        .collect();
-    Ok(CompiledDesign { design, consts })
-}
-
-impl CompiledDesign {
-    /// The helper-free base netlist (testbench with the DUT bound in).
-    pub fn netlist(&self) -> &Netlist {
-        self.design.netlist()
-    }
-
-    /// Testbench parameter bindings visible to candidate assertions.
-    pub fn consts(&self) -> &[(String, u32, u128)] {
-        &self.consts
-    }
-
-    /// Splices a response's helper items into the compiled design —
-    /// only the helpers are flattened; the design itself is not
-    /// re-elaborated.
-    fn netlist_with(&self, helpers: &[ModuleItem]) -> Result<Netlist, String> {
-        self.design.bind_extras(helpers).map_err(|e| e.to_string())
-    }
+    CompiledDesign::new(
+        &case.design_source,
+        &case.tb_source,
+        &case.top,
+        &case.tb_top,
+    )
 }
 
 /// A per-design scoring session: one [`ProofSession`] over the compiled
@@ -224,7 +168,7 @@ impl Design2svaRunner {
             // The shared base netlist: stream through the session.
             if session.session.is_none() {
                 let compiled = session.compiled;
-                match ProofSession::open(compiled.netlist(), &compiled.consts, session.cfg) {
+                match ProofSession::open(compiled.netlist(), compiled.consts(), session.cfg) {
                     Ok(open) => session.session = Some(Box::new(open)),
                     // Unreachable for elaborated netlists (cycles are
                     // rejected at elaboration); fail the sample rather
@@ -241,12 +185,12 @@ impl Design2svaRunner {
         } else {
             // Helper items change the design: a private netlist via the
             // cheap split-elaboration bind, proven one-shot.
-            let netlist = match session.compiled.netlist_with(&helpers) {
+            let netlist = match session.compiled.bind_extras(&helpers) {
                 Ok(nl) => nl,
                 Err(_) => return failed,
             };
             let mut one_shot =
-                match ProofSession::open(&netlist, &session.compiled.consts, session.cfg) {
+                match ProofSession::open(&netlist, session.compiled.consts(), session.cfg) {
                     Ok(open) => open,
                     Err(_) => return failed,
                 };

@@ -25,10 +25,10 @@
 //!   (whole-file elaboration + DUT binding) across all backends,
 //!   samples, and — when one engine serves many jobs — runs.
 
-use crate::design2sva::{compile_design, CompiledDesign, Design2svaRunner, DesignSession};
+use crate::design2sva::{compile_design, Design2svaRunner, DesignSession};
 use crate::metrics::{CaseEvals, SampleEval};
 use crate::nl2sva::{Nl2svaRunner, NlSession};
-use fv_core::{ProverStats, SignalTable};
+use fv_core::{CompiledDesign, ProverStats, SignalTable};
 use fveval_data::{DesignCase, HumanCase, MachineCase};
 use fveval_llm::{Backend, InferenceConfig, Request, TaskSpec};
 use std::collections::HashMap;
@@ -306,12 +306,6 @@ impl EvalEngine {
             prover: Mutex::new(ProverStats::default()),
             slow: Mutex::new(Vec::new()),
         }
-    }
-
-    /// Overrides the NL2SVA scoring runner (equivalence horizons).
-    pub fn with_nl2sva_runner(mut self, runner: Nl2svaRunner) -> EvalEngine {
-        self.nl2sva = runner;
-        self
     }
 
     /// Overrides the Design2SVA scoring runner (prover bounds).

@@ -28,12 +28,12 @@ mod stats;
 mod tokenize;
 
 pub use bleu::bleu;
-pub use design2sva::{compile_design, CompiledDesign, Design2svaRunner, DesignSession};
+pub use design2sva::{compile_design, Design2svaRunner, DesignSession};
 pub use engine::{
     design_task_specs, generated_task_specs, human_task_specs, machine_task_specs, CacheStats,
     EvalEngine, SlowCheck, VerdictRecord,
 };
-pub use fv_core::ProverStats;
+pub use fv_core::{CompiledDesign, ProverStats};
 pub use metrics::{CaseEvals, MetricSummary, SampleEval};
 pub use nl2sva::{Nl2svaRunner, NlSession, PromptInfo};
 pub use passk::pass_at_k;

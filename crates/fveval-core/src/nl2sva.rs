@@ -28,10 +28,8 @@ pub struct PromptInfo {
 /// Evaluates models on NL-to-assertion tasks with the full pipeline:
 /// syntax via the parser, functional/partial via the formal
 /// equivalence prover, and BLEU against the reference.
-#[derive(Debug, Clone)]
-pub struct Nl2svaRunner {
-    equiv: EquivConfig,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Nl2svaRunner;
 
 /// A per-case scoring session: the reference assertion compiled once
 /// into a shared [`EquivSession`], reused by every candidate sample.
@@ -60,24 +58,11 @@ impl NlSession<'_> {
     }
 }
 
-impl Default for Nl2svaRunner {
-    fn default() -> Nl2svaRunner {
-        Nl2svaRunner::new()
-    }
-}
-
 impl Nl2svaRunner {
-    /// Runner with default equivalence configuration.
+    /// Runner scoring equivalence under the default horizon
+    /// ([`EquivConfig::default`]), the same for every case.
     pub fn new() -> Nl2svaRunner {
-        Nl2svaRunner {
-            equiv: EquivConfig::default(),
-        }
-    }
-
-    /// Overrides the equivalence configuration (horizon studies).
-    pub fn with_equiv_config(mut self, cfg: EquivConfig) -> Nl2svaRunner {
-        self.equiv = cfg;
-        self
+        Nl2svaRunner
     }
 
     /// Opens a scoring session for one case: the reference assertion is
@@ -88,9 +73,11 @@ impl Nl2svaRunner {
     pub fn open_session<'t>(&self, reference_text: &str, table: &'t SignalTable) -> NlSession<'t> {
         NlSession {
             state: match parse_assertion_str(reference_text) {
-                Ok(reference) => {
-                    NlSessionState::Open(Box::new(EquivSession::open(reference, table, self.equiv)))
-                }
+                Ok(reference) => NlSessionState::Open(Box::new(EquivSession::open(
+                    reference,
+                    table,
+                    EquivConfig::default(),
+                ))),
                 Err(_) => NlSessionState::BadReference,
             },
         }
@@ -193,9 +180,7 @@ impl Nl2svaRunner {
         cfg: &InferenceConfig,
         n_samples: u32,
     ) -> Vec<CaseEvals> {
-        EvalEngine::with_jobs(1)
-            .with_nl2sva_runner(self.clone())
-            .run(model, &human_task_specs(cases, tables), cfg, n_samples)
+        EvalEngine::with_jobs(1).run(model, &human_task_specs(cases, tables), cfg, n_samples)
     }
 
     /// Runs a model over the machine dataset (sequential convenience
@@ -208,9 +193,7 @@ impl Nl2svaRunner {
         cfg: &InferenceConfig,
         n_samples: u32,
     ) -> Vec<CaseEvals> {
-        EvalEngine::with_jobs(1)
-            .with_nl2sva_runner(self.clone())
-            .run(model, &machine_task_specs(cases, table), cfg, n_samples)
+        EvalEngine::with_jobs(1).run(model, &machine_task_specs(cases, table), cfg, n_samples)
     }
 }
 

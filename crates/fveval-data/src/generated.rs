@@ -19,7 +19,7 @@ use crate::design::{DesignCase, DesignKind};
 use crate::human::HumanCase;
 use crate::machine::MachineCase;
 use fv_core::SignalTable;
-use fveval_gen::{bind_scenario, generate_suite, Scenario, Suite, SuiteConfig};
+use fveval_gen::{generate_suite, Scenario, Suite, SuiteConfig};
 use std::collections::HashMap;
 
 /// One generated suite converted into engine-ready task sets.
@@ -42,7 +42,7 @@ pub struct GeneratedTaskSet {
 ///
 /// # Errors
 ///
-/// Propagates collateral binding/parse failures — generator bugs,
+/// Propagates collateral compile failures — generator bugs,
 /// covered by `fveval-gen`'s own tests.
 pub fn generated_task_set(config: &SuiteConfig) -> Result<GeneratedTaskSet, String> {
     task_set_from_suite(generate_suite(config))
@@ -52,15 +52,18 @@ pub fn generated_task_set(config: &SuiteConfig) -> Result<GeneratedTaskSet, Stri
 ///
 /// # Errors
 ///
-/// Propagates collateral binding/parse failures.
+/// Propagates collateral compile failures.
 pub fn task_set_from_suite(suite: Suite) -> Result<GeneratedTaskSet, String> {
     let mut human = Vec::new();
     let mut tables = HashMap::new();
     let mut machine = Vec::new();
     let mut designs = Vec::new();
     for scenario in &suite.scenarios {
-        let bound = bind_scenario(scenario)?;
-        tables.insert(scenario.id.clone(), bound.table);
+        let compiled = scenario.compile()?;
+        tables.insert(
+            scenario.id.clone(),
+            SignalTable::from_netlist(compiled.netlist()),
+        );
         for cand in &scenario.candidates {
             let id = format!("{}_{}", scenario.id, cand.name);
             let mutation = cand.mutation.map(|op| op.tag().to_string());

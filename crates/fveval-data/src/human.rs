@@ -127,8 +127,8 @@ pub fn testbench(name: &str) -> Option<Testbench> {
 }
 
 /// Builds the assertion-visible signal table of a testbench by
-/// elaborating it with the repository's own front-end: every net
-/// becomes a signal, every top parameter a named constant.
+/// elaborating it with the repository's own front-end (see
+/// [`SignalTable::from_netlist`] for which nets are in scope).
 ///
 /// # Errors
 ///
@@ -137,17 +137,7 @@ pub fn testbench(name: &str) -> Option<Testbench> {
 pub fn signal_table_for(tb: &Testbench) -> Result<SignalTable, String> {
     let file = parse_source(tb.source).map_err(|e| e.to_string())?;
     let netlist = elaborate(&file, tb.top).map_err(|e| e.to_string())?;
-    let mut table = SignalTable::new();
-    for (name, binding) in netlist.net_names() {
-        // Array elements (`mem[0]`) are not directly nameable in SVA.
-        if !name.contains('[') && !name.contains('.') {
-            table.insert(name.to_string(), binding.width);
-        }
-    }
-    for (name, value) in &netlist.params {
-        table.insert_const(name.clone(), 32, *value);
-    }
-    Ok(table)
+    Ok(SignalTable::from_netlist(&netlist))
 }
 
 fn case(id: &str, testbench: &str, question: &str, reference: &str) -> HumanCase {

@@ -57,9 +57,7 @@ mod validate;
 pub use families::{generator, generators};
 pub use mutate::{derive_mutants, derive_mutants_with_ops, mutate_scenario, MutationOp};
 pub use suite::{generate_suite, write_atomic, write_suite, Suite, SuiteConfig};
-pub use validate::{
-    bind_scenario, validate_scenario, validate_suite, BoundScenario, ScenarioReport,
-};
+pub use validate::{validate_scenario, validate_suite, ScenarioReport};
 
 // Re-exported so downstream callers (CLI, benches) can tune prover
 // bounds without depending on `fv-core` directly.
@@ -173,6 +171,23 @@ impl Scenario {
         self.candidates
             .iter()
             .filter(|c| c.verdict == GoldenVerdict::Falsifiable)
+    }
+
+    /// Compiles the collateral with the design bound into the
+    /// testbench, exactly as the evaluation engine compiles a
+    /// Design2SVA case (see [`fv_core::CompiledDesign::new`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns the parse/elaboration message if the generated
+    /// collateral is invalid — a generator bug, covered by tests.
+    pub fn compile(&self) -> Result<fv_core::CompiledDesign, String> {
+        fv_core::CompiledDesign::new(
+            &self.design_source,
+            &self.tb_source,
+            &self.top,
+            &self.tb_top,
+        )
     }
 }
 

@@ -543,11 +543,12 @@ pub fn derive_mutants(scenario: &Scenario, count: usize) -> Vec<Candidate> {
 /// caller's engine choice, so suites stay byte-identical across
 /// engines) and accepts it only on `Falsified` with a replaying
 /// counterexample.
-fn confirmed_falsifiable(bound: &crate::BoundScenario, a: &Assertion) -> bool {
+fn confirmed_falsifiable(compiled: &fv_core::CompiledDesign, a: &Assertion) -> bool {
     let cfg = fv_core::ProveConfig::default();
-    match fv_core::prove_with_stats(&bound.netlist, a, &bound.consts, cfg) {
+    let (netlist, consts) = (compiled.netlist(), compiled.consts());
+    match fv_core::prove_with_stats(netlist, a, consts, cfg) {
         Ok((fv_core::ProveResult::Falsified { cex }, _)) => {
-            fv_core::replay_design_cex(&bound.netlist, a, &bound.consts, cfg, &cex).unwrap_or(false)
+            fv_core::replay_design_cex(netlist, a, consts, cfg, &cex).unwrap_or(false)
         }
         _ => false,
     }
@@ -577,7 +578,7 @@ pub fn derive_mutants_with_ops(
     if count == 0 || ops.is_empty() {
         return Vec::new();
     }
-    let Ok(bound) = crate::bind_scenario(scenario) else {
+    let Ok(compiled) = scenario.compile() else {
         // Unelaborable collateral is a generator bug surfaced by
         // `validate_scenario`; there is nothing sound to mutate.
         return Vec::new();
@@ -622,7 +623,7 @@ pub fn derive_mutants_with_ops(
                 let start = rng.gen_range(0..n);
                 let accepted = (0..n).find_map(|s| {
                     let (mutated, _) = rewrite(tree, op, (start + s) % n);
-                    confirmed_falsifiable(&bound, &mutated).then_some(mutated)
+                    confirmed_falsifiable(&compiled, &mutated).then_some(mutated)
                 });
                 let Some(mutated) = accepted else {
                     continue; // no falsifying site here; another candidate

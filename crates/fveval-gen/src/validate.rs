@@ -14,80 +14,9 @@
 //! schedule cannot close at its default depth.
 
 use crate::{GoldenVerdict, Scenario, Suite};
-use fv_core::SignalTable;
 use fv_core::{
     prove_with_stats, replay_design_cex, ProveConfig, ProveEngine, ProveResult, ProverStats,
 };
-use sv_ast::{Expr, Instance, ModuleItem};
-use sv_parser::parse_source;
-use sv_synth::{elaborate_with_extras, Netlist};
-
-/// A scenario bound for proving: the elaborated testbench netlist with
-/// the DUT instantiated, plus the assertion-visible constants and the
-/// signal scope candidate assertions are evaluated in.
-#[derive(Debug)]
-pub struct BoundScenario {
-    /// The elaborated testbench-with-DUT netlist.
-    pub netlist: Netlist,
-    /// Testbench parameter bindings for the prover.
-    pub consts: Vec<(String, u32, u128)>,
-    /// The assertion-visible signal scope (nets + constants), for the
-    /// NL2SVA task types.
-    pub table: SignalTable,
-}
-
-/// Parses and elaborates a scenario's collateral exactly the way the
-/// evaluation engine binds a Design2SVA case: design + testbench in one
-/// source, the DUT instantiated with every port tied to the same-named
-/// testbench input.
-///
-/// # Errors
-///
-/// Returns the parse/elaboration message if the generated collateral is
-/// invalid — a generator bug, covered by tests.
-pub fn bind_scenario(scenario: &Scenario) -> Result<BoundScenario, String> {
-    let mut src =
-        String::with_capacity(scenario.design_source.len() + scenario.tb_source.len() + 1);
-    src.push_str(&scenario.design_source);
-    src.push('\n');
-    src.push_str(&scenario.tb_source);
-    let file = parse_source(&src).map_err(|e| e.to_string())?;
-    let design = file
-        .module(&scenario.top)
-        .ok_or_else(|| format!("missing design module {}", scenario.top))?;
-    let conns: Vec<(String, Expr)> = design
-        .port_order
-        .iter()
-        .map(|p| (p.clone(), Expr::ident(p.clone())))
-        .collect();
-    let dut = ModuleItem::Instance(Instance {
-        module: scenario.top.clone(),
-        name: "dut".into(),
-        params: vec![],
-        conns,
-    });
-    let netlist = elaborate_with_extras(&file, &scenario.tb_top, std::slice::from_ref(&dut))
-        .map_err(|e| e.to_string())?;
-    let consts: Vec<(String, u32, u128)> = netlist
-        .params
-        .iter()
-        .map(|(n, v)| (n.clone(), 32u32, *v))
-        .collect();
-    let mut table = SignalTable::new();
-    for (name, binding) in netlist.net_names() {
-        if !name.contains('[') && !name.contains('.') {
-            table.insert(name.to_string(), binding.width);
-        }
-    }
-    for (name, value) in &netlist.params {
-        table.insert_const(name.clone(), 32, *value);
-    }
-    Ok(BoundScenario {
-        netlist,
-        consts,
-        table,
-    })
-}
 
 /// Validation outcome of one scenario.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -122,11 +51,11 @@ impl ScenarioReport {
 ///
 /// # Errors
 ///
-/// Returns a message if the collateral fails to bind or a candidate
-/// fails to parse — generator bugs, distinct from verdict mismatches
-/// (which are *reported*, not errors).
+/// Returns a message if the collateral fails to compile or a
+/// candidate fails to parse — generator bugs, distinct from verdict
+/// mismatches (which are *reported*, not errors).
 pub fn validate_scenario(scenario: &Scenario, cfg: ProveConfig) -> Result<ScenarioReport, String> {
-    let bound = bind_scenario(scenario)?;
+    let compiled = scenario.compile()?;
     let mut report = ScenarioReport {
         id: scenario.id.clone(),
         ..ScenarioReport::default()
@@ -149,8 +78,9 @@ pub fn validate_scenario(scenario: &Scenario, cfg: ProveConfig) -> Result<Scenar
     for cand in &scenario.candidates {
         let assertion = sv_parser::parse_assertion_str(&cand.sva)
             .map_err(|e| format!("{}/{}: parse: {e}", scenario.id, cand.name))?;
-        let (mut result, stats) = prove_with_stats(&bound.netlist, &assertion, &bound.consts, cfg)
-            .map_err(|e| format!("{}/{}: prove: {e}", scenario.id, cand.name))?;
+        let (mut result, stats) =
+            prove_with_stats(compiled.netlist(), &assertion, compiled.consts(), cfg)
+                .map_err(|e| format!("{}/{}: prove: {e}", scenario.id, cand.name))?;
         report.stats.merge(&stats);
         // Deep-inductive families (e.g. `deepcnt`) carry golden
         // verdicts the bounded schedule cannot decide within its
@@ -164,7 +94,7 @@ pub fn validate_scenario(scenario: &Scenario, cfg: ProveConfig) -> Result<Scenar
                 ..cfg
             };
             let (retry, retry_stats) =
-                prove_with_stats(&bound.netlist, &assertion, &bound.consts, pdr_cfg)
+                prove_with_stats(compiled.netlist(), &assertion, compiled.consts(), pdr_cfg)
                     .map_err(|e| format!("{}/{}: prove (pdr): {e}", scenario.id, cand.name))?;
             report.stats.merge(&retry_stats);
             result = retry;
@@ -172,7 +102,8 @@ pub fn validate_scenario(scenario: &Scenario, cfg: ProveConfig) -> Result<Scenar
         match (cand.verdict, &result) {
             (GoldenVerdict::Provable, ProveResult::Proven { .. }) => report.confirmed += 1,
             (GoldenVerdict::Falsifiable, ProveResult::Falsified { cex }) => {
-                match replay_design_cex(&bound.netlist, &assertion, &bound.consts, cfg, cex) {
+                match replay_design_cex(compiled.netlist(), &assertion, compiled.consts(), cfg, cex)
+                {
                     Ok(true) => report.confirmed += 1,
                     other if cand.mutation.is_some() => {
                         // A mutant whose counterexample does not replay
@@ -228,7 +159,7 @@ pub fn validate_scenario(scenario: &Scenario, cfg: ProveConfig) -> Result<Scenar
 ///
 /// # Errors
 ///
-/// Propagates the first binding/parse error (see [`validate_scenario`]).
+/// Propagates the first compile/parse error (see [`validate_scenario`]).
 pub fn validate_suite(suite: &Suite, cfg: ProveConfig) -> Result<Vec<ScenarioReport>, String> {
     suite
         .scenarios

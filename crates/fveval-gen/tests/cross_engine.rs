@@ -22,21 +22,21 @@ fn engine_cfg(engine: ProveEngine) -> ProveConfig {
 /// contract; returns `true` when PDR reached a definite verdict.
 fn check_candidate(
     scenario_id: &str,
-    bound: &fveval_gen::BoundScenario,
+    compiled: &fv_core::CompiledDesign,
     cand: &fveval_gen::Candidate,
 ) -> Result<bool, TestCaseError> {
     let assertion = sv_parser::parse_assertion_str(&cand.sva)
         .map_err(|e| TestCaseError::fail(format!("{scenario_id}/{}: {e}", cand.name)))?;
     let fail = |m: String| TestCaseError::fail(format!("{scenario_id}/{}: {m}", cand.name));
     let (bounded, _) = prove_with_stats(
-        &bound.netlist,
+        compiled.netlist(),
         &assertion,
-        &bound.consts,
+        compiled.consts(),
         engine_cfg(ProveEngine::Bounded),
     )
     .map_err(|e| fail(format!("bounded: {e}")))?;
     let pdr_cfg = engine_cfg(ProveEngine::Pdr);
-    let (pdr, _) = prove_with_stats(&bound.netlist, &assertion, &bound.consts, pdr_cfg)
+    let (pdr, _) = prove_with_stats(compiled.netlist(), &assertion, compiled.consts(), pdr_cfg)
         .map_err(|e| fail(format!("pdr: {e}")))?;
     match (&bounded, &pdr) {
         // Both concluded: the verdict kind must agree.
@@ -72,8 +72,14 @@ fn check_candidate(
                 scenario_id,
                 cand.name
             );
-            let ok = replay_design_cex(&bound.netlist, &assertion, &bound.consts, pdr_cfg, cex)
-                .map_err(|e| fail(format!("replay: {e:?}")))?;
+            let ok = replay_design_cex(
+                compiled.netlist(),
+                &assertion,
+                compiled.consts(),
+                pdr_cfg,
+                cex,
+            )
+            .map_err(|e| fail(format!("replay: {e:?}")))?;
             prop_assert!(ok, "{}/{}: PDR cex does not replay", scenario_id, cand.name);
         }
         ProveResult::Undetermined => {}
@@ -95,10 +101,10 @@ proptest! {
     ) {
         let gens = generators();
         let scenario = gens[family_pick % gens.len()].generate(&GenParams { depth, width, seed });
-        let bound = fveval_gen::bind_scenario(&scenario).map_err(TestCaseError::fail)?;
+        let compiled = scenario.compile().map_err(TestCaseError::fail)?;
         let mut pdr_concluded = 0usize;
         for cand in &scenario.candidates {
-            if check_candidate(&scenario.id, &bound, cand)? {
+            if check_candidate(&scenario.id, &compiled, cand)? {
                 pdr_concluded += 1;
             }
         }
@@ -121,7 +127,7 @@ fn deepcnt_needs_pdr_and_portfolio_confirms_goldens() {
     let scenario = fveval_gen::generator("deepcnt")
         .expect("registered")
         .generate(&GenParams::default());
-    let bound = fveval_gen::bind_scenario(&scenario).unwrap();
+    let compiled = scenario.compile().unwrap();
     let headline = scenario
         .candidates
         .iter()
@@ -129,9 +135,9 @@ fn deepcnt_needs_pdr_and_portfolio_confirms_goldens() {
         .expect("headline candidate");
     let assertion = sv_parser::parse_assertion_str(&headline.sva).unwrap();
     let (bounded, _) = prove_with_stats(
-        &bound.netlist,
+        compiled.netlist(),
         &assertion,
-        &bound.consts,
+        compiled.consts(),
         engine_cfg(ProveEngine::Bounded),
     )
     .unwrap();
@@ -141,9 +147,9 @@ fn deepcnt_needs_pdr_and_portfolio_confirms_goldens() {
         "the headline invariant must be out of the bounded schedule's reach"
     );
     let (pdr, stats) = prove_with_stats(
-        &bound.netlist,
+        compiled.netlist(),
         &assertion,
-        &bound.consts,
+        compiled.consts(),
         engine_cfg(ProveEngine::Pdr),
     )
     .unwrap();
@@ -187,10 +193,10 @@ proptest! {
             // round-robin sweep in `mutation.rs` covers yield.
             return Ok(());
         }
-        let bound = fveval_gen::bind_scenario(&scenario).map_err(TestCaseError::fail)?;
+        let compiled = scenario.compile().map_err(TestCaseError::fail)?;
         for mutant in &mutants {
             prop_assert_eq!(mutant.verdict, GoldenVerdict::Falsifiable);
-            check_candidate(&scenario.id, &bound, mutant)?;
+            check_candidate(&scenario.id, &compiled, mutant)?;
         }
     }
 }

@@ -2,6 +2,7 @@
 //! must agree with every candidate's construction-time verdict, and
 //! every counterexample must replay on the reference simulator.
 
+use fv_core::SignalTable;
 use fveval_gen::{
     generate_suite, generator, generators, validate_scenario, GenParams, ProveConfig, SuiteConfig,
 };
@@ -105,9 +106,9 @@ fn opt_in_families_stay_out_of_default_suites_but_generate_when_named() {
 fn internal_signals_are_out_of_scope() {
     for gen in generators() {
         let scenario = gen.generate(&GenParams::default());
-        let bound = fveval_gen::bind_scenario(&scenario).unwrap();
+        let table = SignalTable::from_netlist(scenario.compile().unwrap().netlist());
         assert!(
-            bound.table.width(&scenario.internal_signal).is_none(),
+            table.width(&scenario.internal_signal).is_none(),
             "{}: '{}' must not be testbench-visible",
             scenario.id,
             scenario.internal_signal
@@ -115,7 +116,7 @@ fn internal_signals_are_out_of_scope() {
         // And every candidate's signals *are* in scope (they proved or
         // falsified above; here we just sanity-check the scope table
         // carries the interface nets).
-        assert!(bound.table.width("tb_reset").is_some());
+        assert!(table.width("tb_reset").is_some());
     }
 }
 
@@ -197,22 +198,20 @@ fn hierarchy_scenarios_inline_their_instances() {
     // their registers under hierarchical names while the cross-module
     // outputs stay flat.
     let scenario = generator("hier").unwrap().generate(&GenParams::default());
-    let bound = fveval_gen::bind_scenario(&scenario).unwrap();
+    let compiled = scenario.compile().unwrap();
     for cell in ["cell0", "cell1"] {
         assert!(
-            bound
-                .netlist
+            compiled
+                .netlist()
                 .net_names()
                 .any(|(n, _)| n.contains(&format!("{cell}.cnt"))),
             "{cell}'s counter register is inlined into the flat netlist"
         );
     }
+    let table = SignalTable::from_netlist(compiled.netlist());
+    assert!(table.width("total").is_some(), "cross-module sum in scope");
     assert!(
-        bound.table.width("total").is_some(),
-        "cross-module sum in scope"
-    );
-    assert!(
-        bound.table.width("agree").is_some(),
+        table.width("agree").is_some(),
         "cross-module compare in scope"
     );
 }
@@ -226,9 +225,9 @@ fn nonzero_reset_values_survive_instantiation() {
     // alias). Before the fix this init silently collapsed to zero and
     // the one-hot invariant was falsified at cycle 0.
     let scenario = generator("ring").unwrap().generate(&GenParams::default());
-    let bound = fveval_gen::bind_scenario(&scenario).unwrap();
-    let tok = bound
-        .netlist
+    let compiled = scenario.compile().unwrap();
+    let tok = compiled
+        .netlist()
         .atoms
         .iter()
         .find(|a| a.name.ends_with(".tok"))

@@ -42,61 +42,64 @@ fn invalid(msg: &str) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string())
 }
 
-/// Reads the head (start line + headers) up to the blank line, then
-/// any `Content-Length` body. Returns the start line, the lowercased
-/// headers, and the body.
-fn read_message(stream: &mut TcpStream) -> std::io::Result<(String, Vec<String>, Vec<u8>)> {
-    let mut head = Vec::new();
-    let mut byte = [0u8; 1];
-    while !head.ends_with(b"\r\n\r\n") {
-        if head.len() >= MAX_HEAD {
-            return Err(invalid("header block too large"));
-        }
-        match stream.read(&mut byte)? {
-            0 if head.is_empty() => {
-                // A connection that closes without sending anything is
-                // a liveness probe or acceptor wake-up, not an error —
-                // give it a distinct kind so callers can stay quiet.
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed before any request",
-                ));
-            }
-            0 => return Err(invalid("connection closed mid-header")),
-            _ => head.push(byte[0]),
-        }
-    }
-    let text = String::from_utf8(head).map_err(|_| invalid("non-UTF-8 header"))?;
-    let mut lines = text.split("\r\n");
-    let start = lines.next().unwrap_or_default().to_string();
-    let headers: Vec<String> = lines
-        .filter(|l| !l.is_empty())
-        .map(|l| l.to_ascii_lowercase())
-        .collect();
-    let length = headers
-        .iter()
-        .find_map(|h| h.strip_prefix("content-length:"))
-        .map(|v| v.trim().parse::<usize>())
-        .transpose()
-        .map_err(|_| invalid("bad content-length"))?
-        .unwrap_or(0);
-    if length > MAX_BODY {
-        return Err(invalid("body too large"));
-    }
-    let mut body = vec![0u8; length];
-    stream.read_exact(&mut body)?;
-    Ok((start, headers, body))
+/// A message head parsed from the front of a buffer.
+struct Head {
+    /// The request or status line.
+    start: String,
+    /// Bytes the head occupies, through the blank line that ends it.
+    len: usize,
+    /// The declared body length (0 without `Content-Length`).
+    body_len: usize,
 }
 
-/// Reads and parses one request from the stream.
+/// Parses the message head at the front of `buf`: the one framing rule
+/// for both ends. Returns `None` while the blank line that ends the
+/// head has not arrived.
 ///
 /// # Errors
 ///
-/// Returns `InvalidData` on malformed framing and propagates transport
-/// errors (including read timeouts).
-pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Request> {
-    let (start, _headers, body) = read_message(stream)?;
-    parse_request_line(&start, body)
+/// `InvalidData` on a head beyond [`MAX_HEAD`], non-UTF-8 head text, a
+/// malformed `Content-Length`, duplicate `Content-Length` headers that
+/// disagree, or a declared body beyond [`MAX_BODY`].
+fn parse_head(buf: &[u8]) -> std::io::Result<Option<Head>> {
+    let Some(end) = buf.windows(4).position(|w| w == b"\r\n\r\n") else {
+        if buf.len() >= MAX_HEAD {
+            return Err(invalid("header block too large"));
+        }
+        return Ok(None);
+    };
+    if end + 4 > MAX_HEAD {
+        return Err(invalid("header block too large"));
+    }
+    let text = std::str::from_utf8(&buf[..end]).map_err(|_| invalid("non-UTF-8 header"))?;
+    let mut lines = text.split("\r\n");
+    let start = lines.next().unwrap_or_default().to_string();
+    let mut body_len = None;
+    for line in lines {
+        let Some((name, value)) = line.split_once(':') else {
+            continue;
+        };
+        if !name.eq_ignore_ascii_case("content-length") {
+            continue;
+        }
+        let n = value
+            .trim()
+            .parse::<usize>()
+            .map_err(|_| invalid("bad content-length"))?;
+        if body_len.is_some_and(|seen| seen != n) {
+            return Err(invalid("conflicting content-length headers"));
+        }
+        body_len = Some(n);
+    }
+    let body_len = body_len.unwrap_or(0);
+    if body_len > MAX_BODY {
+        return Err(invalid("body too large"));
+    }
+    Ok(Some(Head {
+        start,
+        len: end + 4,
+        body_len,
+    }))
 }
 
 fn parse_request_line(start: &str, body: Vec<u8>) -> std::io::Result<Request> {
@@ -121,57 +124,31 @@ fn parse_request_line(start: &str, body: Vec<u8>) -> std::io::Result<Request> {
     })
 }
 
-/// Attempts to parse one complete request from the front of `buf` —
-/// the non-blocking half of [`read_request`], for an event loop that
-/// accumulates bytes as they arrive. Returns `None` while the request
-/// is still incomplete, or `Some((request, consumed))` where
-/// `consumed` is how many bytes of `buf` the request occupied.
+/// Attempts to parse one complete request from the front of `buf`, for
+/// an event loop that accumulates bytes as they arrive. Returns `None`
+/// while the request is still incomplete, or `Some((request,
+/// consumed))` where `consumed` is how many bytes of `buf` the request
+/// occupied.
 ///
 /// # Errors
 ///
-/// Returns `InvalidData` on malformed framing or a head/body beyond
-/// the size bounds — the connection should be answered `400` and
-/// closed.
+/// Returns `InvalidData` on malformed framing (including conflicting
+/// `Content-Length` headers) or a head/body beyond the size bounds —
+/// the connection should be answered `400` and closed.
 pub fn try_parse_request(buf: &[u8]) -> std::io::Result<Option<(Request, usize)>> {
-    let Some(head_end) = buf.windows(4).position(|w| w == b"\r\n\r\n") else {
-        if buf.len() >= MAX_HEAD {
-            return Err(invalid("header block too large"));
-        }
+    let Some(head) = parse_head(buf)? else {
         return Ok(None);
     };
-    if head_end + 4 > MAX_HEAD {
-        return Err(invalid("header block too large"));
-    }
-    let head = std::str::from_utf8(&buf[..head_end]).map_err(|_| invalid("non-UTF-8 header"))?;
-    let mut lines = head.split("\r\n");
-    let start = lines.next().unwrap_or_default().to_string();
-    let length = lines
-        .filter_map(|l| {
-            let (name, value) = l.split_once(':')?;
-            name.eq_ignore_ascii_case("content-length").then_some(value)
-        })
-        .last()
-        .map(|v| v.trim().parse::<usize>())
-        .transpose()
-        .map_err(|_| invalid("bad content-length"))?
-        .unwrap_or(0);
-    if length > MAX_BODY {
-        return Err(invalid("body too large"));
-    }
-    let body_start = head_end + 4;
-    if buf.len() < body_start + length {
+    let end = head.len + head.body_len;
+    if buf.len() < end {
         return Ok(None);
     }
-    let body = buf[body_start..body_start + length].to_vec();
-    Ok(Some((
-        parse_request_line(&start, body)?,
-        body_start + length,
-    )))
+    let body = buf[head.len..end].to_vec();
+    Ok(Some((parse_request_line(&head.start, body)?, end)))
 }
 
 /// Renders one `application/json` response as wire bytes, with
-/// optional extra headers (e.g. `("Retry-After", "1")` on a `429`) —
-/// the event loop's counterpart to [`write_response`].
+/// optional extra headers (e.g. `("Retry-After", "1")` on a `429`).
 pub fn response_bytes(
     status: u16,
     reason: &str,
@@ -209,30 +186,7 @@ pub fn response_bytes_typed(
     bytes
 }
 
-/// Writes one `application/json` response and flushes the stream.
-///
-/// # Errors
-///
-/// Propagates transport errors.
-pub fn write_response(
-    stream: &mut TcpStream,
-    status: u16,
-    reason: &str,
-    body: &str,
-) -> std::io::Result<()> {
-    let head = format!(
-        "HTTP/1.1 {status} {reason}\r\n\
-         Content-Type: application/json\r\n\
-         Content-Length: {}\r\n\
-         Connection: close\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
-}
-
-/// Writes one request (the client side of [`read_request`]).
+/// Writes one request (the client side of [`try_parse_request`]).
 ///
 /// # Errors
 ///
@@ -263,12 +217,27 @@ pub fn write_request(
 /// Returns `InvalidData` on malformed framing and propagates transport
 /// errors.
 pub fn read_response(stream: &mut TcpStream) -> std::io::Result<(u16, String)> {
-    let (start, _headers, body) = read_message(stream)?;
-    let status = start
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; 4096];
+    let head = loop {
+        if let Some(head) = parse_head(&buf)? {
+            break head;
+        }
+        match stream.read(&mut chunk)? {
+            0 => return Err(invalid("connection closed mid-header")),
+            n => buf.extend_from_slice(&chunk[..n]),
+        }
+    };
+    let status = head
+        .start
         .split_whitespace()
         .nth(1)
         .and_then(|s| s.parse::<u16>().ok())
         .ok_or_else(|| invalid("bad status line"))?;
+    let mut body = buf.split_off(head.len);
+    let have = body.len().min(head.body_len);
+    body.resize(head.body_len, 0);
+    stream.read_exact(&mut body[have..])?;
     let body = String::from_utf8(body).map_err(|_| invalid("non-UTF-8 body"))?;
     Ok((status, body))
 }
@@ -321,6 +290,45 @@ mod tests {
         assert!(try_parse_request(bad_version).is_err());
         let bad_length = b"GET / HTTP/1.1\r\nContent-Length: nope\r\n\r\n";
         assert!(try_parse_request(bad_length).is_err());
+        // Two lengths that disagree frame the body ambiguously: an
+        // error, never a guess that leaves `hello` unread.
+        let conflicting = b"POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 0\r\n\r\nhello";
+        assert!(try_parse_request(conflicting).is_err());
+        let repeated = b"POST / HTTP/1.1\r\nContent-Length: 5\r\ncontent-length: 5\r\n\r\nhello";
+        let (request, _) = try_parse_request(repeated).unwrap().unwrap();
+        assert_eq!(request.body, b"hello");
+    }
+
+    #[test]
+    fn responses_frame_through_the_same_head_parser() {
+        let serve = |wire: &'static [u8]| {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let server = std::thread::spawn(move || {
+                let (mut conn, _) = listener.accept().unwrap();
+                // Split mid-head and mid-body: the reader must reassemble.
+                for part in [
+                    &wire[..10],
+                    &wire[10..wire.len() - 1],
+                    &wire[wire.len() - 1..],
+                ] {
+                    conn.write_all(part).unwrap();
+                    conn.flush().unwrap();
+                }
+            });
+            let mut stream = TcpStream::connect(addr).unwrap();
+            let got = read_response(&mut stream);
+            server.join().unwrap();
+            got
+        };
+        let ok = serve(b"HTTP/1.1 200 OK\r\nContent-Length: 7\r\n\r\n{\"a\":1}");
+        assert_eq!(ok.unwrap(), (200, "{\"a\":1}".to_string()));
+        let conflicting =
+            serve(b"HTTP/1.1 200 OK\r\nContent-Length: 7\r\nContent-Length: 2\r\n\r\n{\"a\":1}");
+        assert_eq!(
+            conflicting.unwrap_err().kind(),
+            std::io::ErrorKind::InvalidData
+        );
     }
 
     #[test]

@@ -20,9 +20,10 @@ use fveval_llm::InferenceConfig;
 
 // Size limits on a decoded request. Each admits every size the shipped
 // CLI, tests and harness send (machine count 120, per_family 16,
-// mutations 2, samples 10) with room to spare, and keeps one request
-// from asking a shard for more than it can build. Depth and width need
-// none here: each family clamps them.
+// mutations 2, samples 10, 2 models) with room to spare, and keeps one
+// request from asking a shard for more than it can build. Depth and
+// width need none here: each family clamps them; `families` and
+// `models` are bounded by the generator and backend rosters.
 
 /// Most cases a `machine` task set may ask for.
 const MAX_MACHINE_COUNT: u64 = 10_000;
@@ -269,12 +270,16 @@ impl EvalRequest {
             .and_then(|n| u32::try_from(n).ok())
             .ok_or("cfg needs 'shots'")?;
         inference.seed = decode_u64(cfg.get("seed")).ok_or("cfg needs 'seed'")?;
+        let models = value.get("models").and_then(Json::as_arr).unwrap_or(&[]);
+        // No more entries than there are backends to name.
+        bounded(
+            "models",
+            models.len() as u64,
+            fveval_llm::profiles().len() as u64,
+        )?;
         Ok(EvalRequest {
             tasks: TaskSetRef::decode(value.get("tasks").ok_or("request needs 'tasks'")?)?,
-            models: value
-                .get("models")
-                .and_then(Json::as_arr)
-                .unwrap_or(&[])
+            models: models
                 .iter()
                 .map(|m| {
                     m.as_str()
@@ -721,6 +726,16 @@ mod tests {
     fn samples_are_bounded() {
         assert_limit("samples", MAX_SAMPLES, |n| EvalRequest {
             samples: n as u32,
+            ..with_tasks(TaskSetRef::Human)
+        });
+    }
+
+    #[test]
+    fn models_are_bounded_by_the_roster() {
+        let roster = fveval_llm::profiles().len() as u64;
+        assert_eq!(roster, 8);
+        assert_limit("models", roster, |n| EvalRequest {
+            models: vec!["gpt-4o".to_string(); n as usize],
             ..with_tasks(TaskSetRef::Human)
         });
     }

@@ -886,52 +886,35 @@ struct Builder {
 /// signals, non-constant indices, multiple drivers, width overflows,
 /// combinational cycles, and unsupported constructs.
 pub fn elaborate(file: &SourceFile, top: &str) -> Result<Netlist> {
-    elaborate_with_extras(file, top, &[])
+    walk(file, top, &[]).map(|(_, _, netlist)| netlist)
 }
 
-/// Elaborates `top` with extra module items appended to its body —
-/// the Design2SVA evaluation flow, where the model's response snippet
-/// (wires, assigns, processes) is grafted onto the testbench module.
-///
-/// When the same design is bound against *many* extra-item sets (one
-/// per model response), prefer [`elaborate_design`] +
-/// [`ElaboratedDesign::bind_extras`]: the whole-file walk (instance
-/// inlining, generate unrolling, parameter resolution) runs once and
-/// each binding only flattens its own few items.
-///
-/// # Errors
-///
-/// See [`elaborate`]; additionally errors if the extra items reference
-/// signals that are neither testbench ports nor their own declarations
-/// (the benchmark's "do not use design-internal signals" rule).
-pub fn elaborate_with_extras(
+/// The whole-file walk behind [`elaborate`] and [`elaborate_design`]:
+/// flattens `top` with `extras` appended to its body (instance
+/// inlining, generate unrolling, parameter resolution) and builds the
+/// base netlist. Returns the flattener, whose arena is now frozen into
+/// the netlist, and the top-module scope, for [`elaborate_design`] to
+/// keep.
+fn walk(
     file: &SourceFile,
     top: &str,
     extras: &[ModuleItem],
-) -> Result<Netlist> {
+) -> Result<(Flattener, Scope, Netlist)> {
     let module = file
         .module(top)
         .ok_or_else(|| ElabError::new(format!("unknown top module '{top}'")))?;
     let mut fl = Flattener::default();
-    fl.flatten_module(file, module, "", &HashMap::new(), extras)?;
-    let Flattener {
-        itn,
-        items,
-        clock_name,
-        reset_name,
-        warnings,
-        top_params,
-        ..
-    } = fl;
-    build_netlist(
-        &items,
+    let scope = fl.flatten_module(file, module, "", &HashMap::new(), extras)?;
+    let base = build_netlist(
+        &fl.items,
         &[],
-        itn,
-        &clock_name,
-        &reset_name,
-        &warnings,
-        &top_params,
-    )
+        std::mem::take(&mut fl.itn),
+        &fl.clock_name,
+        &fl.reset_name,
+        &fl.warnings,
+        &fl.top_params,
+    )?;
+    Ok((fl, scope, base))
 }
 
 /// A design elaborated once into reusable flattened form: the result of
@@ -979,28 +962,25 @@ pub struct ElaboratedDesign {
     digest: std::sync::OnceLock<u64>,
 }
 
-/// Elaborates `top` (with `extras` already part of the design, e.g. the
-/// DUT instantiation of a Design2SVA testbench) into a reusable
+/// Elaborates `top` (with `extras` appended to its body, e.g. the DUT
+/// instantiation of a Design2SVA testbench) into a reusable
 /// [`ElaboratedDesign`]. The base netlist is built and validated
 /// eagerly, so a successful return means the helper-free binding is
 /// known-good.
 ///
 /// # Errors
 ///
-/// See [`elaborate_with_extras`].
+/// See [`elaborate`]; additionally errors if `extras` reference
+/// signals that are neither ports of `top` nor their own declarations
+/// (the benchmark's "do not use design-internal signals" rule).
 pub fn elaborate_design(
     file: &SourceFile,
     top: &str,
     extras: &[ModuleItem],
 ) -> Result<ElaboratedDesign> {
     let _span = fv_trace::span!("elaborate", top = top, extras = extras.len());
-    let module = file
-        .module(top)
-        .ok_or_else(|| ElabError::new(format!("unknown top module '{top}'")))?;
-    let mut fl = Flattener::default();
-    let scope = fl.flatten_module(file, module, "", &HashMap::new(), extras)?;
+    let (fl, scope, base) = walk(file, top, extras)?;
     let Flattener {
-        itn,
         items,
         clock_name,
         reset_name,
@@ -1008,15 +988,6 @@ pub fn elaborate_design(
         top_params,
         ..
     } = fl;
-    let base = build_netlist(
-        &items,
-        &[],
-        itn,
-        &clock_name,
-        &reset_name,
-        &warnings,
-        &top_params,
-    )?;
     Ok(ElaboratedDesign {
         file: file.clone(),
         items,
@@ -1057,12 +1028,12 @@ impl ElaboratedDesign {
     /// the bound netlist. Only the extra items are flattened — they are
     /// resolved in the saved top-module scope exactly as if they had
     /// been appended to the module body, so the result is identical to
-    /// [`elaborate_with_extras`] with the concatenated extras, at a
-    /// fraction of the cost.
+    /// [`elaborate_design`] with the concatenated extras, at a fraction
+    /// of the cost.
     ///
     /// # Errors
     ///
-    /// See [`elaborate_with_extras`].
+    /// See [`elaborate_design`].
     pub fn bind_extras(&self, extras: &[ModuleItem]) -> Result<Netlist> {
         if extras.is_empty() {
             return Ok(self.base.clone());
@@ -2182,7 +2153,7 @@ mod tests {
         let f = parse_source(src).unwrap();
         let extras = sv_parser::parse_snippet("assign foo = hidden_state;\n").unwrap();
         // `foo` undeclared -> error either way.
-        assert!(elaborate_with_extras(&f, "tb", &extras).is_err());
+        assert!(elaborate_design(&f, "tb", &extras).is_err());
     }
 
     /// Canonical rendering of a netlist for equality checks (the
@@ -2230,14 +2201,11 @@ mod tests {
         .unwrap();
         let mut combined = vec![dut.clone()];
         combined.extend(helpers.iter().cloned());
-        let one_pass = elaborate_with_extras(&f, "tb", &combined).unwrap();
+        let one_pass = elaborate_design(&f, "tb", &combined).unwrap();
         let design = elaborate_design(&f, "tb", std::slice::from_ref(&dut)).unwrap();
         let split = design.bind_extras(&helpers).unwrap();
-        assert_eq!(fingerprint(&one_pass), fingerprint(&split));
-        // The helper-free binding equals the eager base netlist and the
-        // one-pass elaboration without helpers.
-        let base_one_pass = elaborate_with_extras(&f, "tb", std::slice::from_ref(&dut)).unwrap();
-        assert_eq!(fingerprint(&base_one_pass), fingerprint(design.netlist()));
+        assert_eq!(fingerprint(one_pass.netlist()), fingerprint(&split));
+        // The helper-free binding equals the eager base netlist.
         assert_eq!(
             fingerprint(&design.bind_extras(&[]).unwrap()),
             fingerprint(design.netlist())

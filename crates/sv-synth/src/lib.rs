@@ -28,9 +28,7 @@ mod netexpr;
 mod netlist;
 mod sim;
 
-pub use elaborate::{
-    elaborate, elaborate_design, elaborate_with_extras, ElabError, ElaboratedDesign,
-};
+pub use elaborate::{elaborate, elaborate_design, ElabError, ElaboratedDesign};
 pub use frame::{FrameExpander, FrameValues};
 pub use netexpr::{Nx, NxBin, NxRed};
 pub use netlist::{AtomDef, AtomId, AtomKind, NetBinding, Netlist, Seg};

@@ -62,10 +62,10 @@ pub mod prelude {
         FsmParams, MachineGenConfig, PipelineParams, SuiteConfig,
     };
     pub use fveval_gen::{
-        bind_scenario, derive_mutants, derive_mutants_with_ops, generate_suite, generators,
-        mutate_scenario, validate_scenario, validate_suite, GenParams, MutationOp, Scenario, Suite,
+        derive_mutants, derive_mutants_with_ops, generate_suite, generators, mutate_scenario,
+        validate_scenario, validate_suite, GenParams, MutationOp, Scenario, Suite,
     };
     pub use fveval_llm::{profiles, Backend, InferenceConfig, Request, TaskSpec};
     pub use sv_parser::{parse_assertion_str, parse_snippet, parse_source};
-    pub use sv_synth::{elaborate, elaborate_design, elaborate_with_extras, Simulator};
+    pub use sv_synth::{elaborate, elaborate_design, Simulator};
 }

@@ -54,25 +54,8 @@ fn wrong_depth_pipeline_claim_is_falsified() {
         expr_ops: 2,
         seed: 5,
     });
-    let file = {
-        let mut src = case.design_source.clone();
-        src.push('\n');
-        src.push_str(&case.tb_source);
-        parse_source(&src).unwrap()
-    };
-    let design = file.module(&case.top).unwrap();
-    let conns: Vec<(String, sv_ast::Expr)> = design
-        .port_order
-        .iter()
-        .map(|p| (p.clone(), sv_ast::Expr::ident(p.clone())))
-        .collect();
-    let inst = sv_ast::ModuleItem::Instance(sv_ast::Instance {
-        module: case.top.clone(),
-        name: "dut".into(),
-        params: vec![],
-        conns,
-    });
-    let netlist = elaborate_with_extras(&file, &case.tb_top, &[inst]).unwrap();
+    let compiled = compile_design(&case).unwrap();
+    let netlist = compiled.netlist();
     // Correct depth proves; off-by-one is falsified with a trace.
     let good = parse_assertion_str(
         "assert property (@(posedge clk) disable iff (tb_reset) in_vld |-> ##4 out_vld);",
@@ -82,10 +65,10 @@ fn wrong_depth_pipeline_claim_is_falsified() {
         "assert property (@(posedge clk) disable iff (tb_reset) in_vld |-> ##3 out_vld);",
     )
     .unwrap();
-    assert!(prove(&netlist, &good, &[], ProveConfig::default())
+    assert!(prove(netlist, &good, &[], ProveConfig::default())
         .unwrap()
         .is_proven());
-    match prove(&netlist, &bad, &[], ProveConfig::default()).unwrap() {
+    match prove(netlist, &bad, &[], ProveConfig::default()).unwrap() {
         ProveResult::Falsified { cex } => {
             assert!(!cex.inputs.is_empty(), "counterexample has stimuli");
         }

@@ -330,12 +330,8 @@ proptest! {
             guard_depth: 1,
             seed,
         });
-        let netlist = testbench_netlist(&case);
-        let consts: Vec<(String, u32, u128)> = netlist
-            .params
-            .iter()
-            .map(|(n, v)| (n.clone(), 32u32, *v))
-            .collect();
+        let compiled = compile_design(&case).unwrap();
+        let (netlist, consts) = (compiled.netlist(), compiled.consts());
         let transitions = match &case.kind {
             fveval_data::DesignKind::Fsm { transitions, .. } => transitions.clone(),
             _ => unreachable!(),
@@ -355,15 +351,15 @@ proptest! {
             );
             let assertion = parse_assertion_str(&src).unwrap();
             let result =
-                fv_core::prove(&netlist, &assertion, &consts, ProveConfig::default()).unwrap();
+                fv_core::prove(netlist, &assertion, consts, ProveConfig::default()).unwrap();
             let ProveResult::Falsified { cex } = result else {
                 panic!("dropping a successor must falsify: {src}");
             };
             prop_assert_eq!(
                 fv_core::replay_design_cex(
-                    &netlist,
+                    netlist,
                     &assertion,
-                    &consts,
+                    consts,
                     ProveConfig::default(),
                     &cex
                 ),
@@ -430,16 +426,16 @@ proptest! {
             ..Default::default()
         });
         for scenario in &suite.scenarios {
-            let bound = bind_scenario(scenario).unwrap();
+            let compiled = scenario.compile().unwrap();
             let mut session =
-                ProofSession::open(&bound.netlist, &bound.consts, ProveConfig::default())
+                ProofSession::open(compiled.netlist(), compiled.consts(), ProveConfig::default())
                     .unwrap();
             for candidate in &scenario.candidates {
                 let assertion = parse_assertion_str(&candidate.sva).unwrap();
                 let (fresh, _) = prove_with_stats(
-                    &bound.netlist,
+                    compiled.netlist(),
                     &assertion,
-                    &bound.consts,
+                    compiled.consts(),
                     ProveConfig::default(),
                 )
                 .unwrap();
@@ -467,29 +463,6 @@ proptest! {
             prop_assert_eq!(stats.session_checks, scenario.candidates.len() as u64);
         }
     }
-}
-
-/// Elaborates a design case's testbench with the DUT bound in — the
-/// same binding `compile_design` performs, but yielding the raw netlist
-/// the prover APIs take.
-fn testbench_netlist(case: &fveval_data::DesignCase) -> sv_synth::Netlist {
-    let mut src = case.design_source.clone();
-    src.push('\n');
-    src.push_str(&case.tb_source);
-    let file = parse_source(&src).unwrap();
-    let design = file.module(&case.top).unwrap();
-    let conns: Vec<(String, sv_ast::Expr)> = design
-        .port_order
-        .iter()
-        .map(|p| (p.clone(), sv_ast::Expr::ident(p.clone())))
-        .collect();
-    let inst = sv_ast::ModuleItem::Instance(sv_ast::Instance {
-        module: case.top.clone(),
-        name: "dut".into(),
-        params: vec![],
-        conns,
-    });
-    elaborate_with_extras(&file, &case.tb_top, &[inst]).unwrap()
 }
 
 /// Direct 2-state evaluation of an expression AST, mirroring the

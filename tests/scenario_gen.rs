@@ -172,16 +172,16 @@ proptest! {
             ..Default::default()
         });
         for scenario in &suite.scenarios {
-            let bound = bind_scenario(scenario).unwrap();
+            let compiled = scenario.compile().unwrap();
             let mut session =
-                ProofSession::open(&bound.netlist, &bound.consts, ProveConfig::default())
+                ProofSession::open(compiled.netlist(), compiled.consts(), ProveConfig::default())
                     .unwrap();
             for candidate in &scenario.candidates {
                 let assertion = parse_assertion_str(&candidate.sva).unwrap();
                 let (fresh, _) = prove_with_stats(
-                    &bound.netlist,
+                    compiled.netlist(),
                     &assertion,
-                    &bound.consts,
+                    compiled.consts(),
                     ProveConfig::default(),
                 )
                 .unwrap();
