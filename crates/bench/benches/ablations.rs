@@ -59,15 +59,15 @@ fn bench_induction_depth(c: &mut Criterion) {
     });
     let bound = fveval_core::compile_design(&case).unwrap();
     for k in [2u32, 4, 8] {
-        let runner = fveval_core::Design2svaRunner::new().with_prove_config(fv_core::ProveConfig {
+        let cfg = fv_core::ProveConfig {
             max_bmc: 12,
             max_induction: k,
             slack: 4,
             ..fv_core::ProveConfig::default()
-        });
+        };
         let golden = case.golden[0].clone();
         g.bench_with_input(BenchmarkId::new("max_k", k), &k, |b, _| {
-            b.iter(|| black_box(runner.evaluate_response(&bound, &golden)))
+            b.iter(|| black_box(fveval_core::Scorer::design(&bound, cfg).score(&golden)))
         });
     }
     g.finish();

@@ -12,13 +12,14 @@
 //!   whole-file compile (`compile_design`) and a fresh prover for
 //!   every sample.
 //! - `session_per_design_table5_scale` — `compile_design` once per
-//!   design, every sample streamed through one
-//!   `Design2svaRunner::open_session` session.
+//!   design, every sample streamed through one `Scorer::design`
+//!   scorer.
 //! - `engine_multi_sample_table5_scale` — the full `EvalEngine` path
 //!   (inference + sessions + caches) over the same work-list.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fveval_core::{compile_design, design_task_specs, Design2svaRunner, EvalEngine};
+use fv_core::ProveConfig;
+use fveval_core::{compile_design, design_task_specs, EvalEngine, Scorer};
 use fveval_data::{fsm_sweep, pipeline_sweep, DesignCase};
 use fveval_llm::{profiles, Backend, InferenceConfig, Request, TaskSpec};
 use std::hint::black_box;
@@ -61,33 +62,33 @@ fn bench_design_session(c: &mut Criterion) {
 
     let cases = cases();
     let streams: Vec<Vec<String>> = cases.iter().map(responses_for).collect();
-    let runner = Design2svaRunner::new();
+    let cfg = ProveConfig::default();
 
     // Sanity: both architectures agree on every verdict (also keeps
     // the compiler from eliding the work).
     for (case, stream) in cases.iter().zip(&streams) {
         let compiled = compile_design(case).unwrap();
-        let mut session = runner.open_session(&compiled);
+        let mut scorer = Scorer::design(&compiled, cfg);
         for response in stream {
             assert_eq!(
-                runner.evaluate_in_session(&mut session, response).0,
-                runner.evaluate_response(&compiled, response),
+                scorer.score(response).0,
+                Scorer::design(&compiled, cfg).score(response).0,
                 "session and one-shot verdicts must agree"
             );
         }
     }
 
     // Pre-session architecture: every sample re-elaborates and opens a
-    // fresh prover (evaluate_response_stats compiles nothing, so the
-    // per-response `compile_design` reproduces the old
-    // elaborate-per-response cost exactly).
+    // fresh prover (a scorer compiles nothing, so the per-response
+    // `compile_design` reproduces the old elaborate-per-response cost
+    // exactly).
     g.bench_function("fresh_per_sample_table5_scale", |b| {
         b.iter(|| {
             let mut proven = 0usize;
             for (case, stream) in cases.iter().zip(&streams) {
                 for response in stream {
                     let compiled = compile_design(case).unwrap();
-                    if runner.evaluate_response(&compiled, response).func {
+                    if Scorer::design(&compiled, cfg).score(response).0.func {
                         proven += 1;
                     }
                 }
@@ -103,9 +104,9 @@ fn bench_design_session(c: &mut Criterion) {
             let mut proven = 0usize;
             for (case, stream) in cases.iter().zip(&streams) {
                 let compiled = compile_design(case).unwrap();
-                let mut session = runner.open_session(&compiled);
+                let mut scorer = Scorer::design(&compiled, cfg);
                 for response in stream {
-                    if runner.evaluate_in_session(&mut session, response).0.func {
+                    if scorer.score(response).0.func {
                         proven += 1;
                     }
                 }

@@ -74,10 +74,9 @@ pub use equiv::{
 pub use error::EncodeError;
 pub use expr::compile_expr;
 pub use monitor::{encode_assertion, encode_prop, encode_seq, SeqEnc};
-pub use pdr::prove_pdr;
 pub use prove::{
-    check_vacuity, prove, prove_with_stats, replay_design_cex, DesignCex, ProofSession,
-    ProveConfig, ProveEngine, ProveResult,
+    prove, prove_with_stats, replay_design_cex, DesignCex, ProofSession, ProveConfig, ProveEngine,
+    ProveResult,
 };
 pub use stats::{Counter, CounterGroup, ProverStats};
 pub use table::SignalTable;

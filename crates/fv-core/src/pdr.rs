@@ -80,73 +80,10 @@ pub(crate) struct PdrOutcome {
     pub(crate) interrupted: bool,
 }
 
-/// Proves `assertion` on `netlist` with the IC3/PDR engine alone.
-///
-/// Same contract as [`crate::prove_with_stats`], discharged by
-/// property-directed reachability instead of the bounded BMC +
-/// k-induction schedule: `Proven` means the engine found an inductive
-/// invariant (the `k` reported is the frame level where the chain
-/// closed), `Falsified` counterexamples are replay-validated through
-/// [`replay_design_cex`] before being returned, and `Undetermined`
-/// covers unbounded operators, monitors with pre-anchor reads, and
-/// exhausted budgets. Verdicts agree with the bounded engine whenever
-/// both conclude.
-///
-/// # Errors
-///
-/// [`EncodeError`] as for [`crate::prove`].
-///
-/// # Examples
-///
-/// A wrapping counter whose unreachable band makes `q != 7` true but
-/// never k-inductive — the bounded schedule gives up, PDR strengthens
-/// the invariant and proves it:
-///
-/// ```
-/// use fv_core::{prove, prove_pdr, ProveConfig, ProveResult};
-/// use sv_parser::{parse_assertion_str, parse_source};
-/// use sv_synth::elaborate;
-///
-/// let f = parse_source(
-///     "module m (clk, reset_, en, q);\n\
-///      input clk; input reset_; input en;\noutput [2:0] q;\n\
-///      reg [2:0] cnt;\n\
-///      always @(posedge clk) begin\n\
-///      if (!reset_) cnt <= 3'd0;\n\
-///      else if (en) cnt <= (cnt == 3'd5) ? 3'd0 : cnt + 3'd1;\nend\n\
-///      assign q = cnt;\nendmodule\n",
-/// )
-/// .unwrap();
-/// let nl = elaborate(&f, "m").unwrap();
-/// let a = parse_assertion_str("assert property (@(posedge clk) q != 3'd7);").unwrap();
-/// let cfg = ProveConfig::default();
-/// assert_eq!(prove(&nl, &a, &[], cfg).unwrap(), ProveResult::Undetermined);
-/// let (r, stats) = prove_pdr(&nl, &a, &[], cfg).unwrap();
-/// assert!(r.is_proven());
-/// assert!(stats.pdr_clauses_learned > 0);
-/// ```
-pub fn prove_pdr(
-    netlist: &Netlist,
-    assertion: &Assertion,
-    consts: &[(String, u32, u128)],
-    cfg: ProveConfig,
-) -> Result<(ProveResult, ProverStats), EncodeError> {
-    let mut stats = ProverStats {
-        sessions_opened: 1,
-        session_checks: 1,
-        ..ProverStats::default()
-    };
-    let out = run_pdr(netlist, assertion, consts, cfg, None, &mut stats)?;
-    if !matches!(out.result, ProveResult::Undetermined) {
-        stats.pdr_wins += 1;
-    }
-    Ok((out.result, stats))
-}
-
-/// Engine entry point shared by [`prove_pdr`], the session's PDR mode,
-/// and the portfolio racer. `cancel` is polled between queries *and*
-/// from inside the solver's search loop; a raised token aborts to
-/// `Undetermined` with `interrupted = true`.
+/// Engine entry point shared by the session's PDR mode
+/// ([`crate::ProveEngine::Pdr`]) and the portfolio racer. `cancel` is
+/// polled between queries *and* from inside the solver's search loop;
+/// a raised token aborts to `Undetermined` with `interrupted = true`.
 pub(crate) fn run_pdr(
     netlist: &Netlist,
     assertion: &Assertion,
@@ -602,7 +539,7 @@ impl<'n, 'c> Pdr<'n, 'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prove::{prove, prove_with_stats};
+    use crate::prove::{prove, prove_with_stats, ProveEngine};
     use sv_parser::{parse_assertion_str, parse_source};
     use sv_synth::elaborate;
 
@@ -619,9 +556,16 @@ mod tests {
         elaborate(&f, "m").unwrap()
     }
 
+    fn pdr() -> ProveConfig {
+        ProveConfig {
+            engine: ProveEngine::Pdr,
+            ..ProveConfig::default()
+        }
+    }
+
     fn pdr_str(nl: &Netlist, a: &str) -> ProveResult {
         let a = parse_assertion_str(a).unwrap();
-        prove_pdr(nl, &a, &[], ProveConfig::default()).unwrap().0
+        prove_with_stats(nl, &a, &[], pdr()).unwrap().0
     }
 
     #[test]
@@ -646,11 +590,12 @@ mod tests {
             ProveResult::Undetermined,
             "bounded engine gives up"
         );
-        let (r, stats) = prove_pdr(&nl, &a, &[], ProveConfig::default()).unwrap();
+        let (r, stats) = prove_with_stats(&nl, &a, &[], pdr()).unwrap();
         assert!(r.is_proven(), "got {r:?}");
         assert!(stats.pdr_frames >= 1, "{stats:?}");
         assert!(stats.pdr_clauses_learned >= 1, "{stats:?}");
         assert_eq!(stats.pdr_wins, 1, "{stats:?}");
+        assert_eq!((stats.sessions_opened, stats.session_checks), (1, 1));
     }
 
     #[test]
@@ -683,7 +628,7 @@ mod tests {
     fn cex_replays_and_prints_canonically() {
         let nl = wrapping_counter();
         let a = parse_assertion_str("assert property (@(posedge clk) q != 3'd4);").unwrap();
-        let (r, _) = prove_pdr(&nl, &a, &[], ProveConfig::default()).unwrap();
+        let (r, _) = prove_with_stats(&nl, &a, &[], pdr()).unwrap();
         match r {
             ProveResult::Falsified { cex } => {
                 assert!(cex.anchor >= 4, "needs four increments: {cex:?}");
@@ -737,14 +682,15 @@ mod tests {
     #[test]
     fn session_engine_pdr_matches_direct_entry() {
         let nl = wrapping_counter();
-        let cfg = ProveConfig {
-            engine: crate::prove::ProveEngine::Pdr,
-            ..ProveConfig::default()
-        };
         let a = parse_assertion_str("assert property (@(posedge clk) q != 3'd7);").unwrap();
-        let (r, stats) = prove_with_stats(&nl, &a, &[], cfg).unwrap();
+        let (r, stats) = prove_with_stats(&nl, &a, &[], pdr()).unwrap();
         assert!(r.is_proven(), "got {r:?}");
         assert_eq!(stats.pdr_wins, 1, "{stats:?}");
         assert!(stats.pdr_clauses_learned >= 1, "{stats:?}");
+        let mut direct = ProverStats::default();
+        let out = run_pdr(&nl, &a, &[], pdr(), None, &mut direct).unwrap();
+        assert_eq!(out.result, r);
+        assert!(!out.interrupted);
+        assert_eq!(direct.pdr_clauses_learned, stats.pdr_clauses_learned);
     }
 }

@@ -52,8 +52,46 @@ pub enum ProveEngine {
     /// [`ProveResult::Undetermined`].
     #[default]
     Bounded,
-    /// The IC3/PDR engine alone (see [`crate::prove_pdr`]). Unbounded
-    /// in depth, budgeted in work.
+    /// The IC3/PDR engine alone. Unbounded in depth, budgeted in work:
+    /// `Proven` means the engine found an inductive invariant (the `k`
+    /// reported is the frame level where the chain closed), `Falsified`
+    /// counterexamples are replay-validated through
+    /// [`replay_design_cex`] before being returned, and `Undetermined`
+    /// covers unbounded operators, monitors with pre-anchor reads, and
+    /// exhausted budgets. Verdicts agree with `Bounded` whenever both
+    /// conclude.
+    ///
+    /// A wrapping counter whose unreachable band makes `q != 7` true
+    /// but never k-inductive — the bounded schedule gives up, PDR
+    /// strengthens the invariant and proves it:
+    ///
+    /// ```
+    /// use fv_core::{prove, prove_with_stats, ProveConfig, ProveEngine, ProveResult};
+    /// use sv_parser::{parse_assertion_str, parse_source};
+    /// use sv_synth::elaborate;
+    ///
+    /// let f = parse_source(
+    ///     "module m (clk, reset_, en, q);\n\
+    ///      input clk; input reset_; input en;\noutput [2:0] q;\n\
+    ///      reg [2:0] cnt;\n\
+    ///      always @(posedge clk) begin\n\
+    ///      if (!reset_) cnt <= 3'd0;\n\
+    ///      else if (en) cnt <= (cnt == 3'd5) ? 3'd0 : cnt + 3'd1;\nend\n\
+    ///      assign q = cnt;\nendmodule\n",
+    /// )
+    /// .unwrap();
+    /// let nl = elaborate(&f, "m").unwrap();
+    /// let a = parse_assertion_str("assert property (@(posedge clk) q != 3'd7);").unwrap();
+    /// let cfg = ProveConfig::default();
+    /// assert_eq!(prove(&nl, &a, &[], cfg).unwrap(), ProveResult::Undetermined);
+    /// let pdr = ProveConfig {
+    ///     engine: ProveEngine::Pdr,
+    ///     ..cfg
+    /// };
+    /// let (r, stats) = prove_with_stats(&nl, &a, &[], pdr).unwrap();
+    /// assert!(r.is_proven());
+    /// assert!(stats.pdr_clauses_learned > 0);
+    /// ```
     Pdr,
     /// Race the bounded schedule against PDR on scoped threads with
     /// first-answer-wins cancellation. Verdicts are engine-agnostic
@@ -764,54 +802,6 @@ pub fn replay_design_cex(
     Ok(!ev.lit(holds))
 }
 
-/// Checks whether a proven implication is *vacuous*: its antecedent can
-/// never fire on any reachable trace within the BMC bound.
-///
-/// Commercial tools flag vacuously-proven assertions separately; the
-/// Design2SVA metric counts them as proven (as the paper does), but this
-/// extension lets a harness report them, e.g. to filter trivial model
-/// outputs.
-///
-/// Returns `Ok(None)` for non-implication properties (no antecedent to
-/// test), `Ok(Some(true))` when the antecedent cannot fire within the
-/// bound, and `Ok(Some(false))` when a firing trace exists.
-///
-/// # Errors
-///
-/// [`EncodeError`] as for [`prove`].
-pub fn check_vacuity(
-    netlist: &Netlist,
-    assertion: &Assertion,
-    consts: &[(String, u32, u128)],
-    cfg: ProveConfig,
-) -> Result<Option<bool>, EncodeError> {
-    use crate::monitor::encode_seq;
-    let ante = match &assertion.body {
-        sv_ast::PropExpr::Implication { ante, .. } => ante.clone(),
-        _ => return Ok(None),
-    };
-    let expander = FrameExpander::new(netlist)
-        .map_err(|n| EncodeError::Unsupported(format!("combinational cycle through '{n}'")))?;
-    let horizon = horizon_for(assertion, None, cfg.slack);
-    let mut g = Aig::new();
-    let mut env = DesignTraceEnv::new(expander);
-    for (n, w, v) in consts {
-        env.bind_const(n.clone(), *w, *v);
-    }
-    let mut solver = Solver::new();
-    let mut em = CnfEmitter::new();
-    for t in 0..cfg.max_bmc {
-        let total = t + horizon;
-        let enc = encode_seq(&mut g, &ante, t, total, &mut env)?;
-        let fires = enc.any_match(&mut g);
-        let l = em.emit(&g, fires, &mut solver);
-        if solver.solve_with(&[l]).is_sat() {
-            return Ok(Some(false));
-        }
-    }
-    Ok(Some(true))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1024,34 +1014,15 @@ mod tests {
     }
 
     #[test]
-    fn vacuity_detection() {
+    fn vacuous_implication_is_proven() {
         let nl = counter();
-        // Antecedent `q == 1 && q == 2` can never fire: vacuously proven.
+        // Antecedent `q == 1 && q == 2` can never fire.
         let vac = parse_assertion_str(
             "assert property (@(posedge clk) (q == 2'd1 && q == 2'd2) |-> ##1 en);",
         )
         .unwrap();
         let r = prove(&nl, &vac, &[], ProveConfig::default()).unwrap();
         assert!(r.is_proven(), "vacuous truths are proven: {r:?}");
-        assert_eq!(
-            check_vacuity(&nl, &vac, &[], ProveConfig::default()).unwrap(),
-            Some(true)
-        );
-        // A real antecedent fires.
-        let live = parse_assertion_str(
-            "assert property (@(posedge clk) (en && q == 2'd1) |-> ##1 q == 2'd2);",
-        )
-        .unwrap();
-        assert_eq!(
-            check_vacuity(&nl, &live, &[], ProveConfig::default()).unwrap(),
-            Some(false)
-        );
-        // Non-implications have no vacuity notion.
-        let plain = parse_assertion_str("assert property (@(posedge clk) en || !en);").unwrap();
-        assert_eq!(
-            check_vacuity(&nl, &plain, &[], ProveConfig::default()).unwrap(),
-            None
-        );
     }
 
     #[test]

@@ -25,10 +25,10 @@
 //!   (whole-file elaboration + DUT binding) across all backends,
 //!   samples, and — when one engine serves many jobs — runs.
 
-use crate::design2sva::{compile_design, Design2svaRunner, DesignSession};
+use crate::design2sva::compile_design;
 use crate::metrics::{CaseEvals, SampleEval};
-use crate::nl2sva::{Nl2svaRunner, NlSession};
-use fv_core::{CompiledDesign, ProverStats, SignalTable};
+use crate::score::Scorer;
+use fv_core::{CompiledDesign, ProveConfig, ProverStats, SignalTable};
 use fveval_data::{DesignCase, HumanCase, MachineCase};
 use fveval_llm::{Backend, InferenceConfig, Request, TaskSpec};
 use std::collections::HashMap;
@@ -264,8 +264,7 @@ impl VerdictCache {
 #[derive(Debug)]
 pub struct EvalEngine {
     jobs: usize,
-    nl2sva: Nl2svaRunner,
-    d2s: Design2svaRunner,
+    prove_cfg: ProveConfig,
     verdicts: VerdictCache,
     compiled: Mutex<HashMap<CompiledKey, SharedCompiled>>,
     /// Aggregate formal-core work counters, merged under one lock per
@@ -299,8 +298,7 @@ impl EvalEngine {
             } else {
                 jobs
             },
-            nl2sva: Nl2svaRunner::new(),
-            d2s: Design2svaRunner::new(),
+            prove_cfg: ProveConfig::default(),
             verdicts: VerdictCache::default(),
             compiled: Mutex::new(HashMap::new()),
             prover: Mutex::new(ProverStats::default()),
@@ -308,9 +306,10 @@ impl EvalEngine {
         }
     }
 
-    /// Overrides the Design2SVA scoring runner (prover bounds).
-    pub fn with_d2s_runner(mut self, runner: Design2svaRunner) -> EvalEngine {
-        self.d2s = runner;
+    /// Overrides the prover bounds Design2SVA responses are scored
+    /// under (default [`ProveConfig::default`]).
+    pub fn with_prove_config(mut self, cfg: ProveConfig) -> EvalEngine {
+        self.prove_cfg = cfg;
         self
     }
 
@@ -526,8 +525,8 @@ impl EvalEngine {
     /// Evaluates one case group — every backend's samples for `task` —
     /// in two phases: (1) per backend, consult the verdict cache and
     /// batch the misses through [`Backend::generate_batch`]; (2) score
-    /// every miss, in backend order then sample order, through one
-    /// shared per-case session.
+    /// every miss, in backend order then sample order, through the
+    /// case's one [`Scorer`].
     fn eval_group(
         &self,
         backends: &[&dyn Backend],
@@ -606,40 +605,14 @@ impl EvalEngine {
             prepared.push(PreparedUnit { samples, missing });
         }
 
-        // ---- Phase 2: score the misses through one shared session. --
+        // ---- Phase 2: score the misses through one shared scorer. ---
         if prepared.iter().any(|p| !p.missing.is_empty()) {
-            // The compiled design (resolved from the content-addressed
-            // cache) must outlive the session borrowing it.
-            let compiled: Option<SharedCompiled> = match task.as_ref() {
-                TaskSpec::Design2sva { case } => Some(self.compiled_design(case, digest)),
-                _ => None,
-            };
-            let mut scorer = match task.as_ref() {
-                TaskSpec::Design2sva { .. } => {
-                    match compiled
-                        .as_ref()
-                        .expect("resolved for design tasks")
-                        .as_ref()
-                    {
-                        Ok(design) => GroupScorer::Design(self.d2s.open_session(design)),
-                        // Unreachable: phase 1 short-circuits broken
-                        // designs, so nothing is missing here.
-                        Err(_) => GroupScorer::Broken,
-                    }
-                }
-                TaskSpec::Nl2svaHuman { case, table } => GroupScorer::Nl(
-                    self.nl2sva.open_session(&case.reference, table),
-                    &case.reference,
-                ),
-                TaskSpec::Nl2svaMachine { case, table } => GroupScorer::Nl(
-                    self.nl2sva.open_session(&case.reference_text, table),
-                    &case.reference_text,
-                ),
-            };
+            let mut compiled = None;
+            let mut scorer = self.open_scorer(task, digest, &mut compiled);
             for (backend, unit) in backends.iter().zip(&mut prepared) {
                 for (sample_idx, response) in &unit.missing {
                     let started = std::time::Instant::now();
-                    let eval = self.score_in_group(response, &mut scorer);
+                    let eval = self.score_with(&mut scorer, response);
                     self.note_check_time(task, started.elapsed().as_micros() as u64);
                     self.verdicts.insert(key(*backend, *sample_idx), eval);
                     unit.samples[*sample_idx as usize] = Some(eval);
@@ -659,18 +632,35 @@ impl EvalEngine {
             .collect()
     }
 
-    /// Scores one response through the group's shared session and
-    /// merges the formal-work delta into the engine counters.
-    fn score_in_group(&self, response: &str, scorer: &mut GroupScorer<'_>) -> SampleEval {
-        let _span = fv_trace::span!("engine.score");
-        let (eval, stats) = match scorer {
-            GroupScorer::Design(session) => self.d2s.evaluate_in_session(session, response),
-            GroupScorer::Nl(session, reference_text) => {
-                self.nl2sva
-                    .evaluate_in_session(session, reference_text, response)
+    /// Opens the scorer for one case. A Design2SVA scorer borrows the
+    /// case's compiled design, which is resolved from the
+    /// content-addressed cache into `compiled` so it outlives the
+    /// scorer; a design that fails to compile fails every response.
+    fn open_scorer<'a>(
+        &self,
+        task: &'a TaskSpec,
+        digest: u64,
+        compiled: &'a mut Option<SharedCompiled>,
+    ) -> Scorer<'a> {
+        match task {
+            TaskSpec::Nl2svaHuman { case, table } => Scorer::nl(&case.reference, table),
+            TaskSpec::Nl2svaMachine { case, table } => Scorer::nl(&case.reference_text, table),
+            TaskSpec::Design2sva { case } => {
+                let shared: &'a SharedCompiled =
+                    compiled.insert(self.compiled_design(case, digest));
+                match shared.as_ref() {
+                    Ok(design) => Scorer::design(design, self.prove_cfg),
+                    Err(_) => Scorer::failed(),
+                }
             }
-            GroupScorer::Broken => (SampleEval::failed(), ProverStats::default()),
-        };
+        }
+    }
+
+    /// Scores one response and merges its formal-work delta into the
+    /// engine counters.
+    fn score_with(&self, scorer: &mut Scorer<'_>, response: &str) -> SampleEval {
+        let _span = fv_trace::span!("engine.score");
+        let (eval, stats) = scorer.score(response);
         self.prover
             .lock()
             .expect("prover counters poisoned")
@@ -678,30 +668,13 @@ impl EvalEngine {
         eval
     }
 
-    /// Scores one response with the real evaluation pipeline (one-shot:
-    /// a fresh session per call — the verdict is identical to the
-    /// session-streamed path the engine runs use).
+    /// Scores one response with the real evaluation pipeline: a scorer
+    /// opened for this one response, with the verdict the engine's runs
+    /// give it.
     pub fn score(&self, task: &TaskSpec, response: &str) -> SampleEval {
-        let digest = task.content_digest();
-        let (eval, stats) = match task {
-            TaskSpec::Nl2svaHuman { case, table } => {
-                self.nl2sva
-                    .evaluate_response_stats(&case.reference, response, table)
-            }
-            TaskSpec::Nl2svaMachine { case, table } => {
-                self.nl2sva
-                    .evaluate_response_stats(&case.reference_text, response, table)
-            }
-            TaskSpec::Design2sva { case } => match self.compiled_design(case, digest).as_ref() {
-                Ok(bound) => self.d2s.evaluate_response_stats(bound, response),
-                Err(_) => (SampleEval::failed(), ProverStats::default()),
-            },
-        };
-        self.prover
-            .lock()
-            .expect("prover counters poisoned")
-            .merge(&stats);
-        eval
+        let mut compiled = None;
+        let mut scorer = self.open_scorer(task, task.content_digest(), &mut compiled);
+        self.score_with(&mut scorer, response)
     }
 
     /// Compiles a design once (whole-file elaboration + DUT binding)
@@ -739,20 +712,6 @@ impl EvalEngine {
                 .or_insert(bound),
         )
     }
-}
-
-/// The shared scoring state of one case group: every miss in the group
-/// streams through the same session, in a deterministic order.
-enum GroupScorer<'s> {
-    /// Design2SVA: a shared [`fv_core::ProofSession`] over the
-    /// compiled base netlist.
-    Design(DesignSession<'s>),
-    /// NL2SVA: a shared [`fv_core::EquivSession`] plus the reference
-    /// text (for BLEU).
-    Nl(NlSession<'s>, &'s str),
-    /// Design collateral failed to compile (defensive; phase 1 fails
-    /// such samples before scoring).
-    Broken,
 }
 
 /// Builds the owned task list for the human set. `tables` maps
@@ -855,7 +814,10 @@ pub fn design_task_specs(cases: &[DesignCase]) -> Vec<Arc<TaskSpec>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fveval_data::{fsm_sweep, generate_machine_cases, machine_signal_table, MachineGenConfig};
+    use fveval_data::{
+        fsm_sweep, generate_machine_cases, human_cases, machine_signal_table, signal_table_for,
+        testbenches, MachineGenConfig,
+    };
     use fveval_llm::profiles;
 
     fn machine_tasks(count: usize) -> Vec<Arc<TaskSpec>> {
@@ -1013,6 +975,48 @@ mod tests {
         assert_eq!(out[0].len(), 2);
         // One bind per case, reused by both backends.
         assert_eq!(engine.compiled.lock().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn one_shot_score_matches_run_samples() {
+        let tables: HashMap<&str, SignalTable> = testbenches()
+            .iter()
+            .map(|tb| (tb.name, signal_table_for(tb).unwrap()))
+            .collect();
+        let human: Vec<HumanCase> = human_cases().into_iter().take(4).collect();
+        let mut broken = fsm_sweep(1, 9)[0].clone();
+        broken.design_source = "module garbage (syntax error".into();
+        let mut tasks = human_task_specs(&human, &tables);
+        tasks.extend(machine_tasks(4));
+        tasks.extend(design_task_specs(&fsm_sweep(2, 5)));
+        tasks.extend(design_task_specs(&[broken]));
+        let models = profiles();
+        let backends: Vec<&dyn Backend> = models
+            .iter()
+            .filter(|m| m.profile().supports_design2sva)
+            .take(2)
+            .map(|m| m as &dyn Backend)
+            .collect();
+        let cfg = InferenceConfig::sampling();
+        let rows = EvalEngine::with_jobs(1).run_matrix(&backends, &tasks, &cfg, 2);
+        for (backend, row) in backends.iter().zip(&rows) {
+            for (task, evals) in tasks.iter().zip(row) {
+                for (sample_idx, eval) in (0..).zip(&evals.samples) {
+                    let response = backend.generate(&Request {
+                        task: Arc::clone(task),
+                        cfg,
+                        sample_idx,
+                    });
+                    assert_eq!(
+                        EvalEngine::with_jobs(1).score(task, &response),
+                        *eval,
+                        "{} on {} sample {sample_idx}",
+                        backend.name(),
+                        task.id()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

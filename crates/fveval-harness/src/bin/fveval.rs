@@ -819,9 +819,7 @@ fn main() -> ExitCode {
             }
         };
     }
-    let engine = EvalEngine::with_jobs(args.jobs).with_d2s_runner(
-        fveval_core::Design2svaRunner::new().with_prove_config(args.prove_config()),
-    );
+    let engine = EvalEngine::with_jobs(args.jobs).with_prove_config(args.prove_config());
     let mut store = if args.command == "list" {
         None
     } else {

@@ -22,7 +22,7 @@
 use fv_core::SignalTable;
 use fveval_core::{
     compile_design, design_task_specs, histogram, human_task_specs, machine_task_specs, pearson,
-    token_count, Design2svaRunner, EvalEngine, MetricSummary, Table, TableCell,
+    token_count, EvalEngine, MetricSummary, Scorer, Table, TableCell,
 };
 use fveval_data::{
     fsm_sweep, human_cases, machine_signal_table, pipeline_sweep, signal_table_for, testbenches,
@@ -598,7 +598,6 @@ pub fn validate(opts: &HarnessOptions) -> (String, usize) {
 
     out.push_str("== design sweeps (goldens prove) ==\n");
     let n = if opts.full { 16 } else { 4 };
-    let runner = Design2svaRunner::new();
     for case in pipeline_sweep(n, opts.seed)
         .into_iter()
         .chain(fsm_sweep(n, opts.seed + 1))
@@ -606,10 +605,8 @@ pub fn validate(opts: &HarnessOptions) -> (String, usize) {
         match compile_design(&case) {
             Err(e) => check(&mut out, &mut errors, &case.id, false, &e),
             Ok(bound) => {
-                let all_proven = case
-                    .golden
-                    .iter()
-                    .all(|g| runner.evaluate_response(&bound, g).func);
+                let mut scorer = Scorer::design(&bound, fv_core::ProveConfig::default());
+                let all_proven = case.golden.iter().all(|g| scorer.score(g).0.func);
                 check(
                     &mut out,
                     &mut errors,

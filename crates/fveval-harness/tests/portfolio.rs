@@ -5,7 +5,7 @@
 //! detail (which engine won, cancellations) is allowed to differ only
 //! in `prover_stats`, which is attribution — not results.
 
-use fveval_core::{Design2svaRunner, EvalEngine};
+use fveval_core::EvalEngine;
 use fveval_gen::SuiteConfig;
 use fveval_harness::gen_report;
 
@@ -14,7 +14,7 @@ fn engine_with(prove_engine: fv_core::ProveEngine, jobs: usize) -> EvalEngine {
         engine: prove_engine,
         ..fv_core::ProveConfig::default()
     };
-    EvalEngine::with_jobs(jobs).with_d2s_runner(Design2svaRunner::new().with_prove_config(cfg))
+    EvalEngine::with_jobs(jobs).with_prove_config(cfg)
 }
 
 /// One full generated-workload report (validation table + notes, which

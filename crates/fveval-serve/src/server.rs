@@ -276,9 +276,8 @@ impl Server {
         };
         let shards: Vec<Shard> = (0..config.shards.max(1))
             .map(|index| {
-                let engine = EvalEngine::with_jobs(config.engine_jobs).with_d2s_runner(
-                    fveval_core::Design2svaRunner::new().with_prove_config(config.prove_cfg),
-                );
+                let engine =
+                    EvalEngine::with_jobs(config.engine_jobs).with_prove_config(config.prove_cfg);
                 // Every shard preloads the full store: routing decides
                 // who serves a design, but warm restarts must answer
                 // from disk no matter how the shard count changed.

@@ -82,19 +82,10 @@ impl fmt::Debug for Symbol {
     }
 }
 
-/// FNV-1a offset basis, exposed as the seed for content digests built
-/// on the same hash family elsewhere in the workspace.
-pub const FNV1A_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a offset basis.
-const FNV_OFFSET: u64 = FNV1A_SEED;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// One FNV-1a accumulation step: folds `bytes` into the running hash
-/// `h` (seed with [`FNV1A_SEED`]).
-pub fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    fnv_bytes(h, bytes)
-}
 
 fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {

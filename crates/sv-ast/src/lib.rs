@@ -15,7 +15,7 @@ mod printer;
 mod property;
 
 pub use expr::{BinaryOp, Expr, Literal, SysFunc, UnaryOp};
-pub use intern::{fnv1a, Interner, Symbol, SymbolHasher, SymbolMap, FNV1A_SEED};
+pub use intern::{Interner, Symbol, SymbolHasher, SymbolMap};
 pub use module::{
     Assign, EdgeKind, EventExpr, Instance, LValue, Module, ModuleItem, NetDecl, NetKind, ParamDecl,
     PortDecl, PortDir, Range, SourceFile, Stmt,

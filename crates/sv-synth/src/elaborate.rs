@@ -957,9 +957,6 @@ pub struct ElaboratedDesign {
     warnings: Vec<String>,
     top_params: Vec<(String, u128)>,
     base: Netlist,
-    /// Lazily computed content digest of the base netlist (see
-    /// [`ElaboratedDesign::content_digest`]).
-    digest: std::sync::OnceLock<u64>,
 }
 
 /// Elaborates `top` (with `extras` appended to its body, e.g. the DUT
@@ -997,7 +994,6 @@ pub fn elaborate_design(
         warnings,
         top_params,
         base,
-        digest: std::sync::OnceLock::new(),
     })
 }
 
@@ -1014,14 +1010,6 @@ impl ElaboratedDesign {
     /// testbench constants visible to assertions).
     pub fn params(&self) -> &[(String, u128)] {
         &self.top_params
-    }
-
-    /// Content digest of the base netlist, computed on first use and
-    /// cached (see [`Netlist::content_digest`]). Cache keys built
-    /// from this digest dedupe recompilation of identical designs
-    /// without rehashing the netlist per probe.
-    pub fn content_digest(&self) -> u64 {
-        *self.digest.get_or_init(|| self.base.content_digest())
     }
 
     /// Splices `extras` into the already-flattened design and builds

@@ -197,69 +197,6 @@ impl Netlist {
         self.arrays.get(&self.syms.lookup(name)?).copied()
     }
 
-    /// FNV-1a content digest of the whole netlist: atoms (names,
-    /// widths, driver structure), net and array bindings (sorted by
-    /// resolved name, so the value is independent of both map iteration
-    /// order and symbol numbering), parameters, and clock/reset names.
-    ///
-    /// Two netlists with identical logical content — even when built by
-    /// different elaboration paths (one-pass vs. split, sequential vs.
-    /// driver) — digest to the same value, which makes this usable as a
-    /// compiled-design cache key component.
-    pub fn content_digest(&self) -> u64 {
-        use sv_ast::fnv1a as f;
-        let mut h = sv_ast::FNV1A_SEED;
-        h = f(h, &(self.atoms.len() as u64).to_le_bytes());
-        for a in &self.atoms {
-            h = f(h, a.name.as_bytes());
-            h = f(h, &a.width.to_le_bytes());
-            match &a.kind {
-                AtomKind::Input => h = f(h, &[0]),
-                AtomKind::Comb(e) => {
-                    h = f(h, &[1]);
-                    h = nx_digest(h, e);
-                }
-                AtomKind::Reg { next, init } => {
-                    h = f(h, &[2]);
-                    h = f(h, &init.to_le_bytes());
-                    h = nx_digest(h, next);
-                }
-            }
-        }
-        let mut nets: Vec<(&str, &NetBinding)> = self.net_names().collect();
-        nets.sort_by_key(|(n, _)| *n);
-        for (n, b) in nets {
-            h = f(h, n.as_bytes());
-            h = f(h, &b.width.to_le_bytes());
-            h = f(h, &b.elem_width.to_le_bytes());
-            for s in &b.segs {
-                h = f(h, &s.atom.0.to_le_bytes());
-                h = f(h, &s.lo.to_le_bytes());
-                h = f(h, &s.width.to_le_bytes());
-            }
-        }
-        let mut arrays: Vec<(&str, u32)> = self.array_names().collect();
-        arrays.sort_by_key(|(n, _)| *n);
-        for (n, c) in arrays {
-            h = f(h, n.as_bytes());
-            h = f(h, &c.to_le_bytes());
-        }
-        for (n, v) in &self.params {
-            h = f(h, n.as_bytes());
-            h = f(h, &v.to_le_bytes());
-        }
-        for w in &self.warnings {
-            h = f(h, w.as_bytes());
-        }
-        if let Some(n) = &self.reset_name {
-            h = f(h, n.as_bytes());
-        }
-        if let Some(n) = &self.clock_name {
-            h = f(h, n.as_bytes());
-        }
-        h
-    }
-
     /// Topological order of combinational atoms (dependencies first).
     ///
     /// # Errors
@@ -309,88 +246,6 @@ impl Netlist {
         }
         Ok(order)
     }
-}
-
-/// Structural FNV-1a walk over a net expression (variant tag plus
-/// every field), for [`Netlist::content_digest`].
-fn nx_digest(mut h: u64, nx: &Nx) -> u64 {
-    use sv_ast::fnv1a as f;
-    match nx {
-        Nx::Const { width, value } => {
-            h = f(h, &[0]);
-            h = f(h, &width.to_le_bytes());
-            h = f(h, &value.to_le_bytes());
-        }
-        Nx::Atom(a) => {
-            h = f(h, &[1]);
-            h = f(h, &a.0.to_le_bytes());
-        }
-        Nx::Slice { inner, lo, width } => {
-            h = f(h, &[2]);
-            h = f(h, &lo.to_le_bytes());
-            h = f(h, &width.to_le_bytes());
-            h = nx_digest(h, inner);
-        }
-        Nx::DynSlice {
-            inner,
-            index,
-            elem_width,
-        } => {
-            h = f(h, &[3]);
-            h = f(h, &elem_width.to_le_bytes());
-            h = nx_digest(h, inner);
-            h = nx_digest(h, index);
-        }
-        Nx::Concat(parts) => {
-            h = f(h, &[4]);
-            h = f(h, &(parts.len() as u32).to_le_bytes());
-            for p in parts {
-                h = nx_digest(h, p);
-            }
-        }
-        Nx::Not(i) => {
-            h = f(h, &[5]);
-            h = nx_digest(h, i);
-        }
-        Nx::Neg(i) => {
-            h = f(h, &[6]);
-            h = nx_digest(h, i);
-        }
-        Nx::Bin { op, a, b } => {
-            h = f(h, &[7, *op as u8]);
-            h = nx_digest(h, a);
-            h = nx_digest(h, b);
-        }
-        Nx::Reduce { op, inner } => {
-            h = f(h, &[8, *op as u8]);
-            h = nx_digest(h, inner);
-        }
-        Nx::Mux { sel, t, e } => {
-            h = f(h, &[9]);
-            h = nx_digest(h, sel);
-            h = nx_digest(h, t);
-            h = nx_digest(h, e);
-        }
-        Nx::Countones { inner, width } => {
-            h = f(h, &[10]);
-            h = f(h, &width.to_le_bytes());
-            h = nx_digest(h, inner);
-        }
-        Nx::Onehot(i) => {
-            h = f(h, &[11]);
-            h = nx_digest(h, i);
-        }
-        Nx::Onehot0(i) => {
-            h = f(h, &[12]);
-            h = nx_digest(h, i);
-        }
-        Nx::Resize { inner, width } => {
-            h = f(h, &[13]);
-            h = f(h, &width.to_le_bytes());
-            h = nx_digest(h, inner);
-        }
-    }
-    h
 }
 
 #[cfg(test)]

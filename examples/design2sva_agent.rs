@@ -21,7 +21,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("=== testbench header ===\n{}", case.tb_source);
 
     let bound = compile_design(&case).map_err(std::io::Error::other)?;
-    let runner = Design2svaRunner::new();
+    // One scorer for the design: every model's attempts share its
+    // proof session (one unrolled formula, one solver).
+    let mut scorer = Scorer::design(&bound, ProveConfig::default());
     let cfg = InferenceConfig::sampling();
     let task = std::sync::Arc::new(TaskSpec::Design2sva { case: case.clone() });
 
@@ -38,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 cfg,
                 sample_idx: attempt,
             });
-            let eval = runner.evaluate_response(&bound, &response);
+            let (eval, _) = scorer.score(&response);
             if attempt == 0 {
                 println!("first attempt:\n{response}");
             }

@@ -26,8 +26,8 @@ fn main() {
         cases[0].question, cases[0].reference_text
     );
 
-    let table = machine_signal_table();
-    let runner = Nl2svaRunner::new();
+    let tasks = machine_task_specs(&cases, &machine_signal_table());
+    let engine = EvalEngine::with_jobs(1);
     let models = profiles();
     let model = models
         .iter()
@@ -36,7 +36,7 @@ fn main() {
 
     for shots in [0u32, 3] {
         let cfg = InferenceConfig::greedy().with_shots(shots);
-        let evals = runner.run_machine(model, &cases, &table, &cfg, 1);
+        let evals = engine.run(model, &tasks, &cfg, 1);
         let s = MetricSummary::from_first_samples(&evals);
         println!(
             "{} {shots}-shot: syntax={:.3} func={:.3} partial={:.3} bleu={:.3}",
@@ -50,15 +50,13 @@ fn main() {
 
     // Show one scored response in detail.
     let case = &cases[1];
+    let task = &tasks[1];
     let response = model.generate(&Request {
-        task: std::sync::Arc::new(TaskSpec::Nl2svaMachine {
-            case: case.clone(),
-            table: std::sync::Arc::new(table.clone()),
-        }),
+        task: std::sync::Arc::clone(task),
         cfg: InferenceConfig::greedy(),
         sample_idx: 0,
     });
-    let eval = runner.evaluate_response(&case.reference_text, &response, &table);
+    let eval = engine.score(task, &response);
     println!("\nworked example:\n  Q: {}", case.question);
     println!("  reference: {}", case.reference_text);
     println!("  response : {response}");

@@ -15,7 +15,8 @@
 //! - [`fveval_data`] — the three benchmark datasets + generated task
 //!   sets.
 //! - [`fveval_llm`] — calibrated simulated models.
-//! - [`fveval_core`] — the evaluation framework (metrics + runners).
+//! - [`fveval_core`] — the evaluation framework (metrics, the
+//!   `Scorer` and the `EvalEngine`).
 //!
 //! # Quickstart
 //!
@@ -53,8 +54,8 @@ pub mod prelude {
     };
     pub use fveval_core::{
         bleu, compile_design, design_task_specs, generated_task_specs, human_task_specs,
-        machine_task_specs, pass_at_k, CacheStats, CompiledDesign, Design2svaRunner, EvalEngine,
-        MetricSummary, Nl2svaRunner, SampleEval,
+        machine_task_specs, pass_at_k, CacheStats, CompiledDesign, EvalEngine, MetricSummary,
+        SampleEval, Scorer,
     };
     pub use fveval_data::{
         fsm_sweep, generate_fsm, generate_machine_cases, generate_pipeline, generated_task_set,

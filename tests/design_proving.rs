@@ -7,11 +7,11 @@ use fveval_repro::prelude::*;
 #[test]
 fn sweep_golden_assertions_prove() {
     // A slice of both sweeps, full pipeline: bind design, prove golden.
-    let runner = Design2svaRunner::new();
     for case in pipeline_sweep(4, 11).into_iter().chain(fsm_sweep(4, 12)) {
         let bound = compile_design(&case).unwrap_or_else(|e| panic!("{}: {e}", case.id));
+        let mut scorer = Scorer::design(&bound, ProveConfig::default());
         for golden in &case.golden {
-            let eval = runner.evaluate_response(&bound, golden);
+            let (eval, _) = scorer.score(golden);
             assert!(
                 eval.syntax && eval.func,
                 "{}: golden must prove: {golden}",
@@ -89,7 +89,7 @@ fn fsm_transition_structure_matches_model_checker() {
         seed: 33,
     });
     let bound = compile_design(&case).unwrap();
-    let runner = Design2svaRunner::new();
+    let mut scorer = Scorer::design(&bound, ProveConfig::default());
     let transitions = match &case.kind {
         fveval_data::DesignKind::Fsm { transitions, .. } => transitions.clone(),
         _ => unreachable!(),
@@ -106,7 +106,7 @@ fn fsm_transition_structure_matches_model_checker() {
              (fsm_out == S{s}) |-> ##1 ({}));",
             disj(succs)
         );
-        let eval = runner.evaluate_response(&bound, &full);
+        let (eval, _) = scorer.score(&full);
         assert!(eval.func, "state {s}: full successor set proves");
         if succs.len() >= 2 {
             let partial = format!(
@@ -114,7 +114,7 @@ fn fsm_transition_structure_matches_model_checker() {
                  (fsm_out == S{s}) |-> ##1 ({}));",
                 disj(&succs[..succs.len() - 1])
             );
-            let eval = runner.evaluate_response(&bound, &partial);
+            let (eval, _) = scorer.score(&partial);
             assert!(
                 eval.syntax && !eval.func,
                 "state {s}: dropping the else-successor must be falsified"

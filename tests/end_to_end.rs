@@ -16,11 +16,10 @@ fn reference_solutions_score_perfect() {
     // Feeding the expert reference back as the "response" must score a
     // full pass on every one of the 79 human cases — the end-to-end
     // sanity bar for the whole evaluation stack.
-    let runner = Nl2svaRunner::new();
     let tables = human_tables();
     for case in human_cases() {
         let table = &tables[case.testbench.as_str()];
-        let eval = runner.evaluate_response(&case.reference, &case.reference, table);
+        let (eval, _) = Scorer::nl(&case.reference, table).score(&case.reference);
         assert!(
             eval.syntax && eval.func && eval.partial,
             "{} reference must self-score",
@@ -37,9 +36,8 @@ fn machine_references_score_perfect() {
         ..Default::default()
     });
     let table = machine_signal_table();
-    let runner = Nl2svaRunner::new();
     for case in cases {
-        let eval = runner.evaluate_response(&case.reference_text, &case.reference_text, &table);
+        let (eval, _) = Scorer::nl(&case.reference_text, &table).score(&case.reference_text);
         assert!(eval.func, "{} reference must self-score", case.id);
     }
 }
@@ -50,12 +48,11 @@ fn evaluation_is_deterministic_per_seed() {
         count: 20,
         ..Default::default()
     });
-    let table = machine_signal_table();
-    let runner = Nl2svaRunner::new();
+    let tasks = machine_task_specs(&cases, &machine_signal_table());
     let models = profiles();
     let model = &models[0];
     let cfg = InferenceConfig::sampling();
-    let run = || runner.run_machine(model, &cases, &table, &cfg, 3);
+    let run = || EvalEngine::with_jobs(1).run(model, &tasks, &cfg, 3);
     let a = run();
     let b = run();
     for (x, y) in a.iter().zip(&b) {
@@ -76,12 +73,11 @@ fn model_ordering_shape_holds_on_machine_set() {
         count: 100,
         ..Default::default()
     });
-    let table = machine_signal_table();
-    let runner = Nl2svaRunner::new();
+    let tasks = machine_task_specs(&cases, &machine_signal_table());
     let models = profiles();
     let score = |name: &str| {
         let m = models.iter().find(|m| m.name() == name).unwrap();
-        let evals = runner.run_machine(m, &cases, &table, &InferenceConfig::greedy(), 1);
+        let evals = EvalEngine::with_jobs(1).run(m, &tasks, &InferenceConfig::greedy(), 1);
         MetricSummary::from_first_samples(&evals)
     };
     let top = score("gpt-4o");
@@ -90,7 +86,7 @@ fn model_ordering_shape_holds_on_machine_set() {
     assert!(top.syntax > bottom.syntax);
     // Partial-vs-full gap exists for every model (paper Section 4.2).
     for m in &models {
-        let evals = runner.run_machine(m, &cases, &table, &InferenceConfig::greedy(), 1);
+        let evals = EvalEngine::with_jobs(1).run(m, &tasks, &InferenceConfig::greedy(), 1);
         let s = MetricSummary::from_first_samples(&evals);
         assert!(s.partial >= s.func, "{}: {s:?}", m.name());
         assert!(s.syntax >= s.partial, "{}: {s:?}", m.name());
@@ -104,24 +100,21 @@ fn three_shot_helps_weak_zero_shot_models() {
         count: 100,
         ..Default::default()
     });
-    let table = machine_signal_table();
-    let runner = Nl2svaRunner::new();
+    let tasks = machine_task_specs(&cases, &machine_signal_table());
     let models = profiles();
     let m = models
         .iter()
         .find(|m| m.name() == "gemini-1.5-pro")
         .unwrap();
-    let s0 = MetricSummary::from_first_samples(&runner.run_machine(
+    let s0 = MetricSummary::from_first_samples(&EvalEngine::with_jobs(1).run(
         m,
-        &cases,
-        &table,
+        &tasks,
         &InferenceConfig::greedy(),
         1,
     ));
-    let s3 = MetricSummary::from_first_samples(&runner.run_machine(
+    let s3 = MetricSummary::from_first_samples(&EvalEngine::with_jobs(1).run(
         m,
-        &cases,
-        &table,
+        &tasks,
         &InferenceConfig::greedy().with_shots(3),
         1,
     ));
@@ -138,17 +131,11 @@ fn pass_at_k_improves_with_sampling() {
         count: 60,
         ..Default::default()
     });
-    let table = machine_signal_table();
-    let runner = Nl2svaRunner::new();
+    let tasks = machine_task_specs(&cases, &machine_signal_table());
     let models = profiles();
     let m = models.iter().find(|m| m.name() == "llama-3.1-70b").unwrap();
-    let evals = runner.run_machine(
-        m,
-        &cases,
-        &table,
-        &InferenceConfig::sampling().with_shots(3),
-        6,
-    );
+    let evals =
+        EvalEngine::with_jobs(1).run(m, &tasks, &InferenceConfig::sampling().with_shots(3), 6);
     let p1 = MetricSummary::mean_pass_at_k(&evals, 1, |s| s.func);
     let p5 = MetricSummary::mean_pass_at_k(&evals, 5, |s| s.func);
     assert!(p5 >= p1, "pass@5 {p5} >= pass@1 {p1}");
