@@ -117,6 +117,20 @@ impl BitSim {
     pub fn lit_bit(&self, l: AigLit, pattern: u32) -> bool {
         (self.lit(l) >> pattern) & 1 == 1
     }
+
+    /// One pattern's primary-input assignment, indexed by input number —
+    /// the vector [`crate::AigEvaluator::combinational`] takes, so a
+    /// witness can be re-evaluated independently.
+    ///
+    /// # Panics
+    ///
+    /// Panics if some input of `g` has not been evaluated yet.
+    pub fn input_pattern(&self, g: &Aig, pattern: u32) -> Vec<bool> {
+        g.inputs()
+            .iter()
+            .map(|id| (self.words[id.index()] >> pattern) & 1 == 1)
+            .collect()
+    }
 }
 
 /// A three-valued logic value: definitely false, definitely true, or
@@ -270,6 +284,7 @@ mod tests {
         for p in 0..4u32 {
             let ia = (wa >> p) & 1 == 1;
             let ib = (wb >> p) & 1 == 1;
+            assert_eq!(sim.input_pattern(&g, p), [ia, ib], "pattern {p}");
             let ev = AigEvaluator::combinational(&g, &[ia, ib]);
             assert_eq!(sim.lit_bit(y, p), ev.lit(y), "pattern {p}");
             assert_eq!(sim.lit_bit(a, p), ia);

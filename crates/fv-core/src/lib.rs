@@ -25,9 +25,10 @@
 //! Both provers are layered so the SAT solver is the last resort, not
 //! the first: shared structurally-hashed AIGs collapse equal subterms
 //! (often deciding a query during construction), ternary and 64-way
-//! random simulation kill constant and easily-falsified queries, and
-//! whatever remains runs on a single reused [`fv_sat::Solver`] driven
-//! by `solve_with` assumptions and selector-guarded clause groups.
+//! random simulation kill constant and easily-falsified queries and
+//! easily-failed k-induction steps, and whatever remains runs on a
+//! single reused [`fv_sat::Solver`] driven by `solve_with` assumptions
+//! and selector-guarded clause groups.
 //! [`ProverStats`] reports which layer decided each query; the
 //! [`EquivOutcome::stats`] field and [`prove_with_stats`] surface it.
 //!

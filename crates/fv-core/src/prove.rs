@@ -24,12 +24,16 @@
 //! - Before any SAT call, each BMC anchor is attacked by ternary
 //!   simulation (reset state pinned, inputs `X` — a constant-false
 //!   violation target needs no solver) and by 64-way random simulation
-//!   (a witness pattern *is* a counterexample). Only survivors reach
-//!   the CDCL solver.
+//!   (a witness pattern *is* a counterexample). Each k-induction step
+//!   query is attacked by a second 64-way simulation whose start state
+//!   is random too: a pattern holding `k` attempts and violating the
+//!   next one is a model of the step query, so the step fails. Only
+//!   survivors reach the CDCL solver.
 //! - Every counterexample is replay-validated: in debug builds the
 //!   trace is re-run through the cycle-accurate [`sv_synth::Simulator`]
 //!   and the assertion is re-evaluated concretely
-//!   ([`replay_design_cex`] exposes the same check to tests).
+//!   ([`replay_design_cex`] exposes the same check to tests). Step-case
+//!   witnesses are likewise re-evaluated through [`AigEvaluator`].
 
 use crate::cex::CexValue;
 use crate::env::{DesignTraceEnv, TraceEnv};
@@ -319,6 +323,11 @@ pub struct ProofSession<'n> {
     sim: BitSim,
     tern: TernarySim,
     rng: u64,
+    /// Free-state patterns for the step case: every input random,
+    /// frame-0 registers included, from a stream of its own so the BMC
+    /// patterns above do not depend on which step queries ran.
+    step_sim: BitSim,
+    step_rng: u64,
     /// Simulation-forced input words (frame-0 registers at reset).
     forced: HashMap<u32, bool>,
     forced_known: usize,
@@ -365,6 +374,8 @@ impl<'n> ProofSession<'n> {
             sim: BitSim::new(),
             tern: TernarySim::new(),
             rng: 0x0BAD_5EED_F00D,
+            step_sim: BitSim::new(),
+            step_rng: 0x57E9_5EED_F00D,
             forced: HashMap::new(),
             forced_known: 0,
             stats: ProverStats::default(),
@@ -644,13 +655,47 @@ impl<'n> ProofSession<'n> {
         k: u32,
     ) -> Result<bool, EncodeError> {
         self.ensure_anchor(assertion, horizon, holds, k)?;
-        let mut lits: Vec<Lit> = Vec::with_capacity(k as usize + 1);
-        for (i, &hold) in holds.iter().enumerate().take(k as usize + 1) {
-            let l = self.em.emit(&self.g, hold, &mut self.solver);
-            lits.push(if i == k as usize { !l } else { l });
+        let (before, target) = (&holds[..k as usize], holds[k as usize]);
+
+        // Layer 2: free-state random simulation. With the reset
+        // selector off, the step query constrains nothing beyond the
+        // graph itself, so any pattern with `k` good attempts and a bad
+        // next one is a model of it: the step fails without the solver.
+        let rng = &mut self.step_rng;
+        self.step_sim.extend(&self.g, &mut |_| splitmix64(rng));
+        let sim = &self.step_sim;
+        let w = before.iter().fold(sim.lit(!target), |w, &h| w & sim.lit(h));
+        if w != 0 {
+            self.stats.step_sim_kills += 1;
+            self.debug_step_witness(before, target, w.trailing_zeros());
+            return Ok(false);
         }
+
+        // Layer 3: SAT with the reset selector off.
+        let mut lits: Vec<Lit> = Vec::with_capacity(k as usize + 1);
+        for &hold in before {
+            lits.push(self.em.emit(&self.g, hold, &mut self.solver));
+        }
+        lits.push(!self.em.emit(&self.g, target, &mut self.solver));
         self.count_sat_call();
         Ok(self.solver.solve_with(&lits).is_unsat())
+    }
+
+    /// Re-evaluates a step-case simulation witness through the scalar
+    /// [`AigEvaluator`], as BMC replays its counterexamples: pattern
+    /// `pattern` must hold every attempt in `before` and violate
+    /// `target`.
+    fn debug_step_witness(&self, before: &[AigLit], target: AigLit, pattern: u32) {
+        if cfg!(debug_assertions) {
+            let ev = AigEvaluator::combinational(
+                &self.g,
+                &self.step_sim.input_pattern(&self.g, pattern),
+            );
+            assert!(
+                before.iter().all(|&h| ev.lit(h)) && !ev.lit(target),
+                "step-case simulation witness must falsify the step query"
+            );
+        }
     }
 }
 
@@ -845,6 +890,7 @@ mod tests {
         assert!(r.is_proven());
         assert_eq!(stats.ternary_kills, 1, "{stats:?}");
         assert_eq!(stats.sat_calls, 1, "only the k=1 induction query");
+        assert_eq!(stats.step_sim_kills, 0, "a proven step has no witness");
     }
 
     #[test]
@@ -896,6 +942,7 @@ mod tests {
         let a = parse_assertion_str("assert property (@(posedge clk) q != 3'd7);").unwrap();
         let (r, stats) = prove_with_stats(&nl, &a, &[], ProveConfig::default()).unwrap();
         assert_eq!(r, ProveResult::Undetermined);
+        assert_eq!(stats.queries(), 18, "12 BMC anchors + 6 steps: {stats:?}");
         assert!(stats.sat_calls >= 2, "{stats:?}");
         assert_eq!(
             stats.solver_reuse_hits,
@@ -903,6 +950,10 @@ mod tests {
             "every SAT call after the first reuses the solver: {stats:?}"
         );
         assert!(stats.ternary_kills >= 1, "early anchors fold: {stats:?}");
+        assert!(
+            stats.step_sim_kills >= 1,
+            "a random start state in the unreachable band fails a step: {stats:?}"
+        );
     }
 
     #[test]

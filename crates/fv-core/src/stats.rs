@@ -75,9 +75,11 @@ counters! {
     /// 2. **ternary simulation** (`ternary_kills`): the target is constant
     ///    under every input assignment, so the SAT query is decided without
     ///    the solver,
-    /// 3. **random simulation** (`sim_kills`): 64-way bit-parallel patterns
-    ///    found a concrete witness, so a falsification query is SAT without
-    ///    the solver,
+    /// 3. **random simulation**: 64-way bit-parallel patterns found a
+    ///    concrete witness, so the query is SAT without the solver — a
+    ///    falsification query (`sim_kills`), or a k-induction step query
+    ///    whose patterns also draw the start state at random
+    ///    (`step_sim_kills`: the step fails),
     /// 4. **SAT** (`sat_calls`): everything else goes to the CDCL solver;
     ///    `solver_reuse_hits` counts the calls that were answered by a
     ///    solver already warmed by a previous query of the same
@@ -105,6 +107,10 @@ counters! {
         /// Falsification queries killed by random simulation (a witness
         /// pattern was found before any SAT call).
         sim_kills: "Sim kills", Prover;
+        /// k-induction step queries killed by free-state random simulation
+        /// (a pattern holding `k` attempts and violating the next one was
+        /// found before any SAT call).
+        step_sim_kills: "Step sim kills", Prover;
         /// Queries killed by ternary simulation / constant folding (the
         /// target was provably constant without search).
         ternary_kills: "Ternary kills", Prover;
@@ -172,7 +178,7 @@ pub struct Counter {
 impl ProverStats {
     /// Total queries decided across all layers.
     pub fn queries(&self) -> u64 {
-        self.sat_calls + self.sim_kills + self.ternary_kills
+        self.sat_calls + self.sim_kills + self.step_sim_kills + self.ternary_kills
     }
 }
 
@@ -195,6 +201,7 @@ mod tests {
         a.merge(&ProverStats {
             sat_calls: 10,
             sim_kills: 20,
+            step_sim_kills: 40,
             ternary_kills: 30,
             solver_reuse_hits: 5,
             sessions_opened: 1,
@@ -209,6 +216,7 @@ mod tests {
         });
         assert_eq!(a.sat_calls, 11);
         assert_eq!(a.sim_kills, 22);
+        assert_eq!(a.step_sim_kills, 40);
         assert_eq!(a.ternary_kills, 33);
         assert_eq!(a.solver_reuse_hits, 5);
         assert_eq!(a.sessions_opened, 2);
@@ -220,7 +228,7 @@ mod tests {
         assert_eq!(a.bounded_wins, 3);
         assert_eq!(a.engine_cancellations, 1);
         assert_eq!(a.digest_reuse, 2);
-        assert_eq!(a.queries(), 66, "session counters are not queries");
+        assert_eq!(a.queries(), 106, "session counters are not queries");
     }
 
     #[test]

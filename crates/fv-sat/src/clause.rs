@@ -76,6 +76,9 @@ pub(crate) struct ClauseDb {
     clauses: Vec<Clause>,
     /// Indices of deleted slots available for reuse.
     free: Vec<u32>,
+    /// Live learned clauses, kept by `alloc`/`free` so the search loop
+    /// need not walk the arena to count them.
+    learnt: usize,
 }
 
 impl ClauseDb {
@@ -84,6 +87,7 @@ impl ClauseDb {
     }
 
     pub fn alloc(&mut self, lits: Vec<Lit>, learnt: bool) -> ClauseRef {
+        self.learnt += usize::from(learnt);
         let clause = Clause::new(lits, learnt);
         if let Some(slot) = self.free.pop() {
             self.clauses[slot as usize] = clause;
@@ -99,6 +103,7 @@ impl ClauseDb {
         debug_assert!(!c.deleted);
         c.deleted = true;
         c.lits_mut().clear();
+        self.learnt -= usize::from(c.learnt);
         self.free.push(cref.0);
     }
 
@@ -119,6 +124,11 @@ impl ClauseDb {
             .enumerate()
             .filter(|(_, c)| c.learnt && !c.deleted)
             .map(|(i, _)| ClauseRef(i as u32))
+    }
+
+    /// Number of live learned clauses: `learnt_refs().count()`, in O(1).
+    pub fn learnt_count(&self) -> usize {
+        self.learnt
     }
 
     pub fn live_count(&self) -> usize {
@@ -156,5 +166,29 @@ mod tests {
         db.free(l1);
         let live: Vec<_> = db.learnt_refs().collect();
         assert_eq!(live, vec![l2]);
+    }
+
+    #[test]
+    fn learnt_count_tracks_alloc_free_and_reuse() {
+        let mut db = ClauseDb::new();
+        let a = Lit::pos(Var(0));
+        let check = |db: &ClauseDb| assert_eq!(db.learnt_count(), db.learnt_refs().count());
+        let orig = db.alloc(vec![a], false);
+        let l1 = db.alloc(vec![!a], true);
+        let l2 = db.alloc(vec![a, !a], true);
+        check(&db);
+        db.free(l1);
+        check(&db);
+        // A learned clause reuses the slot an original clause freed, and
+        // an original clause the slot a learned one freed.
+        db.free(orig);
+        let l3 = db.alloc(vec![!a], true);
+        assert_eq!(l3, orig, "freed slot is reused");
+        check(&db);
+        db.free(l2);
+        let o2 = db.alloc(vec![a], false);
+        assert_eq!(o2, l2, "freed slot is reused");
+        check(&db);
+        assert_eq!(db.learnt_count(), 1);
     }
 }

@@ -560,24 +560,19 @@ impl Solver {
             .copied()
             .filter(|&l| !self.redundant(l))
             .collect();
-        learnt.truncate(1);
-        learnt.extend(keep);
 
-        // Clear seen markers.
-        for l in &learnt {
+        // Clear seen markers. The trail walk cleared the current level's;
+        // the rest mark exactly the lower-level literals collected above,
+        // kept or dropped (redundant() only reads them).
+        for l in &learnt[1..] {
             self.seen[l.var().index()] = false;
         }
-        // (Markers set during the loop for dropped literals were cleared in
-        // the trail walk; redundant() leaves `seen` as-is for learnt lits.)
-        let mut to_clear: Vec<usize> = Vec::new();
-        for (i, s) in self.seen.iter().enumerate() {
-            if *s {
-                to_clear.push(i);
-            }
-        }
-        for i in to_clear {
-            self.seen[i] = false;
-        }
+        debug_assert!(
+            self.seen.iter().all(|&s| !s),
+            "conflict analysis leaves no seen marker behind"
+        );
+        learnt.truncate(1);
+        learnt.extend(keep);
 
         // Backtrack level = second-highest level in the clause.
         let bt = if learnt.len() == 1 {
@@ -691,7 +686,7 @@ impl Solver {
             self.db.free(cref);
             removed += 1;
         }
-        self.stats.learnt = self.db.learnt_refs().count() as u64;
+        self.stats.learnt = self.db.learnt_count() as u64;
     }
 
     fn is_reason(&self, cref: ClauseRef) -> bool {
@@ -749,7 +744,7 @@ impl Solver {
                     self.enqueue(asserting, cref);
                 }
                 self.decay_activities();
-                if self.db.learnt_refs().count() as f64 > self.max_learnt {
+                if self.db.learnt_count() as f64 > self.max_learnt {
                     self.reduce_db();
                     self.max_learnt *= 1.1;
                 }

@@ -1,6 +1,7 @@
 //! BLEU score over code tokens (the paper's lexical-similarity metric).
 
 use crate::tokenize::code_tokens;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 /// Computes smoothed BLEU-4 between a candidate and a single reference.
@@ -17,8 +18,20 @@ use std::collections::HashMap;
 /// assert!(bleu(reference, "assert property (@(posedge clk) !a);") < 0.8);
 /// ```
 pub fn bleu(reference: &str, candidate: &str) -> f64 {
-    let r = code_tokens(reference);
-    let c = code_tokens(candidate);
+    // Both token streams share one id space, so equal tokens get equal
+    // ids and an n-gram compares as one integer key.
+    let mut ids: HashMap<&str, u32> = HashMap::new();
+    let mut intern = |text| -> Vec<u32> {
+        code_tokens(text)
+            .into_iter()
+            .map(|t| {
+                let next = ids.len() as u32;
+                *ids.entry(t).or_insert(next)
+            })
+            .collect()
+    };
+    let r = intern(reference);
+    let c = intern(candidate);
     if c.is_empty() || r.is_empty() {
         return 0.0;
     }
@@ -35,26 +48,36 @@ pub fn bleu(reference: &str, candidate: &str) -> f64 {
     bp * log_sum.exp()
 }
 
-fn ngram_counts(tokens: &[String], n: usize) -> HashMap<&[String], usize> {
-    let mut m: HashMap<&[String], usize> = HashMap::new();
-    if tokens.len() >= n {
-        for w in tokens.windows(n) {
-            *m.entry(w).or_insert(0) += 1;
-        }
-    }
-    m
+/// Every `n`-gram of `tokens` (`n <= 4`) packed into one key, sorted.
+fn sorted_ngrams(tokens: &[u32], n: usize) -> Vec<u128> {
+    let mut keys: Vec<u128> = tokens
+        .windows(n)
+        .map(|w| w.iter().fold(0, |key, &id| (key << 32) | u128::from(id)))
+        .collect();
+    keys.sort_unstable();
+    keys
 }
 
-fn modified_precision(reference: &[String], candidate: &[String], n: usize) -> f64 {
-    let ref_counts = ngram_counts(reference, n);
-    let cand_counts = ngram_counts(candidate, n);
-    let total: usize = cand_counts.values().sum();
-    let clipped: usize = cand_counts
-        .iter()
-        .map(|(g, &c)| c.min(ref_counts.get(g).copied().unwrap_or(0)))
-        .sum();
+fn modified_precision(reference: &[u32], candidate: &[u32], n: usize) -> f64 {
+    let r = sorted_ngrams(reference, n);
+    let c = sorted_ngrams(candidate, n);
+    // Each candidate n-gram counts at most as often as the reference
+    // has it: the clipped count is the size of the multiset
+    // intersection, one merge over the two sorted lists.
+    let (mut i, mut j, mut clipped) = (0, 0, 0usize);
+    while i < c.len() && j < r.len() {
+        match c[i].cmp(&r[j]) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                clipped += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
     // +1 smoothing keeps zero-overlap candidates comparable.
-    (clipped as f64 + 1.0) / (total as f64 + 1.0)
+    (clipped as f64 + 1.0) / (c.len() as f64 + 1.0)
 }
 
 #[cfg(test)]
@@ -102,5 +125,144 @@ mod tests {
         let c = "property assert (y |-> x);";
         let s = bleu(r, c);
         assert!((0.0..=1.0).contains(&s));
+    }
+
+    /// String-keyed BLEU — owned `String` tokens and one `HashMap` of
+    /// n-gram slices per order — as the oracle the id-based [`bleu`]
+    /// must match bit for bit.
+    mod oracle {
+        use std::collections::HashMap;
+
+        fn code_tokens(text: &str) -> Vec<String> {
+            let mut out = Vec::new();
+            let mut cur = String::new();
+            for ch in text.chars() {
+                if ch.is_ascii_alphanumeric() || ch == '_' || ch == '$' {
+                    cur.push(ch);
+                } else {
+                    if !cur.is_empty() {
+                        out.push(std::mem::take(&mut cur));
+                    }
+                    if !ch.is_whitespace() {
+                        out.push(ch.to_string());
+                    }
+                }
+            }
+            if !cur.is_empty() {
+                out.push(cur);
+            }
+            out
+        }
+
+        pub fn bleu(reference: &str, candidate: &str) -> f64 {
+            let r = code_tokens(reference);
+            let c = code_tokens(candidate);
+            if c.is_empty() || r.is_empty() {
+                return 0.0;
+            }
+            let mut log_sum = 0.0;
+            for n in 1..=4usize {
+                let p = modified_precision(&r, &c, n);
+                log_sum += p.ln() * 0.25;
+            }
+            let bp = if c.len() >= r.len() {
+                1.0
+            } else {
+                (1.0 - r.len() as f64 / c.len() as f64).exp()
+            };
+            bp * log_sum.exp()
+        }
+
+        fn ngram_counts(tokens: &[String], n: usize) -> HashMap<&[String], usize> {
+            let mut m: HashMap<&[String], usize> = HashMap::new();
+            if tokens.len() >= n {
+                for w in tokens.windows(n) {
+                    *m.entry(w).or_insert(0) += 1;
+                }
+            }
+            m
+        }
+
+        fn modified_precision(reference: &[String], candidate: &[String], n: usize) -> f64 {
+            let ref_counts = ngram_counts(reference, n);
+            let cand_counts = ngram_counts(candidate, n);
+            let total: usize = cand_counts.values().sum();
+            let clipped: usize = cand_counts
+                .iter()
+                .map(|(g, &c)| c.min(ref_counts.get(g).copied().unwrap_or(0)))
+                .sum();
+            (clipped as f64 + 1.0) / (total as f64 + 1.0)
+        }
+    }
+
+    fn assert_matches_oracle(reference: &str, candidate: &str) {
+        assert_eq!(
+            bleu(reference, candidate).to_bits(),
+            oracle::bleu(reference, candidate).to_bits(),
+            "reference {reference:?}, candidate {candidate:?}"
+        );
+    }
+
+    #[test]
+    fn matches_oracle_on_edge_cases() {
+        for (r, c) in [
+            ("", ""),
+            ("a", ""),
+            ("a", "a"),
+            ("a b", "a"),
+            ("a a a a a", "a a"),
+            ("a b a b a b", "b a b a"),
+            ("x |-> ##1 y;", "x\u{2264}y \u{2264}"),
+        ] {
+            assert_matches_oracle(r, c);
+            assert_matches_oracle(c, r);
+        }
+    }
+
+    #[test]
+    fn matches_oracle_on_every_shipped_reference() {
+        use fveval_data::{
+            generate_machine_cases, human_cases, machine_signal_table, signal_table_for,
+            testbenches, MachineGenConfig,
+        };
+        use fveval_llm::{profiles, Backend, InferenceConfig, Request};
+
+        let tables: HashMap<&str, fv_core::SignalTable> = testbenches()
+            .iter()
+            .map(|tb| (tb.name, signal_table_for(tb).unwrap()))
+            .collect();
+        let mut tasks = crate::human_task_specs(&human_cases(), &tables);
+        tasks.extend(crate::machine_task_specs(
+            &generate_machine_cases(MachineGenConfig::default()),
+            &machine_signal_table(),
+        ));
+        let models = profiles();
+        assert_eq!(models.len(), 8);
+        let mut scored = 0;
+        for task in &tasks {
+            let reference = task
+                .reference_text()
+                .expect("NL2SVA tasks have a reference");
+            assert_matches_oracle(reference, reference);
+            for cfg in [
+                InferenceConfig::greedy(),
+                InferenceConfig::greedy().with_shots(3),
+            ] {
+                let req = Request {
+                    task: std::sync::Arc::clone(task),
+                    cfg,
+                    sample_idx: 0,
+                };
+                for model in &models {
+                    assert_matches_oracle(reference, &model.generate(&req));
+                    scored += 1;
+                }
+            }
+        }
+        assert_eq!(
+            scored,
+            (79 + 300) * 2 * 8,
+            "every human and machine reference"
+        );
     }
 }

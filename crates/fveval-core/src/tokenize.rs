@@ -7,24 +7,26 @@
 //! distributions in Figures 2–4.
 
 /// Splits text into lexical code tokens (identifiers, numbers, one
-/// token per operator/punctuation char). Used by BLEU.
-pub fn code_tokens(text: &str) -> Vec<String> {
+/// token per operator/punctuation char), borrowed from `text`. Used by
+/// BLEU.
+pub fn code_tokens(text: &str) -> Vec<&str> {
     let mut out = Vec::new();
-    let mut cur = String::new();
-    for ch in text.chars() {
+    // Byte offset where the current identifier/number run started.
+    let mut run: Option<usize> = None;
+    for (i, ch) in text.char_indices() {
         if ch.is_ascii_alphanumeric() || ch == '_' || ch == '$' {
-            cur.push(ch);
+            run.get_or_insert(i);
         } else {
-            if !cur.is_empty() {
-                out.push(std::mem::take(&mut cur));
+            if let Some(start) = run.take() {
+                out.push(&text[start..i]);
             }
             if !ch.is_whitespace() {
-                out.push(ch.to_string());
+                out.push(&text[i..i + ch.len_utf8()]);
             }
         }
     }
-    if !cur.is_empty() {
-        out.push(cur);
+    if let Some(start) = run {
+        out.push(&text[start..]);
     }
     out
 }
@@ -66,6 +68,7 @@ mod tests {
             vec!["a", "|", "-", ">", "#", "#", "2", "b", ";"]
         );
         assert_eq!(code_tokens("$onehot0(x)"), vec!["$onehot0", "(", "x", ")"]);
+        assert_eq!(code_tokens("a\u{2264}b "), vec!["a", "\u{2264}", "b"]);
     }
 
     #[test]

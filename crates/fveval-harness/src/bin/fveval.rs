@@ -998,6 +998,7 @@ mod tests {
                 "SAT calls",
                 "Solver reuse hits",
                 "Sim kills",
+                "Step sim kills",
                 "Ternary kills",
                 "Sessions opened",
                 "Assertions checked",
@@ -1014,8 +1015,12 @@ mod tests {
             ]
         );
         let row = &t.rows[0];
-        assert_eq!(row.len(), 17);
+        assert_eq!(row.len(), 18);
         let cache_cells: [fveval_core::TableCell; 3] = ["1".into(), "2".into(), "3".into()];
-        assert_eq!(row[9..12], cache_cells, "cache columns follow Digest reuse");
+        assert_eq!(
+            row[10..13],
+            cache_cells,
+            "cache columns follow Digest reuse"
+        );
     }
 }

@@ -724,11 +724,12 @@ pub fn gen_report(
     engine.record_prover_work(&stats);
     notes.push_str(&format!(
         "golden verdicts: {} candidates across {} scenarios confirmed by the prover \
-         ({} SAT calls, {} sim kills, {} ternary kills){}\n",
+         ({} SAT calls, {} sim kills, {} step sim kills, {} ternary kills){}\n",
         suite.candidate_count(),
         suite.scenarios.len(),
         stats.sat_calls,
         stats.sim_kills,
+        stats.step_sim_kills,
         stats.ternary_kills,
         if errors == 0 {
             ""

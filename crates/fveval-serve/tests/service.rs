@@ -650,6 +650,7 @@ fn metrics_exposition_reconciles_with_stats_json() {
             ("prover", "sat_calls"),
             ("prover", "solver_reuse_hits"),
             ("prover", "sim_kills"),
+            ("prover", "step_sim_kills"),
             ("prover", "ternary_kills"),
             ("prover", "sessions_opened"),
             ("prover", "session_checks"),
