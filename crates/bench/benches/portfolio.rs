@@ -8,10 +8,11 @@
 //! IC3/PDR closes the proof from a handful of learned clauses:
 //!
 //! - `bounded_exhausts_deepcnt` — the bounded schedule's full
-//!   walk to `Undetermined` (the cost the portfolio pays on one arm).
+//!   walk to `Undetermined` (what the portfolio pays before PDR).
 //! - `pdr_proves_deepcnt` — the PDR engine alone.
-//! - `portfolio_proves_deepcnt` — both arms raced with first-answer
-//!   cancellation, the configuration `--engine portfolio` ships.
+//! - `portfolio_proves_deepcnt` — the bounded walk, then PDR on the
+//!   same thread: the configuration `--engine portfolio` ships, so
+//!   about the sum of the two above.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fv_core::{prove_with_stats, ProveConfig, ProveEngine, ProveResult};

@@ -125,6 +125,12 @@ impl TraceEnv for FreeTraceEnv<'_> {
 /// frames of an elaborated netlist. Used by the Design2SVA prover; a
 /// [`crate::ProofSession`] keeps one alive per design so the frames
 /// amortize across every candidate assertion.
+///
+/// Frame 0 starts from a free (symbolic) state: every register bit is
+/// a fresh primary input, recorded with its reset value in
+/// [`DesignTraceEnv::initial_state_bits`]. Provers pin those bits to
+/// reset under a solver selector (BMC, PDR's initial frame) or leave
+/// them free (the k-induction step).
 pub struct DesignTraceEnv<'a> {
     expander: FrameExpander<'a>,
     frames: Vec<FrameValues>,
@@ -132,8 +138,6 @@ pub struct DesignTraceEnv<'a> {
     consts: HashMap<String, (u32, u128)>,
     /// Forced input values by atom name (e.g. `reset_` pinned to 1).
     forced: HashMap<String, u128>,
-    /// Free initial state (k-induction) instead of reset constants.
-    free_initial: bool,
     /// Input allocation log per frame, for counterexample decoding.
     input_log: Vec<(String, u32, BitVec)>,
     /// Frames read since the last
@@ -142,10 +146,10 @@ pub struct DesignTraceEnv<'a> {
     /// shared unrolling each candidate actually revisited, and trim its
     /// counterexamples to the frames that candidate uses.
     touched_frames: u32,
-    /// Frame-0 register bits allocated in free-initial mode, paired
-    /// with the reset value each bit would have: `(bit, init)`. BMC on
-    /// a shared free-state unrolling pins these through a solver
-    /// selector group instead of baking constants into the AIG.
+    /// Frame-0 register bits, paired with the reset value each bit
+    /// would have: `(bit, init)`. BMC on the shared free-state
+    /// unrolling pins these through a solver selector group instead of
+    /// baking constants into the AIG.
     initial_bits: Vec<(fv_aig::AigLit, bool)>,
     /// Whether any read referenced a negative (pre-anchor) cycle.
     negative_read: bool,
@@ -163,7 +167,6 @@ impl<'a> DesignTraceEnv<'a> {
             frames: Vec::new(),
             consts: HashMap::new(),
             forced: HashMap::new(),
-            free_initial: false,
             input_log: Vec::new(),
             touched_frames: 0,
             initial_bits: Vec::new(),
@@ -173,12 +176,6 @@ impl<'a> DesignTraceEnv<'a> {
             env.forced.insert(rst, u128::MAX);
         }
         env
-    }
-
-    /// Starts from a fully unconstrained state (k-induction step case).
-    pub fn with_free_initial_state(mut self) -> Self {
-        self.free_initial = true;
-        self
     }
 
     /// Adds a constant binding visible to assertions.
@@ -191,7 +188,7 @@ impl<'a> DesignTraceEnv<'a> {
         while self.frames.len() <= cycle as usize {
             let state = if let Some(prev) = self.frames.last() {
                 prev.reg_next.clone()
-            } else if self.free_initial {
+            } else {
                 self.expander
                     .netlist()
                     .regs()
@@ -205,8 +202,6 @@ impl<'a> DesignTraceEnv<'a> {
                         (id, bv)
                     })
                     .collect()
-            } else {
-                self.expander.initial_state()
             };
             let frame_idx = self.frames.len() as u32;
             let forced = self.forced.clone();
@@ -249,9 +244,8 @@ impl<'a> DesignTraceEnv<'a> {
         self.touched_frames
     }
 
-    /// Frame-0 register bits allocated in free-initial mode, paired
-    /// with each bit's reset value. Empty until frame 0 exists (and in
-    /// reset-constant mode, always).
+    /// Frame-0 register bits, paired with each bit's reset value, in
+    /// netlist register order (LSB first). Empty until frame 0 exists.
     pub fn initial_state_bits(&self) -> &[(fv_aig::AigLit, bool)] {
         &self.initial_bits
     }

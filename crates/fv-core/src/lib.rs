@@ -60,7 +60,6 @@ mod error;
 mod expr;
 mod monitor;
 mod pdr;
-mod portfolio;
 mod prove;
 mod rng;
 mod stats;

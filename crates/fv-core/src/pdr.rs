@@ -43,9 +43,8 @@
 //! Proof-obligation ordering is fully deterministic: cubes are decoded
 //! in register-bit order, generalization drops literals in ascending
 //! bit order, and propagation visits levels and cubes in insertion
-//! order. The only nondeterministic inputs are the cooperative cancel
-//! token (portfolio racing) and the wall-clock budget; both abort to
-//! `Undetermined`, never to a different verdict.
+//! order. The only nondeterministic input is the wall-clock budget,
+//! which aborts to `Undetermined`, never to a different verdict.
 
 use crate::cex::CexValue;
 use crate::env::DesignTraceEnv;
@@ -55,7 +54,6 @@ use crate::prove::{replay_design_cex, DesignCex, ProveConfig, ProveResult};
 use crate::stats::ProverStats;
 use fv_aig::{Aig, CnfEmitter};
 use fv_sat::{Lit, SolveResult, Solver};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 use sv_ast::Assertion;
 use sv_synth::{FrameExpander, Netlist};
@@ -73,32 +71,19 @@ const MAX_FRAMES: usize = 256;
 /// per register bit); generalized cubes are sub-conjunctions.
 type Cube = Vec<(usize, bool)>;
 
-/// Outcome of a PDR run, with whether it was cut short (cancel token,
-/// wall budget, or conflict budget) rather than concluding on its own.
-pub(crate) struct PdrOutcome {
-    pub(crate) result: ProveResult,
-    pub(crate) interrupted: bool,
-}
-
-/// Engine entry point shared by the session's PDR mode
-/// ([`crate::ProveEngine::Pdr`]) and the portfolio racer. `cancel` is
-/// polled between queries *and* from inside the solver's search loop;
-/// a raised token aborts to `Undetermined` with `interrupted = true`.
+/// Engine entry point of a session's PDR checks
+/// ([`crate::ProveEngine::Pdr`] and [`crate::ProveEngine::Portfolio`]),
+/// reached after [`crate::ProofSession::check`] has answered unbounded
+/// operators. A run cut short by the wall-clock or conflict budget
+/// comes back `Undetermined`.
 pub(crate) fn run_pdr(
     netlist: &Netlist,
     assertion: &Assertion,
     consts: &[(String, u32, u128)],
     cfg: ProveConfig,
-    cancel: Option<&std::sync::Arc<AtomicBool>>,
     stats: &mut ProverStats,
-) -> Result<PdrOutcome, EncodeError> {
-    if assertion.body.has_unbounded() {
-        return Ok(PdrOutcome {
-            result: ProveResult::Undetermined,
-            interrupted: false,
-        });
-    }
-    let mut engine = Pdr::build(netlist, assertion, consts, cfg, cancel)?;
+) -> Result<ProveResult, EncodeError> {
+    let mut engine = Pdr::build(netlist, assertion, consts, cfg)?;
     let mut span = fv_trace::span!("pdr.run");
     let result = engine.run();
     if span.is_active() {
@@ -111,17 +96,14 @@ pub(crate) fn run_pdr(
     stats.solver_reuse_hits += engine.sat_calls.saturating_sub(1);
     stats.pdr_frames += engine.act.len().saturating_sub(1) as u64;
     stats.pdr_clauses_learned += engine.clauses_learned;
-    Ok(PdrOutcome {
-        result: result?,
-        interrupted: engine.interrupted,
-    })
+    result
 }
 
 /// How a PDR SAT query came back.
 enum Query {
     Sat,
     Unsat,
-    /// Cancel token, wall budget, or conflict budget fired.
+    /// Wall budget or conflict budget ran out.
     Abort,
 }
 
@@ -144,7 +126,7 @@ enum Block {
     Abort,
 }
 
-struct Pdr<'n, 'c> {
+struct Pdr<'n> {
     netlist: &'n Netlist,
     assertion: &'n Assertion,
     consts: &'n [(String, u32, u128)],
@@ -167,23 +149,21 @@ struct Pdr<'n, 'c> {
     /// `frames[0]` is unused.
     frames: Vec<Vec<Cube>>,
     deadline: Option<Instant>,
-    cancel: Option<&'c AtomicBool>,
     sat_calls: u64,
     clauses_learned: u64,
     interrupted: bool,
 }
 
-impl<'n, 'c> Pdr<'n, 'c> {
+impl<'n> Pdr<'n> {
     fn build(
         netlist: &'n Netlist,
         assertion: &'n Assertion,
         consts: &'n [(String, u32, u128)],
         cfg: ProveConfig,
-        cancel: Option<&'c std::sync::Arc<AtomicBool>>,
-    ) -> Result<Pdr<'n, 'c>, EncodeError> {
+    ) -> Result<Pdr<'n>, EncodeError> {
         let expander = FrameExpander::new(netlist)
             .map_err(|n| EncodeError::Unsupported(format!("combinational cycle through '{n}'")))?;
-        let mut env = DesignTraceEnv::new(expander).with_free_initial_state();
+        let mut env = DesignTraceEnv::new(expander);
         for (n, w, v) in consts {
             env.bind_const(n.clone(), *w, *v);
         }
@@ -192,9 +172,6 @@ impl<'n, 'c> Pdr<'n, 'c> {
         let holds = encode_assertion_at(&mut g, assertion, 0, horizon, &mut env)?;
         env.ensure_frames(&mut g, 0);
         let mut solver = Solver::new();
-        if let Some(token) = cancel {
-            solver.set_interrupt(Some(std::sync::Arc::clone(token)));
-        }
         solver.set_conflict_budget(Some(QUERY_CONFLICT_BUDGET));
         let mut em = CnfEmitter::new();
         let bad = em.emit(&g, !holds, &mut solver);
@@ -232,7 +209,6 @@ impl<'n, 'c> Pdr<'n, 'c> {
             act: vec![init_act],
             frames: vec![Vec::new()],
             deadline,
-            cancel: cancel.map(std::sync::Arc::as_ref),
             sat_calls: 0,
             clauses_learned: 0,
             interrupted: false,
@@ -240,9 +216,7 @@ impl<'n, 'c> Pdr<'n, 'c> {
     }
 
     fn aborted(&mut self) -> bool {
-        if self.cancel.is_some_and(|t| t.load(Ordering::Relaxed))
-            || self.deadline.is_some_and(|d| Instant::now() >= d)
-        {
+        if self.deadline.is_some_and(|d| Instant::now() >= d) {
             self.interrupted = true;
         }
         self.interrupted
@@ -574,7 +548,7 @@ mod tests {
         // v0 state bits: from reset (cnt = 0), cnt' = 4 is impossible.
         let nl = wrapping_counter();
         let a = parse_assertion_str("assert property (@(posedge clk) q != 3'd4);").unwrap();
-        let mut e = Pdr::build(&nl, &a, &[], ProveConfig::default(), None).unwrap();
+        let mut e = Pdr::build(&nl, &a, &[], ProveConfig::default()).unwrap();
         let assm = vec![e.act[0], !e.v1[0], !e.v1[1], e.v1[2]];
         let r = e.solver.solve_with(&assm);
         assert!(r.is_unsat(), "transition should forbid init->4, got {r:?}");
@@ -661,22 +635,16 @@ mod tests {
     }
 
     #[test]
-    fn cancel_token_aborts_promptly() {
+    fn wall_budget_aborts_to_undetermined() {
+        // A deadline already passed stops the run before its first
+        // query: the budget aborts to Undetermined, never to a verdict.
         let nl = wrapping_counter();
         let a = parse_assertion_str("assert property (@(posedge clk) q != 3'd7);").unwrap();
-        let token = std::sync::Arc::new(AtomicBool::new(true));
-        let mut stats = ProverStats::default();
-        let out = run_pdr(
-            &nl,
-            &a,
-            &[],
-            ProveConfig::default(),
-            Some(&token),
-            &mut stats,
-        )
-        .unwrap();
-        assert_eq!(out.result, ProveResult::Undetermined);
-        assert!(out.interrupted);
+        let mut e = Pdr::build(&nl, &a, &[], pdr()).unwrap();
+        e.deadline = Some(Instant::now());
+        assert_eq!(e.run(), Ok(ProveResult::Undetermined));
+        assert!(e.interrupted);
+        assert_eq!(e.sat_calls, 0);
     }
 
     #[test]
@@ -688,9 +656,7 @@ mod tests {
         assert_eq!(stats.pdr_wins, 1, "{stats:?}");
         assert!(stats.pdr_clauses_learned >= 1, "{stats:?}");
         let mut direct = ProverStats::default();
-        let out = run_pdr(&nl, &a, &[], pdr(), None, &mut direct).unwrap();
-        assert_eq!(out.result, r);
-        assert!(!out.interrupted);
+        assert_eq!(run_pdr(&nl, &a, &[], pdr(), &mut direct).unwrap(), r);
         assert_eq!(direct.pdr_clauses_learned, stats.pdr_clauses_learned);
     }
 }

@@ -97,13 +97,13 @@ pub enum ProveEngine {
     /// assert!(stats.pdr_clauses_learned > 0);
     /// ```
     Pdr,
-    /// Race the bounded schedule against PDR on scoped threads with
-    /// first-answer-wins cancellation. Verdicts are engine-agnostic
-    /// (the engines agree whenever both conclude) and counterexample
-    /// traces always come from the deterministic bounded schedule when
-    /// it falsifies, so reported results match `Bounded` byte-for-byte
-    /// except that deep proofs the bounded schedule cannot close are
-    /// rescued by PDR.
+    /// The bounded schedule first, then PDR on the same thread only
+    /// when the bounded schedule comes back `Undetermined`. The result
+    /// is the bounded schedule's verdict (and canonical trace) whenever
+    /// it concludes, and PDR's verdict otherwise, so checks the bounded
+    /// schedule decides cost and count exactly what they do under
+    /// `Bounded`, while deep proofs and deep counterexamples beyond its
+    /// bounds are closed by PDR.
     Portfolio,
 }
 
@@ -242,9 +242,6 @@ pub fn prove_with_stats(
     consts: &[(String, u32, u128)],
     cfg: ProveConfig,
 ) -> Result<(ProveResult, ProverStats), EncodeError> {
-    if assertion.body.has_unbounded() {
-        return Ok((ProveResult::Undetermined, ProverStats::default()));
-    }
     let mut session = ProofSession::open(netlist, consts, cfg)?;
     let (result, _) = session.check(assertion)?;
     Ok((result, session.stats()))
@@ -308,12 +305,12 @@ pub fn prove_with_stats(
 /// assert_eq!(stats.session_checks, 2);
 /// ```
 pub struct ProofSession<'n> {
-    pub(crate) netlist: &'n Netlist,
-    pub(crate) consts: Vec<(String, u32, u128)>,
-    pub(crate) cfg: ProveConfig,
+    netlist: &'n Netlist,
+    consts: Vec<(String, u32, u128)>,
+    cfg: ProveConfig,
     g: Aig,
     env: DesignTraceEnv<'n>,
-    pub(crate) solver: Solver,
+    solver: Solver,
     em: CnfEmitter,
     /// Selector assumed by BMC queries to pin frame 0 to reset.
     init_sel: Lit,
@@ -333,7 +330,7 @@ pub struct ProofSession<'n> {
     forced_known: usize,
     /// Cumulative counters; `sessions_opened` is charged to the first
     /// check (see [`ProofSession::stats`]).
-    pub(crate) stats: ProverStats,
+    stats: ProverStats,
 }
 
 impl<'n> ProofSession<'n> {
@@ -354,7 +351,7 @@ impl<'n> ProofSession<'n> {
         let _span = fv_trace::span!("session.open", atoms = netlist.atoms.len());
         let expander = FrameExpander::new(netlist)
             .map_err(|n| EncodeError::Unsupported(format!("combinational cycle through '{n}'")))?;
-        let mut env = DesignTraceEnv::new(expander).with_free_initial_state();
+        let mut env = DesignTraceEnv::new(expander);
         for (n, w, v) in consts {
             env.bind_const(n.clone(), *w, *v);
         }
@@ -395,11 +392,12 @@ impl<'n> ProofSession<'n> {
         self.stats
     }
 
-    /// Checks one candidate assertion against the shared proof context,
-    /// running the interleaved BMC + k-induction schedule on the shared
-    /// unrolling. Returns the verdict plus the counter *delta* this
-    /// check added (the first check's delta carries the session's
-    /// `sessions_opened`).
+    /// Checks one candidate assertion against the shared proof context
+    /// with the session's [`ProveEngine`]: the interleaved BMC +
+    /// k-induction schedule on the shared unrolling, PDR, or the
+    /// schedule followed by PDR. Returns the verdict plus the counter
+    /// *delta* this check added (the first check's delta carries the
+    /// session's `sessions_opened`).
     ///
     /// # Errors
     ///
@@ -432,11 +430,13 @@ impl<'n> ProofSession<'n> {
         }
         let horizon = horizon_for(assertion, None, self.cfg.slack);
         let outcome = match self.cfg.engine {
-            ProveEngine::Bounded => self.check_bounded(assertion, horizon),
-            ProveEngine::Pdr => self.check_pdr(assertion),
-            ProveEngine::Portfolio => crate::portfolio::race(self, assertion, horizon),
+            ProveEngine::Bounded => self.check_bounded(assertion, horizon)?,
+            ProveEngine::Pdr => self.check_pdr(assertion)?,
+            ProveEngine::Portfolio => match self.check_bounded(assertion, horizon)? {
+                ProveResult::Undetermined => self.check_pdr(assertion)?,
+                decided => decided,
+            },
         };
-        let outcome = outcome?;
         if span.is_active() {
             span.attr(
                 "result",
@@ -453,7 +453,7 @@ impl<'n> ProofSession<'n> {
 
     /// The bounded BMC + k-induction check on the shared unrolling,
     /// with the session's frame-reuse accounting.
-    pub(crate) fn check_bounded(
+    fn check_bounded(
         &mut self,
         assertion: &Assertion,
         horizon: u32,
@@ -474,18 +474,17 @@ impl<'n> ProofSession<'n> {
     /// unrolled time frames), so the session's shared unrolling is
     /// untouched.
     fn check_pdr(&mut self, assertion: &Assertion) -> Result<ProveResult, EncodeError> {
-        let out = crate::pdr::run_pdr(
+        let result = crate::pdr::run_pdr(
             self.netlist,
             assertion,
             &self.consts,
             self.cfg,
-            None,
             &mut self.stats,
         )?;
-        if !matches!(out.result, ProveResult::Undetermined) {
+        if !matches!(result, ProveResult::Undetermined) {
             self.stats.pdr_wins += 1;
         }
-        Ok(out.result)
+        Ok(result)
     }
 
     /// The interleaved BMC + k-induction schedule over the one shared
@@ -1045,11 +1044,29 @@ mod tests {
     #[test]
     fn unbounded_property_is_undetermined() {
         let nl = counter();
-        let r = prove_str(
-            &nl,
-            "assert property (@(posedge clk) en |-> strong(##[0:$] wrapped));",
-        );
-        assert_eq!(r, ProveResult::Undetermined);
+        let src = "assert property (@(posedge clk) en |-> strong(##[0:$] wrapped));";
+        assert_eq!(prove_str(&nl, src), ProveResult::Undetermined);
+        // The one-shot entry point still opens a session and checks the
+        // assertion through it, so its counters say so.
+        let a = parse_assertion_str(src).unwrap();
+        for engine in [
+            ProveEngine::Bounded,
+            ProveEngine::Pdr,
+            ProveEngine::Portfolio,
+        ] {
+            let cfg = ProveConfig {
+                engine,
+                ..ProveConfig::default()
+            };
+            let (r, stats) = prove_with_stats(&nl, &a, &[], cfg).unwrap();
+            assert_eq!(r, ProveResult::Undetermined, "{engine:?}");
+            assert_eq!(
+                (stats.sessions_opened, stats.session_checks),
+                (1, 1),
+                "{engine:?}: {stats:?}"
+            );
+            assert_eq!(stats.queries(), 0, "{engine:?}: {stats:?}");
+        }
     }
 
     #[test]
@@ -1156,6 +1173,105 @@ mod tests {
         );
         assert_eq!(first.sessions_opened, 1, "first delta carries the open");
         assert_eq!(second.sessions_opened, 0);
+    }
+
+    fn portfolio_cfg() -> ProveConfig {
+        ProveConfig {
+            engine: ProveEngine::Portfolio,
+            ..ProveConfig::default()
+        }
+    }
+
+    #[test]
+    fn portfolio_rescues_deep_proof() {
+        // Bounded alone gives up on `q != 7`; the portfolio proves it
+        // via PDR and attributes the win.
+        let nl = wrapping_counter();
+        let a = parse_assertion_str("assert property (@(posedge clk) q != 3'd7);").unwrap();
+        assert_eq!(
+            prove(&nl, &a, &[], ProveConfig::default()).unwrap(),
+            ProveResult::Undetermined
+        );
+        let (r, stats) = prove_with_stats(&nl, &a, &[], portfolio_cfg()).unwrap();
+        assert!(r.is_proven(), "got {r:?}");
+        assert_eq!(stats.pdr_wins, 1, "{stats:?}");
+        assert!(stats.pdr_clauses_learned >= 1, "{stats:?}");
+    }
+
+    #[test]
+    fn portfolio_verdicts_and_traces_match_bounded() {
+        // For every candidate the bounded engine can decide, the
+        // portfolio must report the same verdict kind — for falsified
+        // candidates the *identical* trace, rendered byte-for-byte the
+        // same — and do exactly the bounded engine's work: PDR never
+        // runs, so the check's counter delta is the bounded one.
+        let nl = wrapping_counter();
+        let candidates = [
+            "assert property (@(posedge clk) en || !en);",
+            "assert property (@(posedge clk) q != 3'd2);",
+            "assert property (@(posedge clk) (en && q == 3'd1) |-> ##1 q == 3'd2);",
+            "assert property (@(posedge clk) (en && q == 3'd1) |-> ##1 q == 3'd4);",
+            "assert property (@(posedge clk) en |-> strong(##[0:$] q == 3'd5));",
+        ];
+        let mut bounded = ProofSession::open(&nl, &[], ProveConfig::default()).unwrap();
+        let mut portfolio = ProofSession::open(&nl, &[], portfolio_cfg()).unwrap();
+        for src in candidates {
+            let a = parse_assertion_str(src).unwrap();
+            let (b, b_stats) = bounded.check(&a).unwrap();
+            let (p, p_stats) = portfolio.check(&a).unwrap();
+            match (&b, &p) {
+                (ProveResult::Falsified { cex: c1 }, ProveResult::Falsified { cex: c2 }) => {
+                    assert_eq!(c1.to_string(), c2.to_string(), "{src}");
+                }
+                (ProveResult::Proven { .. }, ProveResult::Proven { .. }) => {}
+                (ProveResult::Undetermined, ProveResult::Undetermined) => {}
+                (b, p) => panic!("{src}: bounded {b:?} vs portfolio {p:?}"),
+            }
+            if b != ProveResult::Undetermined {
+                assert_eq!(p_stats, b_stats, "{src}");
+            }
+        }
+    }
+
+    #[test]
+    fn portfolio_deep_falsification_replays() {
+        // A violation beyond max_bmc anchors: bounded is undetermined,
+        // PDR finds the deep counterexample and it replays.
+        let nl = wrapping_counter();
+        let cfg = ProveConfig {
+            max_bmc: 2,
+            max_induction: 2,
+            ..portfolio_cfg()
+        };
+        let a = parse_assertion_str("assert property (@(posedge clk) q != 3'd4);").unwrap();
+        let bounded_cfg = ProveConfig {
+            engine: ProveEngine::Bounded,
+            ..cfg
+        };
+        assert_eq!(
+            prove(&nl, &a, &[], bounded_cfg).unwrap(),
+            ProveResult::Undetermined
+        );
+        let (r, stats) = prove_with_stats(&nl, &a, &[], cfg).unwrap();
+        match r {
+            ProveResult::Falsified { cex } => {
+                assert!(cex.anchor >= 4);
+                assert_eq!(replay_design_cex(&nl, &a, &[], cfg, &cex), Ok(true));
+            }
+            other => panic!("expected falsified, got {other:?}"),
+        }
+        assert_eq!(stats.pdr_wins, 1, "{stats:?}");
+    }
+
+    #[test]
+    fn portfolio_session_stays_usable_after_errors() {
+        let nl = wrapping_counter();
+        let mut session = ProofSession::open(&nl, &[], portfolio_cfg()).unwrap();
+        let bad = parse_assertion_str("assert property (@(posedge clk) ghost == 1'b0);").unwrap();
+        assert!(session.check(&bad).is_err());
+        let good = parse_assertion_str("assert property (@(posedge clk) q != 3'd7);").unwrap();
+        let (r, _) = session.check(&good).unwrap();
+        assert!(r.is_proven(), "got {r:?}");
     }
 
     #[test]

@@ -132,15 +132,9 @@ counters! {
         /// relative-induction generalization.
         pdr_clauses_learned: "PDR clauses", Prover;
         /// Checks whose reported verdict came from the PDR engine (PDR ran
-        /// alone, or answered first / rescued an undetermined base schedule
-        /// in a portfolio race).
+        /// alone, or closed a portfolio check the bounded schedule left
+        /// undetermined).
         pdr_wins: "PDR wins", Prover;
-        /// Portfolio checks whose reported verdict came from the bounded
-        /// BMC + k-induction schedule.
-        bounded_wins: "Bounded wins", Prover;
-        /// Engines cancelled mid-run because the other side of a portfolio
-        /// race answered first (or a budget expired).
-        engine_cancellations: "Engine cancellations", Prover;
     }
 }
 
@@ -210,8 +204,6 @@ mod tests {
             pdr_frames: 2,
             pdr_clauses_learned: 9,
             pdr_wins: 1,
-            bounded_wins: 3,
-            engine_cancellations: 1,
             digest_reuse: 2,
         });
         assert_eq!(a.sat_calls, 11);
@@ -225,8 +217,6 @@ mod tests {
         assert_eq!(a.pdr_frames, 2);
         assert_eq!(a.pdr_clauses_learned, 9);
         assert_eq!(a.pdr_wins, 1);
-        assert_eq!(a.bounded_wins, 3);
-        assert_eq!(a.engine_cancellations, 1);
         assert_eq!(a.digest_reuse, 2);
         assert_eq!(a.queries(), 106, "session counters are not queries");
     }

@@ -4,8 +4,6 @@ use crate::clause::{ClauseDb, ClauseRef};
 use crate::heap::VarHeap;
 use crate::luby::luby;
 use crate::{LBool, Lit, Var};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 /// Outcome of a [`Solver::solve`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -14,13 +12,11 @@ pub enum SolveResult {
     Sat,
     /// The formula (under the given assumptions) is unsatisfiable.
     Unsat,
-    /// The solve was abandoned before reaching an answer: either the
-    /// cooperative interrupt token ([`Solver::set_interrupt`]) was
-    /// raised, or the per-call conflict budget
-    /// ([`Solver::set_conflict_budget`]) ran out. The solver backtracks
-    /// to the root level and stays fully usable — clause database and
-    /// trail are intact, and the next query behaves as if this one had
-    /// never been issued.
+    /// The solve was abandoned before reaching an answer because the
+    /// per-call conflict budget ([`Solver::set_conflict_budget`]) ran
+    /// out. The solver backtracks to the root level and stays fully
+    /// usable — clause database and trail are intact, and the next
+    /// query behaves as if this one had never been issued.
     Interrupted,
 }
 
@@ -116,8 +112,6 @@ pub struct Solver {
     unsat_at_root: bool,
     stats: SolverStats,
     max_learnt: f64,
-    /// Cooperative cancellation token, polled once per conflict.
-    interrupt: Option<Arc<AtomicBool>>,
     /// Per-call conflict budget (conflicts allowed within one solve).
     conflict_budget: Option<u64>,
 }
@@ -152,21 +146,8 @@ impl Solver {
             unsat_at_root: false,
             stats: SolverStats::default(),
             max_learnt: 1000.0,
-            interrupt: None,
             conflict_budget: None,
         }
-    }
-
-    /// Installs (or clears) a cooperative cancellation token.
-    ///
-    /// The search loop polls the token once per conflict; when it reads
-    /// `true`, the current [`Solver::solve_with`] call backtracks to the
-    /// root level and returns [`SolveResult::Interrupted`]. The token is
-    /// *not* cleared by the solver — the installer owns its lifecycle —
-    /// so every subsequent solve also returns `Interrupted` until the
-    /// token is lowered or removed.
-    pub fn set_interrupt(&mut self, token: Option<Arc<AtomicBool>>) {
-        self.interrupt = token;
     }
 
     /// Installs (or clears) a per-call conflict budget.
@@ -323,9 +304,8 @@ impl Solver {
     /// be reused incrementally.
     ///
     /// Returns [`SolveResult::Interrupted`] (leaving the solver fully
-    /// reusable) when an installed interrupt token is raised or the
-    /// per-call conflict budget runs out; see [`Solver::set_interrupt`]
-    /// and [`Solver::set_conflict_budget`].
+    /// reusable) when the per-call conflict budget runs out; see
+    /// [`Solver::set_conflict_budget`].
     pub fn solve_with(&mut self, assumptions: &[Lit]) -> SolveResult {
         let mut span = fv_trace::span!("sat.solve");
         if span.is_active() {
@@ -348,9 +328,6 @@ impl Solver {
         if self.unsat_at_root {
             return SolveResult::Unsat;
         }
-        if self.interrupted() {
-            return SolveResult::Interrupted;
-        }
         self.cancel_until(0);
         let conflict_limit = self
             .conflict_budget
@@ -372,14 +349,6 @@ impl Solver {
                 }
             }
         }
-    }
-
-    /// Whether the installed interrupt token (if any) is raised.
-    #[inline]
-    fn interrupted(&self) -> bool {
-        self.interrupt
-            .as_ref()
-            .is_some_and(|t| t.load(Ordering::Relaxed))
     }
 
     /// The model value of `v` after a [`SolveResult::Sat`] answer.
@@ -698,8 +667,8 @@ impl Solver {
         self.lit_value(l0) == LBool::True && self.var_data[l0.var().index()].reason == cref
     }
 
-    /// Runs CDCL until SAT, UNSAT, interruption, or `budget` conflicts
-    /// (restart signal: `None`).
+    /// Runs CDCL until SAT, UNSAT, the conflict limit, or `budget`
+    /// conflicts (restart signal: `None`).
     fn search(
         &mut self,
         budget: u64,
@@ -712,7 +681,7 @@ impl Solver {
             if conflict.is_defined() {
                 self.stats.conflicts += 1;
                 conflicts_here += 1;
-                if self.interrupted() || conflict_limit.is_some_and(|l| self.stats.conflicts > l) {
+                if conflict_limit.is_some_and(|l| self.stats.conflicts > l) {
                     return Some(SolveResult::Interrupted);
                 }
                 if self.decision_level() == 0 {
@@ -1049,57 +1018,5 @@ mod tests {
         s.set_conflict_budget(None);
         assert!(s.solve_with(&[Lit::neg(a)]).is_sat());
         assert_eq!(s.value(b), Some(true));
-    }
-
-    #[test]
-    fn interrupt_token_cuts_and_clears() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Arc;
-        let token = Arc::new(AtomicBool::new(true));
-        let mut s = Solver::new();
-        let v = s.new_var();
-        s.add_clause([Lit::pos(v)]);
-        s.set_interrupt(Some(token.clone()));
-        // A raised token short-circuits even trivial queries.
-        assert!(s.solve().is_interrupted());
-        token.store(false, Ordering::Relaxed);
-        assert!(s.solve().is_sat());
-        assert_eq!(s.value(v), Some(true));
-        s.set_interrupt(None);
-        assert!(s.solve().is_sat());
-    }
-
-    #[test]
-    fn interrupt_token_cuts_inflight_search() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Arc;
-        let token = Arc::new(AtomicBool::new(false));
-        let mut s = Solver::new();
-        // Large enough that the search cannot finish before the
-        // watchdog fires (PHP(11,10) needs far more than 50ms).
-        let sel = pigeonhole_selected(&mut s, 11, 10);
-        s.set_interrupt(Some(token.clone()));
-        let clauses_before = s.num_clauses();
-        let watchdog = {
-            let token = token.clone();
-            std::thread::spawn(move || {
-                std::thread::sleep(std::time::Duration::from_millis(50));
-                token.store(true, Ordering::Relaxed);
-            })
-        };
-        assert!(s.solve_with(&[sel]).is_interrupted());
-        watchdog.join().unwrap();
-        token.store(false, Ordering::Relaxed);
-        // Original clauses are all still present (learned clauses may
-        // have been added on top) and an easy query concludes normally.
-        // The hard group must be deselected: the interrupted search
-        // left `sel` with a saved phase and top activity, so a free
-        // search would decide it first and re-enter the exponential
-        // pigeonhole refutation.
-        assert!(s.num_clauses() >= clauses_before);
-        let v = s.new_var();
-        s.add_clause([Lit::pos(v)]);
-        assert!(s.solve_with(&[!sel]).is_sat());
-        assert_eq!(s.value(v), Some(true));
     }
 }

@@ -27,9 +27,10 @@
 //! The one deliberate exception is the `deepcnt` family, whose wrap
 //! comparison is a plain `==` **on purpose**: its headline invariant is
 //! true but not k-inductive for *any* k, so it needs a
-//! reachability-aware engine (the portfolio's IC3/PDR) to close. It is
-//! therefore registered but excluded from default suites — see
-//! [`ScenarioGenerator::in_default_suite`].
+//! reachability-aware engine to close: IC3/PDR, which `--engine pdr`,
+//! `--engine portfolio` and golden validation (which proves through
+//! the portfolio) run. It is therefore registered but excluded from
+//! default suites — see [`ScenarioGenerator::in_default_suite`].
 
 use crate::{Candidate, GenParams, GoldenVerdict, Scenario, ScenarioGenerator};
 use rand::rngs::StdRng;

@@ -7,9 +7,9 @@
 //! counterexample trace must replay to a concrete violation on the
 //! cycle-accurate `sv_synth::Simulator`.
 //!
-//! When a bounded-engine check comes back `Undetermined`, the
-//! candidate is retried once through the IC3/PDR engine before a
-//! mismatch is declared — this is what lets the deep-inductive
+//! A caller asking for the bounded engine is served by the portfolio,
+//! which runs the IC3/PDR engine after any bounded check that comes
+//! back `Undetermined` — this is what lets the deep-inductive
 //! `deepcnt` family carry golden verdicts the BMC + k-induction
 //! schedule cannot close at its default depth.
 
@@ -55,6 +55,18 @@ impl ScenarioReport {
 /// candidate fails to parse — generator bugs, distinct from verdict
 /// mismatches (which are *reported*, not errors).
 pub fn validate_scenario(scenario: &Scenario, cfg: ProveConfig) -> Result<ScenarioReport, String> {
+    // Deep-inductive families (e.g. `deepcnt`) carry golden verdicts
+    // the bounded schedule cannot decide within its depth, so a bounded
+    // request proves through the portfolio: the bounded verdict
+    // whenever it concludes, PDR's otherwise. PDR verdicts are
+    // replay-gated like any other, so a wrong golden is still caught.
+    let cfg = match cfg.engine {
+        ProveEngine::Bounded => ProveConfig {
+            engine: ProveEngine::Portfolio,
+            ..cfg
+        },
+        _ => cfg,
+    };
     let compiled = scenario.compile()?;
     let mut report = ScenarioReport {
         id: scenario.id.clone(),
@@ -78,27 +90,10 @@ pub fn validate_scenario(scenario: &Scenario, cfg: ProveConfig) -> Result<Scenar
     for cand in &scenario.candidates {
         let assertion = sv_parser::parse_assertion_str(&cand.sva)
             .map_err(|e| format!("{}/{}: parse: {e}", scenario.id, cand.name))?;
-        let (mut result, stats) =
+        let (result, stats) =
             prove_with_stats(compiled.netlist(), &assertion, compiled.consts(), cfg)
                 .map_err(|e| format!("{}/{}: prove: {e}", scenario.id, cand.name))?;
         report.stats.merge(&stats);
-        // Deep-inductive families (e.g. `deepcnt`) carry golden
-        // verdicts the bounded schedule cannot decide within its
-        // depth. Before declaring a mismatch on an Undetermined,
-        // retry once with the reachability-aware PDR engine — its
-        // verdicts are replay-gated like any other, so a wrong golden
-        // verdict is still caught.
-        if matches!(result, ProveResult::Undetermined) && cfg.engine == ProveEngine::Bounded {
-            let pdr_cfg = ProveConfig {
-                engine: ProveEngine::Pdr,
-                ..cfg
-            };
-            let (retry, retry_stats) =
-                prove_with_stats(compiled.netlist(), &assertion, compiled.consts(), pdr_cfg)
-                    .map_err(|e| format!("{}/{}: prove (pdr): {e}", scenario.id, cand.name))?;
-            report.stats.merge(&retry_stats);
-            result = retry;
-        }
         match (cand.verdict, &result) {
             (GoldenVerdict::Provable, ProveResult::Proven { .. }) => report.confirmed += 1,
             (GoldenVerdict::Falsifiable, ProveResult::Falsified { cex }) => {

@@ -5,7 +5,7 @@
 //!                  [--cache-dir DIR] [--no-persist] [--trace-out FILE]
 //!                  [--engine bounded|pdr|portfolio] [--prove-budget-ms N]
 //! fveval gen [--family NAME]... [--count N] [--depth N] [--width N]
-//!            [--seed N] [--eval] [--out DIR]
+//!            [--seed N] [--mutations N] [--stratify] [--eval] [--out DIR]
 //! fveval serve [--addr HOST:PORT] [--jobs N] [--shards N]
 //!              [--queue-depth N] [--retain N] [--cache-dir DIR]
 //!              [--no-persist]
@@ -56,22 +56,26 @@
 //!                   prover checks to `--out/slow_checks.md`.
 //!   --engine E      Design2SVA proving engine: bounded (BMC +
 //!                   k-induction, the default), pdr (IC3/PDR), or
-//!                   portfolio (both raced, first answer wins; verdicts
-//!                   and traces stay byte-identical to bounded — only
-//!                   otherwise-Undetermined checks can improve). Also
-//!                   accepted by `serve` for its shared engine.
+//!                   portfolio (bounded, then PDR on checks bounded
+//!                   leaves Undetermined; bounded's verdict and trace
+//!                   whenever bounded concludes). Also accepted by
+//!                   `serve` for its shared engine.
 //!   --prove-budget-ms N
 //!                   wall-clock budget per PDR proof attempt in
 //!                   milliseconds (default 10000; 0 disables the
 //!                   deadline). Only the engines above consult it.
 //!
 //! `gen`/`submit`-only flags:
-//!   --family NAME   restrict to one family (repeatable; default: all
-//!                   of fifo, arbiter, handshake, gray, shift, crc)
+//!   --family NAME   restrict to one family (repeatable; default:
+//!                   every family except deepcnt, which needs PDR)
 //!   --count N       scenarios per family (default: 4, or 16 with
 //!                   --full); for `submit --set machine`, the case count
 //!   --depth N       pin the family-size knob instead of sweeping it
 //!   --width N       pin the data width instead of sweeping it
+//!   --mutations N   derive up to N prove-gated OP-Tree mutants per
+//!                   scenario (default 0)
+//!   --stratify      (`gen` only) also write the per-family,
+//!                   per-operator `gen_difficulty.{md,csv}`
 //!   --eval          (`gen` only) also run all simulated models over
 //!                   the generated task set through the shared engine
 //!
@@ -1010,12 +1014,10 @@ mod tests {
                 "PDR frames",
                 "PDR clauses",
                 "PDR wins",
-                "Bounded wins",
-                "Engine cancellations",
             ]
         );
         let row = &t.rows[0];
-        assert_eq!(row.len(), 18);
+        assert_eq!(row.len(), 16);
         let cache_cells: [fveval_core::TableCell; 3] = ["1".into(), "2".into(), "3".into()];
         assert_eq!(
             row[10..13],

@@ -1,10 +1,12 @@
 //! Portfolio determinism at the reporting surface: every table and
 //! note the harness emits must be byte-identical whether candidates
 //! are scored by the bounded BMC + k-induction schedule alone or by
-//! the racing portfolio, and invariant under the worker count. Racing
-//! detail (which engine won, cancellations) is allowed to differ only
-//! in `prover_stats`, which is attribution — not results.
+//! the portfolio (bounded, then PDR on what bounded leaves
+//! `Undetermined`), and invariant under the worker count. The
+//! portfolio runs on one thread per check in a fixed order, so its
+//! `prover_stats` counters are jobs-invariant too.
 
+use fv_core::ProverStats;
 use fveval_core::EvalEngine;
 use fveval_gen::SuiteConfig;
 use fveval_harness::gen_report;
@@ -18,31 +20,36 @@ fn engine_with(prove_engine: fv_core::ProveEngine, jobs: usize) -> EvalEngine {
 }
 
 /// One full generated-workload report (validation table + notes, which
-/// embed the greedy eval summary) rendered to its final text.
-fn report_text(prove_engine: fv_core::ProveEngine, jobs: usize) -> String {
+/// embed the greedy eval summary) rendered to its final text, with the
+/// engine's prover counters for the run.
+fn report(prove_engine: fv_core::ProveEngine, jobs: usize) -> (String, ProverStats) {
     let cfg = SuiteConfig {
         per_family: 1,
         seed: 0x5EED,
         ..SuiteConfig::default()
     };
-    let (table, notes, _suite, errors) =
-        gen_report(&engine_with(prove_engine, jobs), &cfg, true).expect("suite binds");
+    let engine = engine_with(prove_engine, jobs);
+    let (table, notes, _suite, errors) = gen_report(&engine, &cfg, true).expect("suite binds");
     assert_eq!(errors, 0, "golden verdicts must confirm:\n{notes}");
-    format!("{}\n{notes}", table.to_markdown())
+    (
+        format!("{}\n{notes}", table.to_markdown()),
+        engine.prover_stats(),
+    )
 }
 
 #[test]
 fn reported_tables_are_engine_and_jobs_invariant() {
     use fv_core::ProveEngine::{Bounded, Portfolio};
-    let baseline = report_text(Bounded, 1);
+    let (baseline, _) = report(Bounded, 1);
+    let (serial, serial_stats) = report(Portfolio, 1);
+    let (parallel, parallel_stats) = report(Portfolio, 4);
+    assert_eq!(baseline, serial, "the portfolio changed a reported table");
     assert_eq!(
-        baseline,
-        report_text(Portfolio, 1),
-        "portfolio racing changed a reported table"
+        baseline, parallel,
+        "worker count changed a reported table under the portfolio"
     );
     assert_eq!(
-        baseline,
-        report_text(Portfolio, 4),
-        "worker count changed a reported table under the portfolio"
+        serial_stats, parallel_stats,
+        "worker count changed the portfolio's prover counters"
     );
 }

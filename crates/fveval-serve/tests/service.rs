@@ -659,8 +659,6 @@ fn metrics_exposition_reconciles_with_stats_json() {
             ("prover", "pdr_frames"),
             ("prover", "pdr_clauses_learned"),
             ("prover", "pdr_wins"),
-            ("prover", "bounded_wins"),
-            ("prover", "engine_cancellations"),
         ]
     );
     // Every declared counter (plus the derived query total) appears
