@@ -22,6 +22,7 @@ use crate::stats::ProverStats;
 use crate::table::SignalTable;
 use fv_aig::{Aig, AigLit, BitSim, CnfEmitter};
 use fv_sat::Solver;
+use std::collections::HashMap;
 use sv_ast::Assertion;
 
 /// Random-simulation effort: rounds of 64 patterns each before falling
@@ -167,16 +168,23 @@ pub fn check_equivalence(
 /// This is the NL2SVA counterpart of [`crate::ProofSession`]: when many
 /// samples and models answer the same case, the reference encoding,
 /// the trace slots it allocated, and the solver's learned clauses all
-/// amortize across every candidate. Identical candidate texts (greedy
-/// decoding across models often repeats them) strash to the same
-/// literal, so their difference cones fold to constant false with zero
-/// solver work.
+/// amortize across every candidate. A candidate equal to the reference
+/// strashes to the reference's literal, so both difference cones fold
+/// to constant false with zero solver work.
 ///
 /// Because the monitor horizon depends on the candidate, reference
 /// encodings are cached *per horizon*; serving a cached one counts as a
 /// [`ProverStats::unroll_reuse_hits`]. Verdicts are path-independent:
 /// a session returns the same [`Equivalence`] for a candidate as a
 /// fresh [`check_equivalence`] call.
+///
+/// That makes a session's outcome a pure function of the candidate, so
+/// the session memoizes it: a candidate it has already checked (the
+/// same parsed assertion, so whitespace and redundant parentheses do
+/// not matter) gets the first check's outcome back, counterexample and
+/// error included, with no encoding, simulation or solver work. The
+/// repeat's counter delta is one [`ProverStats::check_repeats`] and
+/// nothing else.
 ///
 /// # Examples
 ///
@@ -192,8 +200,13 @@ pub fn check_equivalence(
 ///     session.check(&c).unwrap().verdict,
 ///     Equivalence::Equivalent
 /// );
+/// let repeat = session.check(&c).unwrap();
+/// assert_eq!(repeat.verdict, Equivalence::Equivalent);
 /// let stats = session.stats();
-/// assert_eq!((stats.sessions_opened, stats.session_checks), (1, 1));
+/// assert_eq!(
+///     (stats.sessions_opened, stats.session_checks, stats.check_repeats),
+///     (1, 1, 1)
+/// );
 /// ```
 pub struct EquivSession<'a> {
     reference: Assertion,
@@ -204,7 +217,7 @@ pub struct EquivSession<'a> {
     /// each with the trace slots the encoding read — restored as
     /// "touched" on a cache hit so counterexamples still carry the
     /// reference's signals.
-    ref_holds: std::collections::HashMap<u32, (AigLit, Vec<usize>)>,
+    ref_holds: HashMap<u32, (AigLit, Vec<usize>)>,
     solver: Solver,
     em: CnfEmitter,
     solver_used: bool,
@@ -212,6 +225,9 @@ pub struct EquivSession<'a> {
     /// stream state; they extend lazily over nodes new since their
     /// last use.
     sims: Vec<(BitSim, u64)>,
+    /// The outcome of every candidate checked so far, keyed by the
+    /// parsed candidate; repeats are answered from here.
+    memo: HashMap<Assertion, Result<EquivOutcome, EncodeError>>,
     /// Cumulative counters (seeded with `sessions_opened = 1`).
     stats: ProverStats,
 }
@@ -237,11 +253,12 @@ impl<'a> EquivSession<'a> {
             cfg,
             g: Aig::new(),
             env: FreeTraceEnv::new(table),
-            ref_holds: std::collections::HashMap::new(),
+            ref_holds: HashMap::new(),
             solver: Solver::new(),
             em: CnfEmitter::new(),
             solver_used: false,
             sims,
+            memo: HashMap::new(),
             // `sessions_opened` is charged to the first check.
             stats: ProverStats::default(),
         }
@@ -263,13 +280,30 @@ impl<'a> EquivSession<'a> {
     /// Checks one candidate against the reference on the shared trace.
     /// The outcome's [`EquivOutcome::stats`] holds the counter *delta*
     /// this check added (the first check's delta carries the session's
-    /// `sessions_opened`).
+    /// `sessions_opened`). A candidate the session has checked before
+    /// gets its first outcome back, and its delta is one
+    /// [`ProverStats::check_repeats`].
     ///
     /// # Errors
     ///
     /// [`EncodeError`] as for [`check_equivalence`]; the session stays
     /// usable for further candidates.
     pub fn check(&mut self, candidate: &Assertion) -> Result<EquivOutcome, EncodeError> {
+        if let Some(first) = self.memo.get(candidate) {
+            self.stats.check_repeats += 1;
+            return first.clone().map(|out| EquivOutcome {
+                stats: ProverStats::repeat(),
+                ..out
+            });
+        }
+        let outcome = self.check_fresh(candidate);
+        self.memo.insert(candidate.clone(), outcome.clone());
+        outcome
+    }
+
+    /// [`EquivSession::check`] for a candidate the session has not
+    /// checked yet.
+    fn check_fresh(&mut self, candidate: &Assertion) -> Result<EquivOutcome, EncodeError> {
         let _span = fv_trace::span!("equiv.check");
         let before = self.stats;
         // The open is charged to the first check so that summing
@@ -747,6 +781,64 @@ mod tests {
             Equivalence::Equivalent
         );
         assert_eq!(session.stats().session_checks, 3);
+    }
+
+    #[test]
+    fn repeated_candidate_is_answered_from_the_memo() {
+        // A repeat returns the first outcome, counterexample included,
+        // and its delta is one check repeat and nothing else. The same
+        // holds for a whitespace re-spelling (it parses to the same
+        // assertion), a clock mismatch and a candidate whose check
+        // failed.
+        let reference =
+            parse_assertion_str("assert property (@(posedge clk) a |-> ##1 b);").unwrap();
+        let t = table();
+        let mut session = EquivSession::open(reference, &t, EquivConfig::default());
+        let candidates = [
+            (
+                "assert property (@(posedge clk) a |=> b);",
+                "assert property(@(posedge clk)a|=>b);",
+            ),
+            (
+                "assert property (@(posedge clk) a |-> ##2 b);",
+                "assert property (@(posedge clk)\n    a |-> ##2 b) ;",
+            ),
+            (
+                "assert property (@(negedge clk) a);",
+                "assert property (@(negedge clk)  a);",
+            ),
+            (
+                "assert property (@(posedge clk) ghost);",
+                "assert property (@(posedge clk)\tghost);",
+            ),
+        ];
+        for (text, respelled) in candidates {
+            let c = parse_assertion_str(text).unwrap();
+            let first = session.check(&c);
+            for again in [text, respelled] {
+                let before = session.stats();
+                let repeat = session.check(&parse_assertion_str(again).unwrap());
+                let delta = session.stats().delta_since(&before);
+                assert_eq!(delta, ProverStats::repeat(), "{again}");
+                match (&first, repeat) {
+                    (Ok(first), Ok(repeat)) => {
+                        assert_eq!(repeat.stats, ProverStats::repeat(), "{again}");
+                        assert_eq!(
+                            EquivOutcome {
+                                stats: first.stats,
+                                ..repeat
+                            },
+                            *first,
+                            "{again}"
+                        );
+                    }
+                    (Err(first), Err(repeat)) => assert_eq!(repeat, *first, "{again}"),
+                    (first, repeat) => panic!("{again}: {first:?} then {repeat:?}"),
+                }
+            }
+        }
+        let stats = session.stats();
+        assert_eq!((stats.session_checks, stats.check_repeats), (4, 8));
     }
 
     #[test]

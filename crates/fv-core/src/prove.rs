@@ -262,9 +262,9 @@ pub fn prove_with_stats(
 ///   ([`ProverStats::unroll_reuse_hits`] counts the frames served this
 ///   way).
 /// - **Monitors**: candidate monitors are appended to the shared
-///   structurally-hashed [`Aig`], so identical assertions (the same
-///   response text from different models or samples) fold to the same
-///   literal and their CNF is emitted once.
+///   structurally-hashed [`Aig`], so subterms that candidates share
+///   (two spellings of one property, say) fold to the same literals
+///   and their CNF is emitted once.
 /// - **Solver state**: one [`Solver`] answers every query. Reset
 ///   pinning is a selector-guarded clause group installed once; each
 ///   query activates exactly the monitor cone and reset group it needs
@@ -277,6 +277,14 @@ pub fn prove_with_stats(
 /// (counterexample traces may differ in their concrete stimuli, but
 /// every trace replays on the reference simulator — debug builds assert
 /// it).
+///
+/// A session's result is therefore a pure function of the candidate,
+/// and the session memoizes it. A candidate it has already checked (the
+/// same parsed assertion, so whitespace and redundant parentheses do
+/// not matter) gets the first check's result back, counterexample and
+/// error included, with no encoding, simulation or solver work. The
+/// repeat's counter delta is one [`ProverStats::check_repeats`] and
+/// nothing else.
 ///
 /// # Examples
 ///
@@ -300,9 +308,14 @@ pub fn prove_with_stats(
 ///     let a = parse_assertion_str(text).unwrap();
 ///     let (_result, _check_stats) = session.check(&a).unwrap();
 /// }
+/// // A repeated candidate is answered from the session's memo.
+/// let a = parse_assertion_str("assert property (@(posedge clk) en |-> ##1 q);").unwrap();
+/// let (result, delta) = session.check(&a).unwrap();
+/// assert!(result.is_proven());
+/// assert_eq!((delta.check_repeats, delta.queries()), (1, 0));
 /// let stats = session.stats();
 /// assert_eq!(stats.sessions_opened, 1);
-/// assert_eq!(stats.session_checks, 2);
+/// assert_eq!((stats.session_checks, stats.check_repeats), (2, 1));
 /// ```
 pub struct ProofSession<'n> {
     netlist: &'n Netlist,
@@ -328,6 +341,9 @@ pub struct ProofSession<'n> {
     /// Simulation-forced input words (frame-0 registers at reset).
     forced: HashMap<u32, bool>,
     forced_known: usize,
+    /// The result of every candidate checked so far, keyed by the
+    /// parsed candidate; repeats are answered from here.
+    memo: HashMap<Assertion, Result<ProveResult, EncodeError>>,
     /// Cumulative counters; `sessions_opened` is charged to the first
     /// check (see [`ProofSession::stats`]).
     stats: ProverStats,
@@ -375,6 +391,7 @@ impl<'n> ProofSession<'n> {
             step_rng: 0x57E9_5EED_F00D,
             forced: HashMap::new(),
             forced_known: 0,
+            memo: HashMap::new(),
             stats: ProverStats::default(),
         })
     }
@@ -397,7 +414,9 @@ impl<'n> ProofSession<'n> {
     /// k-induction schedule on the shared unrolling, PDR, or the
     /// schedule followed by PDR. Returns the verdict plus the counter
     /// *delta* this check added (the first check's delta carries the
-    /// session's `sessions_opened`).
+    /// session's `sessions_opened`). A candidate the session has
+    /// checked before gets its first result back, and its delta is one
+    /// [`ProverStats::check_repeats`].
     ///
     /// # Errors
     ///
@@ -408,6 +427,19 @@ impl<'n> ProofSession<'n> {
         &mut self,
         assertion: &Assertion,
     ) -> Result<(ProveResult, ProverStats), EncodeError> {
+        if let Some(first) = self.memo.get(assertion) {
+            self.stats.check_repeats += 1;
+            return first.clone().map(|result| (result, ProverStats::repeat()));
+        }
+        let before = self.stats;
+        let result = self.check_fresh(assertion);
+        self.memo.insert(assertion.clone(), result.clone());
+        result.map(|result| (result, self.stats.delta_since(&before)))
+    }
+
+    /// [`ProofSession::check`] for a candidate the session has not
+    /// checked yet.
+    fn check_fresh(&mut self, assertion: &Assertion) -> Result<ProveResult, EncodeError> {
         let mut span = fv_trace::span!("prove.check");
         if span.is_active() {
             span.attr(
@@ -419,14 +451,14 @@ impl<'n> ProofSession<'n> {
                 },
             );
         }
-        let before = self.stats;
+        let sat_before = self.stats.sat_calls;
         // The open is charged to the first check so that summing
         // per-check deltas reproduces the cumulative counters.
         self.stats.sessions_opened = 1;
         self.stats.session_checks += 1;
         if assertion.body.has_unbounded() {
             span.attr("result", "undetermined");
-            return Ok((ProveResult::Undetermined, self.stats.delta_since(&before)));
+            return Ok(ProveResult::Undetermined);
         }
         let horizon = horizon_for(assertion, None, self.cfg.slack);
         let outcome = match self.cfg.engine {
@@ -446,9 +478,9 @@ impl<'n> ProofSession<'n> {
                     ProveResult::Undetermined => "undetermined",
                 },
             );
-            span.attr("sat_calls", self.stats.sat_calls - before.sat_calls);
+            span.attr("sat_calls", self.stats.sat_calls - sat_before);
         }
-        Ok((outcome, self.stats.delta_since(&before)))
+        Ok(outcome)
     }
 
     /// The bounded BMC + k-induction check on the shared unrolling,
@@ -1151,17 +1183,21 @@ mod tests {
 
     #[test]
     fn repeated_candidate_strashes_to_warm_queries() {
-        // The same candidate text checked twice: the second check's
-        // monitors fold onto the existing nodes, so every SAT call it
-        // makes runs on the already-warmed solver and no new frames
-        // are unrolled.
+        // The same property spelled two ways (two different parsed
+        // assertions, so the memo does not answer the second): the
+        // second check's monitors fold onto the existing nodes, so
+        // every SAT call it makes runs on the already-warmed solver and
+        // no new frames are unrolled.
         let nl = wrapping_counter();
         let a = parse_assertion_str("assert property (@(posedge clk) q != 3'd7);").unwrap();
+        let b = parse_assertion_str("assert property (@(posedge clk) !(q == 3'd7));").unwrap();
+        assert_ne!(a, b);
         let mut session = ProofSession::open(&nl, &[], ProveConfig::default()).unwrap();
         let (r1, first) = session.check(&a).unwrap();
         let frames_after_first = session.env.num_frames();
-        let (r2, second) = session.check(&a).unwrap();
+        let (r2, second) = session.check(&b).unwrap();
         assert_eq!(r1, r2);
+        assert_eq!(second.session_checks, 1, "not a memo repeat: {second:?}");
         assert_eq!(
             session.env.num_frames(),
             frames_after_first,
@@ -1173,6 +1209,66 @@ mod tests {
         );
         assert_eq!(first.sessions_opened, 1, "first delta carries the open");
         assert_eq!(second.sessions_opened, 0);
+    }
+
+    #[test]
+    fn repeated_candidate_is_answered_from_the_memo() {
+        // A repeat returns the first result, counterexample included,
+        // and its delta is one check repeat: no frames, no queries. The
+        // same holds for a whitespace re-spelling (it parses to the same
+        // assertion) and for a candidate whose check failed.
+        let nl = wrapping_counter();
+        for engine in [
+            ProveEngine::Bounded,
+            ProveEngine::Pdr,
+            ProveEngine::Portfolio,
+        ] {
+            let cfg = ProveConfig {
+                engine,
+                ..ProveConfig::default()
+            };
+            let mut session = ProofSession::open(&nl, &[], cfg).unwrap();
+            for (text, respelled) in [
+                (
+                    "assert property (@(posedge clk) q != 3'd2);",
+                    "assert  property(@(posedge clk)\n    q!=3'd2 ) ;",
+                ),
+                (
+                    "assert property (@(posedge clk) (en && q == 3'd1) |-> ##1 q == 3'd2);",
+                    "assert property (@(posedge clk) (en&&q==3'd1)|->##1 q==3'd2);",
+                ),
+                (
+                    "assert property (@(posedge clk) ghost == 1'b0);",
+                    "assert property (@(posedge clk)\tghost == 1'b0);",
+                ),
+            ] {
+                let a = parse_assertion_str(text).unwrap();
+                let first = session.check(&a);
+                let frames = session.env.num_frames();
+                for again in [text, respelled] {
+                    let b = parse_assertion_str(again).unwrap();
+                    let before = session.stats();
+                    let repeat = session.check(&b);
+                    assert_eq!(
+                        repeat.as_ref().map(|(r, _)| r),
+                        first.as_ref().map(|(r, _)| r),
+                        "{engine:?}: {again}"
+                    );
+                    let delta = session.stats().delta_since(&before);
+                    assert_eq!(delta, ProverStats::repeat(), "{engine:?}: {again}");
+                    if let Ok((_, stats)) = repeat {
+                        assert_eq!(stats, ProverStats::repeat(), "{engine:?}: {again}");
+                    }
+                    assert_eq!(session.env.num_frames(), frames, "{engine:?}: {again}");
+                }
+            }
+            let stats = session.stats();
+            assert_eq!(
+                (stats.session_checks, stats.check_repeats),
+                (3, 6),
+                "{engine:?}: {stats:?}"
+            );
+        }
     }
 
     fn portfolio_cfg() -> ProveConfig {

@@ -90,13 +90,15 @@ counters! {
     /// candidate assertions (see [`crate::ProofSession`] and
     /// [`crate::EquivSession`]): `sessions_opened` counts how many shared
     /// contexts (unrolled AIG + solver, or reference encoding + solver)
-    /// were built, `session_checks` how many candidate assertions streamed
-    /// through them, and `unroll_reuse_hits` how much already-built
-    /// encoding state (unrolled time frames, cached reference monitors)
-    /// was served to a check instead of being rebuilt. A compile-once /
-    /// score-many workload shows `sessions_opened` far below
-    /// `session_checks`; the legacy one-shot entry points open one session
-    /// per check, so there the two are equal.
+    /// were built, `session_checks` how many distinct candidate assertions
+    /// streamed through them, `check_repeats` how many candidates a
+    /// session had already checked and answered from its memo, and
+    /// `unroll_reuse_hits` how much already-built encoding state (unrolled
+    /// time frames, cached reference monitors) was served to a check
+    /// instead of being rebuilt. A compile-once / score-many workload
+    /// shows `sessions_opened` far below `session_checks +
+    /// check_repeats`; the legacy one-shot entry points open one session
+    /// per check, so there `sessions_opened` equals `session_checks`.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct ProverStats {
         /// Queries discharged by the CDCL SAT solver.
@@ -118,6 +120,10 @@ counters! {
         sessions_opened: "Sessions opened", Prover;
         /// Candidate assertions checked through a session.
         session_checks: "Assertions checked", Prover;
+        /// Candidates a session had already checked, answered from its
+        /// memo of earlier results with no encoding, simulation or
+        /// solver work (and not counted under `session_checks`).
+        check_repeats: "Check repeats", Prover;
         /// Already-built session state (unrolled time frames, cached
         /// reference-assertion encodings) served to a check instead of
         /// being re-encoded from scratch.
@@ -174,6 +180,15 @@ impl ProverStats {
     pub fn queries(&self) -> u64 {
         self.sat_calls + self.sim_kills + self.step_sim_kills + self.ternary_kills
     }
+
+    /// The counter delta of a check a session answered from its memo of
+    /// earlier results: one `check_repeats`, no other work.
+    pub fn repeat() -> ProverStats {
+        ProverStats {
+            check_repeats: 1,
+            ..ProverStats::default()
+        }
+    }
 }
 
 #[cfg(test)]
@@ -200,6 +215,7 @@ mod tests {
             solver_reuse_hits: 5,
             sessions_opened: 1,
             session_checks: 4,
+            check_repeats: 6,
             unroll_reuse_hits: 7,
             pdr_frames: 2,
             pdr_clauses_learned: 9,
@@ -213,6 +229,7 @@ mod tests {
         assert_eq!(a.solver_reuse_hits, 5);
         assert_eq!(a.sessions_opened, 2);
         assert_eq!(a.session_checks, 6);
+        assert_eq!(a.check_repeats, 6);
         assert_eq!(a.unroll_reuse_hits, 10);
         assert_eq!(a.pdr_frames, 2);
         assert_eq!(a.pdr_clauses_learned, 9);

@@ -116,3 +116,115 @@ impl<'a> Scorer<'a> {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::design2sva::compile_design;
+    use fveval_data::{generate_fsm, FsmParams};
+    use sv_parser::MAX_NESTING;
+
+    fn table() -> SignalTable {
+        [("a", 1u32), ("b", 1), ("tb_reset", 1)]
+            .into_iter()
+            .collect()
+    }
+
+    /// Scores each response twice in a row and checks that the second
+    /// score repeats the first with no prover work.
+    fn assert_repeats_are_free(scorer: &mut Scorer<'_>, responses: &[&str]) -> ProverStats {
+        let mut total = ProverStats::default();
+        for &resp in responses {
+            let (first, first_stats) = scorer.score(resp);
+            let (again, again_stats) = scorer.score(resp);
+            assert_eq!(again, first, "{resp}");
+            assert_eq!(
+                (
+                    again_stats.sat_calls,
+                    again_stats.queries(),
+                    again_stats.session_checks
+                ),
+                (0, 0, 0),
+                "{resp}: {again_stats:?}"
+            );
+            total.merge(&first_stats);
+            total.merge(&again_stats);
+        }
+        total
+    }
+
+    #[test]
+    fn a_repeated_nl2sva_response_scores_the_same_with_no_prover_work() {
+        let t = table();
+        let reference = "assert property (@(posedge clk) a |-> ##1 b);";
+        let mut scorer = Scorer::nl(reference, &t);
+        let stats = assert_repeats_are_free(
+            &mut scorer,
+            &[
+                reference,
+                "assert property (@(posedge clk) a |=> b);",
+                "assert property (@(posedge clk) a |-> ghost);",
+                "assert property (@(posedge clk) (a",
+                "assert property (@(posedge clk) b);",
+                "assert property (@(posedge clk) a |-> (b && tb_reset));",
+            ],
+        );
+        // Five responses parse; each is checked once and repeated once.
+        assert_eq!((stats.session_checks, stats.check_repeats), (5, 5));
+    }
+
+    #[test]
+    fn a_repeated_design2sva_response_scores_the_same_with_no_prover_work() {
+        let case = generate_fsm(&FsmParams {
+            n_states: 4,
+            n_edges: 3,
+            width: 8,
+            guard_depth: 1,
+            seed: 21,
+        });
+        let compiled = compile_design(&case).unwrap();
+        let mut responses: Vec<&str> = case.golden.iter().map(String::as_str).collect();
+        responses.extend([
+            "assert property (@(posedge clk) (fsm_out",
+            "assert property (@(posedge clk) state == S0);",
+            "assert property (@(posedge clk) disable iff (tb_reset) fsm_out == S1);",
+        ]);
+        let mut scorer = Scorer::design(&compiled, ProveConfig::default());
+        let stats = assert_repeats_are_free(&mut scorer, &responses);
+        let checked = responses.len() as u64 - 1;
+        assert_eq!(
+            (stats.session_checks, stats.check_repeats),
+            (checked, checked)
+        );
+    }
+
+    #[test]
+    fn assertions_just_under_the_nesting_limit_score_on_a_default_stack() {
+        // The engine's scoped workers run on the default 2 MiB stack.
+        // The property and its expression take two nesting levels.
+        let n = MAX_NESTING - 2;
+        let scored = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let t = table();
+                let wrap = |body: String| format!("assert property (@(posedge clk) {body});");
+                let texts = [
+                    wrap(format!("{}a{}", "(".repeat(n), ")".repeat(n))),
+                    wrap(format!("{}a", "!".repeat(n))),
+                    wrap(format!("{}a", "not ".repeat(n))),
+                    // Parentheses around a property go through the
+                    // property grammar, the deepest stack per level.
+                    wrap(format!("{}a |-> b{}", "(".repeat(n - 1), ")".repeat(n - 1))),
+                ];
+                let mut scorer = Scorer::nl("assert property (@(posedge clk) a);", &t);
+                texts
+                    .iter()
+                    .map(|text| scorer.score(text).0.syntax)
+                    .collect::<Vec<_>>()
+            })
+            .unwrap()
+            .join()
+            .expect("scoring stays within the default stack");
+        assert_eq!(scored, [true; 4]);
+    }
+}

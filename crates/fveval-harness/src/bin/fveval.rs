@@ -1006,6 +1006,7 @@ mod tests {
                 "Ternary kills",
                 "Sessions opened",
                 "Assertions checked",
+                "Check repeats",
                 "Unroll reuse hits",
                 "Digest reuse",
                 "Verdict-cache hits",
@@ -1017,10 +1018,10 @@ mod tests {
             ]
         );
         let row = &t.rows[0];
-        assert_eq!(row.len(), 16);
+        assert_eq!(row.len(), 17);
         let cache_cells: [fveval_core::TableCell; 3] = ["1".into(), "2".into(), "3".into()];
         assert_eq!(
-            row[10..13],
+            row[11..14],
             cache_cells,
             "cache columns follow Digest reuse"
         );

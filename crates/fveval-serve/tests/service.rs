@@ -654,6 +654,7 @@ fn metrics_exposition_reconciles_with_stats_json() {
             ("prover", "ternary_kills"),
             ("prover", "sessions_opened"),
             ("prover", "session_checks"),
+            ("prover", "check_repeats"),
             ("prover", "unroll_reuse_hits"),
             ("cache", "digest_reuse"),
             ("prover", "pdr_frames"),

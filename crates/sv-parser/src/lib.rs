@@ -13,6 +13,10 @@
 //!   (the Design2SVA response format: extra wires/assigns + assertion),
 //! - [`parse_expr_str`] — a bare expression.
 //!
+//! Nesting is bounded: input nested deeper than [`MAX_NESTING`] grammar
+//! levels is a [`ParseError`], so no response text can overflow the
+//! stack of the thread that scores it.
+//!
 //! # Examples
 //!
 //! ```
@@ -33,6 +37,7 @@ use std::error::Error;
 use std::fmt;
 use sv_ast::{Assertion, Expr, ModuleItem, SourceFile};
 
+pub use parser::MAX_NESTING;
 pub use preprocess::preprocess;
 
 /// A syntax or early-semantic error with source position.
@@ -147,5 +152,54 @@ mod tests {
     #[test]
     fn unbalanced_parens_fail() {
         assert!(parse_assertion_str("assert property (@(posedge clk) (a && b);").is_err());
+    }
+
+    /// `n` nested parentheses, `!`s and `not`s around one signal.
+    fn nested(n: usize) -> [String; 3] {
+        let wrap = |body: String| format!("assert property (@(posedge clk) {body});");
+        [
+            wrap(format!("{}a{}", "(".repeat(n), ")".repeat(n))),
+            wrap(format!("{}a", "!".repeat(n))),
+            wrap(format!("{}a", "not ".repeat(n))),
+        ]
+    }
+
+    #[test]
+    fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
+        for text in nested(10_000) {
+            let err = parse_assertion_str(&text).unwrap_err();
+            assert!(
+                err.message.contains("nesting deeper than"),
+                "{}: {err}",
+                &text[..48]
+            );
+        }
+    }
+
+    #[test]
+    fn nesting_limit_counts_one_level_per_construct() {
+        // The assertion's property and its expression open two levels,
+        // so `MAX_NESTING - 2` nested constructs are the deepest that parse.
+        for text in nested(MAX_NESTING - 2) {
+            assert!(parse_assertion_str(&text).is_ok(), "{text}");
+        }
+        for text in nested(MAX_NESTING - 1) {
+            assert!(parse_assertion_str(&text).is_err(), "{text}");
+        }
+    }
+
+    #[test]
+    fn deep_statements_and_generate_regions_are_parse_errors() {
+        let n = 10_000;
+        let blocks = format!(
+            "always @(posedge clk) {}x <= 1'b0;{}",
+            "begin ".repeat(n),
+            " end".repeat(n)
+        );
+        let regions = format!("{}{}", "generate ".repeat(n), " endgenerate".repeat(n));
+        for text in [blocks, regions] {
+            let err = parse_snippet(&text).unwrap_err();
+            assert!(err.message.contains("nesting deeper than"), "{err}");
+        }
     }
 }

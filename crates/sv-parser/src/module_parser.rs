@@ -266,7 +266,7 @@ pub fn parse_module_item_multi(cur: &mut Cursor) -> Result<Vec<ModuleItem>, Pars
             if cur.at_eof() {
                 return Err(cur.err("unexpected end of file inside generate"));
             }
-            inner.extend(parse_module_item_multi(cur)?);
+            inner.extend(cur.nested(parse_module_item_multi)?);
         }
         cur.expect_kw(Kw::Endgenerate, "'endgenerate'")?;
         return Ok(inner);
@@ -335,7 +335,7 @@ fn parse_generate_for(cur: &mut Cursor) -> Result<ModuleItem, ParseError> {
         if cur.at_eof() {
             return Err(cur.err("unexpected end of file inside generate-for"));
         }
-        body.extend(parse_module_item_multi(cur)?);
+        body.extend(cur.nested(parse_module_item_multi)?);
     }
     cur.expect_kw(Kw::End, "'end' of generate-for")?;
     Ok(ModuleItem::GenerateFor {
@@ -429,7 +429,7 @@ pub fn parse_stmt(cur: &mut Cursor) -> Result<Stmt, ParseError> {
             if cur.at_eof() {
                 return Err(cur.err("unexpected end of file inside begin/end"));
             }
-            stmts.push(parse_stmt(cur)?);
+            stmts.push(cur.nested(parse_stmt)?);
         }
         cur.expect_kw(Kw::End, "'end'")?;
         return Ok(Stmt::Block(stmts));
@@ -438,9 +438,9 @@ pub fn parse_stmt(cur: &mut Cursor) -> Result<Stmt, ParseError> {
         cur.expect_punct(Punct::LParen, "'(' of if")?;
         let cond = parse_expr(cur)?;
         cur.expect_punct(Punct::RParen, "')' of if")?;
-        let then = parse_stmt(cur)?;
+        let then = cur.nested(parse_stmt)?;
         let alt = if cur.eat_kw(Kw::Else) {
-            Some(Box::new(parse_stmt(cur)?))
+            Some(Box::new(cur.nested(parse_stmt)?))
         } else {
             None
         };
@@ -462,7 +462,7 @@ pub fn parse_stmt(cur: &mut Cursor) -> Result<Stmt, ParseError> {
             }
             if cur.eat_kw(Kw::Default) {
                 cur.expect_punct(Punct::Colon, "':' after default")?;
-                default = Some(Box::new(parse_stmt(cur)?));
+                default = Some(Box::new(cur.nested(parse_stmt)?));
                 continue;
             }
             let mut labels = vec![parse_expr(cur)?];
@@ -470,7 +470,7 @@ pub fn parse_stmt(cur: &mut Cursor) -> Result<Stmt, ParseError> {
                 labels.push(parse_expr(cur)?);
             }
             cur.expect_punct(Punct::Colon, "':' after case label")?;
-            let body = parse_stmt(cur)?;
+            let body = cur.nested(parse_stmt)?;
             arms.push((labels, body));
         }
         cur.expect_kw(Kw::Endcase, "'endcase'")?;

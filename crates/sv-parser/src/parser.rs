@@ -4,6 +4,16 @@ use crate::lexer::{Kw, Punct, Spanned, Tok};
 use crate::ParseError;
 use sv_ast::{BinaryOp, Expr, Literal, SysFunc, UnaryOp};
 
+/// How deeply the grammar may recurse before parsing fails with a
+/// [`ParseError`] instead of overflowing the stack. Every parenthesis,
+/// brace, bracket, prefix operator (`!`, `~`, `not`, `s_eventually`, …),
+/// `?:` arm, implication, `until`, `throughout`, nested statement and
+/// generate region opens one level. Hand-written SVA nests a few levels
+/// deep. In an unoptimized build one parenthesized property level takes
+/// about 20 KiB of stack, so an assertion just under this limit still
+/// parses, encodes and scores on a thread with the default 2 MiB stack.
+pub const MAX_NESTING: usize = 64;
+
 /// A cursor over the token stream with single-token lookahead and
 /// position save/restore (used by the property parser for the
 /// sequence-vs-property parenthesis ambiguity).
@@ -11,12 +21,33 @@ use sv_ast::{BinaryOp, Expr, Literal, SysFunc, UnaryOp};
 pub struct Cursor {
     toks: Vec<Spanned>,
     pos: usize,
+    /// Grammar levels currently open (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Cursor {
     /// Wraps a token stream (must end with `Tok::Eof`).
     pub fn new(toks: Vec<Spanned>) -> Cursor {
-        Cursor { toks, pos: 0 }
+        Cursor {
+            toks,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Runs `parse` one grammar level deeper, failing instead once
+    /// [`MAX_NESTING`] levels are open.
+    pub fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Cursor) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let out = parse(self);
+        self.depth -= 1;
+        out
     }
 
     /// Current token.
@@ -189,16 +220,19 @@ fn unary_of(t: &Tok) -> Option<UnaryOp> {
     }
 }
 
-/// Parses an expression at the lowest precedence (including `?:`).
+/// Parses an expression at the lowest precedence (including `?:`),
+/// one grammar level deeper.
 pub fn parse_expr(cur: &mut Cursor) -> Result<Expr, ParseError> {
-    let cond = parse_bin_expr(cur, 2)?;
-    if cur.eat_punct(Punct::Question) {
-        let t = parse_expr(cur)?;
-        cur.expect_punct(Punct::Colon, "':' of conditional")?;
-        let e = parse_expr(cur)?;
-        return Ok(Expr::Ternary(Box::new(cond), Box::new(t), Box::new(e)));
-    }
-    Ok(cond)
+    cur.nested(|cur| {
+        let cond = parse_bin_expr(cur, 2)?;
+        if cur.eat_punct(Punct::Question) {
+            let t = parse_expr(cur)?;
+            cur.expect_punct(Punct::Colon, "':' of conditional")?;
+            let e = parse_expr(cur)?;
+            return Ok(Expr::Ternary(Box::new(cond), Box::new(t), Box::new(e)));
+        }
+        Ok(cond)
+    })
 }
 
 #[allow(clippy::while_let_loop)] // the loop head mixes peek and guard logic
@@ -222,7 +256,7 @@ fn parse_bin_expr(cur: &mut Cursor, min_prec: u8) -> Result<Expr, ParseError> {
 fn parse_unary(cur: &mut Cursor) -> Result<Expr, ParseError> {
     if let Some(op) = unary_of(cur.peek()) {
         cur.bump();
-        let inner = parse_unary(cur)?;
+        let inner = cur.nested(parse_unary)?;
         return Ok(Expr::Unary(op, Box::new(inner)));
     }
     parse_postfix(cur)

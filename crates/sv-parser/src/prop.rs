@@ -39,23 +39,26 @@ pub fn parse_property(cur: &mut Cursor) -> Result<PropExpr, ParseError> {
     Ok(parse_ps_top(cur)?.into_prop())
 }
 
+/// Parses a property or sequence one grammar level deeper.
 fn parse_ps_top(cur: &mut Cursor) -> Result<Ps, ParseError> {
-    let lhs = parse_ps_until(cur)?;
-    let non_overlap = if cur.at_punct(Punct::OverlapImpl) {
-        false
-    } else if cur.at_punct(Punct::NonOverlapImpl) {
-        true
-    } else {
-        return Ok(lhs);
-    };
-    cur.bump();
-    let ante = lhs.into_seq(cur)?;
-    let cons = parse_ps_top(cur)?.into_prop();
-    Ok(Ps::Prop(PropExpr::Implication {
-        ante,
-        non_overlap,
-        cons: Box::new(cons),
-    }))
+    cur.nested(|cur| {
+        let lhs = parse_ps_until(cur)?;
+        let non_overlap = if cur.at_punct(Punct::OverlapImpl) {
+            false
+        } else if cur.at_punct(Punct::NonOverlapImpl) {
+            true
+        } else {
+            return Ok(lhs);
+        };
+        cur.bump();
+        let ante = lhs.into_seq(cur)?;
+        let cons = parse_ps_top(cur)?.into_prop();
+        Ok(Ps::Prop(PropExpr::Implication {
+            ante,
+            non_overlap,
+            cons: Box::new(cons),
+        }))
+    })
 }
 
 fn parse_ps_until(cur: &mut Cursor) -> Result<Ps, ParseError> {
@@ -68,7 +71,7 @@ fn parse_ps_until(cur: &mut Cursor) -> Result<Ps, ParseError> {
         return Ok(lhs);
     };
     cur.bump();
-    let rhs = parse_ps_until(cur)?;
+    let rhs = cur.nested(parse_ps_until)?;
     Ok(Ps::Prop(PropExpr::Until {
         strong,
         lhs: Box::new(lhs.into_prop()),
@@ -166,7 +169,7 @@ fn parse_ps_seq(cur: &mut Cursor) -> Result<Ps, ParseError> {
                 SeqExpr::Expr(e) => e,
                 _ => return Err(cur.err("left of 'throughout' must be a boolean expression")),
             };
-            let body = parse_ps_seq(cur)?.into_seq(cur)?;
+            let body = cur.nested(parse_ps_seq)?.into_seq(cur)?;
             return Ok(Ps::Seq(SeqExpr::Throughout(guard, Box::new(body))));
         }
         if !cur.at_punct(Punct::DoubleHash) {
@@ -189,20 +192,20 @@ fn parse_ps_seq(cur: &mut Cursor) -> Result<Ps, ParseError> {
 
 fn parse_ps_unary(cur: &mut Cursor) -> Result<Ps, ParseError> {
     if cur.eat_kw(Kw::Not) {
-        let inner = parse_ps_unary(cur)?.into_prop();
+        let inner = cur.nested(parse_ps_unary)?.into_prop();
         return Ok(Ps::Prop(PropExpr::Not(Box::new(inner))));
     }
     if cur.eat_kw(Kw::SEventually) {
-        let inner = parse_ps_unary(cur)?.into_prop();
+        let inner = cur.nested(parse_ps_unary)?.into_prop();
         return Ok(Ps::Prop(PropExpr::SEventually(Box::new(inner))));
     }
     if cur.eat_kw(Kw::Nexttime) {
-        let inner = parse_ps_unary(cur)?.into_prop();
+        let inner = cur.nested(parse_ps_unary)?.into_prop();
         return Ok(Ps::Prop(PropExpr::Nexttime(Box::new(inner))));
     }
     if cur.at_kw(Kw::Always) {
         cur.bump();
-        let inner = parse_ps_unary(cur)?.into_prop();
+        let inner = cur.nested(parse_ps_unary)?.into_prop();
         return Ok(Ps::Prop(PropExpr::Always(Box::new(inner))));
     }
     if cur.at_kw(Kw::Strong) || cur.at_kw(Kw::Weak) {
@@ -222,9 +225,9 @@ fn parse_ps_unary(cur: &mut Cursor) -> Result<Ps, ParseError> {
         cur.expect_punct(Punct::LParen, "'(' after property if")?;
         let cond = parse_expr(cur)?;
         cur.expect_punct(Punct::RParen, "')' of property if")?;
-        let then = parse_ps_unary(cur)?.into_prop();
+        let then = cur.nested(parse_ps_unary)?.into_prop();
         let alt = if cur.eat_kw(Kw::Else) {
-            Some(Box::new(parse_ps_unary(cur)?.into_prop()))
+            Some(Box::new(cur.nested(parse_ps_unary)?.into_prop()))
         } else {
             None
         };

@@ -94,18 +94,16 @@ impl<'a> FrameExpander<'a> {
                 atoms[id.index()] = Some(v);
             }
         }
-        let atoms: Vec<BitVec> = atoms
-            .into_iter()
-            .map(|v| v.expect("all atoms computed"))
-            .collect();
         let mut reg_next = HashMap::new();
         for (id, def) in self.netlist.regs() {
             if let AtomKind::Reg { next, .. } = &def.kind {
-                let wrapped: Vec<Option<BitVec>> = atoms.iter().cloned().map(Some).collect();
-                let v = self.blast(g, next, &wrapped);
-                reg_next.insert(id, v);
+                reg_next.insert(id, self.blast(g, next, &atoms));
             }
         }
+        let atoms = atoms
+            .into_iter()
+            .map(|v| v.expect("all atoms computed"))
+            .collect();
         FrameValues { atoms, reg_next }
     }
 

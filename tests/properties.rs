@@ -410,7 +410,9 @@ proptest! {
     /// `ProofSession` produces verdicts identical to fresh per-sample
     /// `prove_with_stats` calls, swept over (seed, family, depth) of
     /// generated scenarios. Proof depth and earliest violating anchor
-    /// are semantic, so they must match too.
+    /// are semantic, so they must match too. Each candidate is checked
+    /// twice: the repeat is answered from the session's memo with the
+    /// same result.
     #[test]
     fn proof_session_verdicts_match_fresh_prover(
         family_idx in 0usize..6,
@@ -457,10 +459,14 @@ proptest! {
                         &candidate.sva, family, seed, depth, fresh, via
                     ),
                 }
+                let (repeat, delta) = session.check(&assertion).unwrap();
+                prop_assert_eq!(&repeat, &via_session, "{}", &candidate.sva);
+                prop_assert_eq!(delta, ProverStats::repeat(), "{}", &candidate.sva);
             }
             let stats = session.stats();
+            let n = scenario.candidates.len() as u64;
             prop_assert_eq!(stats.sessions_opened, 1);
-            prop_assert_eq!(stats.session_checks, scenario.candidates.len() as u64);
+            prop_assert_eq!((stats.session_checks, stats.check_repeats), (n, n));
         }
     }
 }
