@@ -3,18 +3,19 @@
 //! parallel speed-up and verdict-cache behaviour.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fv_core::{check_equivalence, prove, EquivConfig, ProveConfig, SignalTable};
+use fv_aig::Aig;
+use fv_core::{check_equivalence, prove, DesignTraceEnv, EquivConfig, ProveConfig, SignalTable};
 use fveval_bench::pigeonhole;
 use fveval_core::{compile_design, design_task_specs, machine_task_specs, EvalEngine};
 use fveval_data::{
     fsm_sweep, generate_machine_cases, generate_pipeline, human_cases, machine_signal_table,
-    signal_table_for, testbenches, MachineGenConfig, PipelineParams,
+    pipeline_sweep, signal_table_for, testbenches, MachineGenConfig, PipelineParams,
 };
 use fveval_llm::{profiles, Backend, InferenceConfig};
 use std::hint::black_box;
 use std::time::Duration;
 use sv_parser::{parse_assertion_str, parse_source};
-use sv_synth::elaborate;
+use sv_synth::{elaborate, FrameExpander};
 
 fn bench_sat(c: &mut Criterion) {
     let mut g = c.benchmark_group("sat");
@@ -123,6 +124,27 @@ fn bench_model_checking(c: &mut Criterion) {
                 })
             },
         );
+    }
+    // Frame expansion as a proof session unrolls: a free frame-0 state,
+    // the reset input held deasserted, 8 frames of each of Table 5's 96
+    // pipelines (or FSMs) at the default seed. The expander is built
+    // inside the timing, since building it compiles the frame template.
+    for (family, cases) in [
+        ("pipelines", pipeline_sweep(96, 0xFEED)),
+        ("fsms", fsm_sweep(96, 0xFEED + 1)),
+    ] {
+        let designs: Vec<_> = cases.iter().map(|c| compile_design(c).unwrap()).collect();
+        g.bench_function(format!("frame_expansion/{family}"), |b| {
+            b.iter(|| {
+                for design in &designs {
+                    let mut aig = Aig::new();
+                    let mut env =
+                        DesignTraceEnv::new(FrameExpander::new(design.netlist()).unwrap());
+                    env.ensure_frames(&mut aig, 7);
+                    black_box(aig.num_nodes());
+                }
+            })
+        });
     }
     g.finish();
 }

@@ -1,6 +1,6 @@
 //! The and-inverter graph core.
 
-use std::collections::HashMap;
+use sv_ast::SymbolMap;
 
 /// Index of a node in an [`Aig`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -59,6 +59,18 @@ impl AigLit {
         self.0 <= 1
     }
 
+    /// This literal carried through `image`, the per-node result of
+    /// [`Aig::instantiate`].
+    #[inline]
+    pub fn image(self, image: &[AigLit]) -> AigLit {
+        let lit = image[self.node().index()];
+        if self.is_inverted() {
+            !lit
+        } else {
+            lit
+        }
+    }
+
     /// Builds a constant literal from a boolean.
     #[inline]
     pub fn constant(b: bool) -> AigLit {
@@ -112,7 +124,7 @@ pub struct Aig {
     pub(crate) nodes: Vec<Node>,
     inputs: Vec<NodeId>,
     latches: Vec<Latch>,
-    strash: HashMap<(AigLit, AigLit), NodeId>,
+    strash: SymbolMap<(AigLit, AigLit), NodeId>,
 }
 
 impl Aig {
@@ -122,7 +134,7 @@ impl Aig {
             nodes: vec![Node::False],
             inputs: Vec::new(),
             latches: Vec::new(),
-            strash: HashMap::new(),
+            strash: SymbolMap::default(),
         }
     }
 
@@ -262,6 +274,44 @@ impl Aig {
             .fold(AigLit::FALSE, |acc, l| self.or(acc, l))
     }
 
+    /// Copies this combinational graph into `dst` with `inputs[k]` in
+    /// place of primary input `k`, and returns the image of every node
+    /// in `dst`, indexed by node id (node 0 maps to [`AigLit::FALSE`]).
+    ///
+    /// The and gates are copied in creation order through [`Aig::and`].
+    /// So `dst` folds constants and shares structure as if the code that
+    /// built this graph had run on `dst` directly over `inputs`: a
+    /// graph built by a fixed sequence of [`Aig::and`] calls (as every
+    /// [`crate::BitVec`] operation is) instantiates to the very nodes,
+    /// in the very order, that the direct build would create. This is
+    /// how `sv-synth` unrolls time frames from one compiled template.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph has a latch, or if `inputs` does not hold
+    /// exactly one literal per primary input.
+    pub fn instantiate(&self, dst: &mut Aig, inputs: &[AigLit]) -> Vec<AigLit> {
+        assert!(
+            self.latches.is_empty(),
+            "only a combinational graph can be instantiated"
+        );
+        assert_eq!(inputs.len(), self.inputs.len(), "one literal per input");
+        let mut image: Vec<AigLit> = Vec::with_capacity(self.nodes.len());
+        for &node in &self.nodes {
+            let lit = match node {
+                Node::False => AigLit::FALSE,
+                Node::Input(k) => inputs[k as usize],
+                Node::Latch(_) => unreachable!("latches rejected above"),
+                Node::And(a, b) => {
+                    let (a, b) = (a.image(&image), b.image(&image));
+                    dst.and(a, b)
+                }
+            };
+            image.push(lit);
+        }
+        image
+    }
+
     pub(crate) fn node(&self, id: NodeId) -> Node {
         self.nodes[id.0 as usize]
     }
@@ -322,6 +372,67 @@ mod tests {
         assert_ne!(any, AigLit::TRUE);
         assert_eq!(g.and_all(std::iter::empty()), AigLit::TRUE);
         assert_eq!(g.or_all(std::iter::empty()), AigLit::FALSE);
+    }
+
+    /// A small graph over three inputs and the literals it built.
+    fn sample_graph() -> (Aig, Vec<AigLit>) {
+        let mut g = Aig::new();
+        let (a, b, c) = (g.input(), g.input(), g.input());
+        let x = g.xor(a, b);
+        let m = g.mux(c, x, !a);
+        let y = g.and(m, b);
+        (g, vec![a, b, c, x, m, y])
+    }
+
+    #[test]
+    fn identity_instantiation_reproduces_the_graph() {
+        let (g, lits) = sample_graph();
+        let mut dst = Aig::new();
+        let inputs: Vec<AigLit> = (0..g.num_inputs()).map(|_| dst.input()).collect();
+        let image = g.instantiate(&mut dst, &inputs);
+        assert_eq!(image.len(), g.num_nodes());
+        assert_eq!(dst.num_nodes(), g.num_nodes());
+        for lit in lits {
+            assert_eq!(lit.image(&image), lit);
+            assert_eq!((!lit).image(&image), !lit);
+        }
+    }
+
+    #[test]
+    fn instantiating_twice_shares_every_gate() {
+        let (g, lits) = sample_graph();
+        let mut dst = Aig::new();
+        let inputs: Vec<AigLit> = (0..g.num_inputs()).map(|_| dst.input()).collect();
+        let first = g.instantiate(&mut dst, &inputs);
+        let nodes = dst.num_nodes();
+        let second = g.instantiate(&mut dst, &inputs);
+        assert_eq!(dst.num_nodes(), nodes, "strash hits only");
+        for lit in lits {
+            assert_eq!(lit.image(&first), lit.image(&second));
+        }
+    }
+
+    #[test]
+    fn a_false_input_folds_its_gates() {
+        let mut g = Aig::new();
+        let (a, b) = (g.input(), g.input());
+        let both = g.and(a, b);
+        let either = g.or(a, b);
+        let mut dst = Aig::new();
+        let b2 = dst.input();
+        let image = g.instantiate(&mut dst, &[AigLit::FALSE, b2]);
+        assert_eq!(both.image(&image), AigLit::FALSE);
+        assert_eq!(either.image(&image), b2);
+        assert_eq!(dst.num_ands(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "combinational")]
+    fn instantiating_a_latch_is_rejected() {
+        let mut g = Aig::new();
+        let (l, q) = g.add_latch(false);
+        g.set_latch_next(l, !q);
+        g.instantiate(&mut Aig::new(), &[]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::aig::{Aig, AigLit, Node, NodeId};
 use fv_sat::{Lit, Solver, Var};
-use std::collections::HashMap;
+use sv_ast::SymbolMap;
 
 /// Emits AIG cones into CNF with memoization.
 ///
@@ -29,7 +29,7 @@ use std::collections::HashMap;
 /// ```
 #[derive(Debug, Default)]
 pub struct CnfEmitter {
-    map: HashMap<NodeId, Var>,
+    map: SymbolMap<NodeId, Var>,
 }
 
 impl CnfEmitter {

@@ -5,7 +5,8 @@ use crate::error::EncodeError;
 use crate::table::SignalTable;
 use fv_aig::{Aig, BitVec};
 use std::collections::HashMap;
-use sv_synth::{AtomKind, FrameExpander, FrameValues};
+use sv_ast::SymbolMap;
+use sv_synth::{AtomId, AtomKind, FrameExpander, FrameValues};
 
 /// Supplies per-cycle signal values to the monitor encoder.
 pub trait TraceEnv {
@@ -36,8 +37,9 @@ pub trait TraceEnv {
 #[derive(Debug)]
 pub struct FreeTraceEnv<'a> {
     table: &'a SignalTable,
-    /// `(signal, cycle)` to `(bits, index into the log)`.
-    slots: HashMap<(String, i32), (BitVec, usize)>,
+    /// Signal name, then cycle, to the slot's index in the log. Probed
+    /// by the borrowed name, so a read allocates only for a new slot.
+    slots: HashMap<String, SymbolMap<i32, usize>>,
     /// Allocation log for counterexample decoding.
     log: Vec<(String, i32, BitVec)>,
     /// Per-log-entry flag: read since the last
@@ -100,9 +102,9 @@ impl<'a> FreeTraceEnv<'a> {
 
 impl TraceEnv for FreeTraceEnv<'_> {
     fn read(&mut self, g: &mut Aig, name: &str, cycle: i32) -> Result<BitVec, EncodeError> {
-        if let Some((bv, idx)) = self.slots.get(&(name.to_string(), cycle)) {
-            self.touched[*idx] = true;
-            return Ok(bv.clone());
+        if let Some(&idx) = self.slots.get(name).and_then(|cycles| cycles.get(&cycle)) {
+            self.touched[idx] = true;
+            return Ok(self.log[idx].2.clone());
         }
         let width = self
             .table
@@ -110,7 +112,9 @@ impl TraceEnv for FreeTraceEnv<'_> {
             .ok_or_else(|| EncodeError::UnknownSignal(name.to_string()))?;
         let bv = BitVec::input(g, width as usize);
         self.slots
-            .insert((name.to_string(), cycle), (bv.clone(), self.log.len()));
+            .entry(name.to_string())
+            .or_default()
+            .insert(cycle, self.log.len());
         self.log.push((name.to_string(), cycle, bv.clone()));
         self.touched.push(true);
         Ok(bv)
@@ -136,10 +140,11 @@ pub struct DesignTraceEnv<'a> {
     frames: Vec<FrameValues>,
     /// Extra constant bindings (testbench parameters such as `S0`).
     consts: HashMap<String, (u32, u128)>,
-    /// Forced input values by atom name (e.g. `reset_` pinned to 1).
-    forced: HashMap<String, u128>,
+    /// The reset input, held deasserted (all ones) in every frame;
+    /// resolved from the netlist's reset name once.
+    reset: Option<AtomId>,
     /// Input allocation log per frame, for counterexample decoding.
-    input_log: Vec<(String, u32, BitVec)>,
+    input_log: Vec<(&'a str, u32, BitVec)>,
     /// Frames read since the last
     /// [`DesignTraceEnv::reset_touched_frames`] (count, i.e. highest
     /// frame index read + 1). Lets a session report how much of the
@@ -161,21 +166,21 @@ impl<'a> DesignTraceEnv<'a> {
     /// once per design and reused for every frame).
     pub fn new(expander: FrameExpander<'a>) -> DesignTraceEnv<'a> {
         // Standard formal setup: reset deasserted throughout.
-        let reset = expander.netlist().reset_name.clone();
-        let mut env = DesignTraceEnv {
+        let netlist = expander.netlist();
+        let reset = netlist
+            .inputs()
+            .find(|(_, def)| netlist.reset_name.as_ref() == Some(&def.name))
+            .map(|(id, _)| id);
+        DesignTraceEnv {
             expander,
             frames: Vec::new(),
             consts: HashMap::new(),
-            forced: HashMap::new(),
+            reset,
             input_log: Vec::new(),
             touched_frames: 0,
             initial_bits: Vec::new(),
             negative_read: false,
-        };
-        if let Some(rst) = reset {
-            env.forced.insert(rst, u128::MAX);
         }
-        env
     }
 
     /// Adds a constant binding visible to assertions.
@@ -185,38 +190,37 @@ impl<'a> DesignTraceEnv<'a> {
 
     /// Ensures frames `0..=cycle` exist.
     pub fn ensure_frames(&mut self, g: &mut Aig, cycle: u32) {
+        let netlist = self.expander.netlist();
         while self.frames.len() <= cycle as usize {
-            let state = if let Some(prev) = self.frames.last() {
-                prev.reg_next.clone()
-            } else {
-                self.expander
-                    .netlist()
-                    .regs()
-                    .map(|(id, def)| {
-                        let bv = BitVec::input(g, def.width as usize);
-                        if let AtomKind::Reg { init, .. } = def.kind {
-                            for (i, &bit) in bv.bits().iter().enumerate() {
-                                self.initial_bits.push((bit, (init >> i) & 1 == 1));
-                            }
-                        }
-                        (id, bv)
-                    })
-                    .collect()
-            };
             let frame_idx = self.frames.len() as u32;
-            let forced = self.forced.clone();
-            let mut log = Vec::new();
-            let frame = self.expander.expand(g, &state, &mut |g, id, w| {
-                let name = self.expander.netlist().atom(id).name.clone();
-                if let Some(&v) = forced.get(&name) {
-                    BitVec::constant(w as usize, v)
+            let (reset, log) = (self.reset, &mut self.input_log);
+            let mut input_fn = |g: &mut Aig, id: AtomId, w: u32| {
+                if reset == Some(id) {
+                    BitVec::constant(w as usize, u128::MAX)
                 } else {
                     let bv = BitVec::input(g, w as usize);
-                    log.push((name, frame_idx, bv.clone()));
+                    log.push((netlist.atom(id).name.as_str(), frame_idx, bv.clone()));
                     bv
                 }
-            });
-            self.input_log.extend(log);
+            };
+            let frame = match self.frames.last() {
+                Some(prev) => self.expander.expand(g, &prev.reg_next, &mut input_fn),
+                None => {
+                    let state = netlist
+                        .regs()
+                        .map(|(id, def)| {
+                            let bv = BitVec::input(g, def.width as usize);
+                            if let AtomKind::Reg { init, .. } = def.kind {
+                                for (i, &bit) in bv.bits().iter().enumerate() {
+                                    self.initial_bits.push((bit, (init >> i) & 1 == 1));
+                                }
+                            }
+                            (id, bv)
+                        })
+                        .collect();
+                    self.expander.expand(g, &state, &mut input_fn)
+                }
+            };
             self.frames.push(frame);
         }
     }
@@ -227,7 +231,7 @@ impl<'a> DesignTraceEnv<'a> {
     }
 
     /// The input allocation log: `(signal, frame, bits)`.
-    pub fn input_log(&self) -> &[(String, u32, BitVec)] {
+    pub fn input_log(&self) -> &[(&'a str, u32, BitVec)] {
         &self.input_log
     }
 
@@ -288,10 +292,9 @@ impl TraceEnv for DesignTraceEnv<'_> {
             .expander
             .netlist()
             .net(name)
-            .ok_or_else(|| EncodeError::UnknownSignal(name.to_string()))?
-            .clone();
+            .ok_or_else(|| EncodeError::UnknownSignal(name.to_string()))?;
         self.ensure_frames(g, cycle);
-        Ok(self.frames[cycle as usize].read_net(&binding))
+        Ok(self.frames[cycle as usize].read_net(binding))
     }
 
     fn constant(&self, name: &str) -> Option<(u32, u128)> {

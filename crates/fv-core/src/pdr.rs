@@ -303,7 +303,7 @@ impl<'n> Pdr<'n> {
                 .input_log()
                 .iter()
                 .filter(|(_, f, _)| *f == 0)
-                .map(|(n, _, bv)| (n.as_str(), cycle, bv)),
+                .map(|(n, _, bv)| (*n, cycle, bv)),
             crate::cex::solver_bit_reader(&self.em, &self.solver),
         )
     }
@@ -315,7 +315,7 @@ impl<'n> Pdr<'n> {
             self.env
                 .input_log()
                 .iter()
-                .map(|(n, f, bv)| (n.as_str(), anchor + *f as i32, bv)),
+                .map(|(n, f, bv)| (*n, anchor + *f as i32, bv)),
             crate::cex::solver_bit_reader(&self.em, &self.solver),
         )
     }

@@ -740,7 +740,7 @@ fn input_log_entries<'e>(
     env.input_log()
         .iter()
         .filter(move |(_, f, _)| *f < frames)
-        .map(|(n, f, bv)| (n.as_str(), *f as i32, bv))
+        .map(|(n, f, bv)| (*n, *f as i32, bv))
 }
 
 /// Decodes one simulation pattern into a counterexample trace.

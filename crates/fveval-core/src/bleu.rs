@@ -18,34 +18,65 @@ use std::collections::HashMap;
 /// assert!(bleu(reference, "assert property (@(posedge clk) !a);") < 0.8);
 /// ```
 pub fn bleu(reference: &str, candidate: &str) -> f64 {
-    // Both token streams share one id space, so equal tokens get equal
-    // ids and an n-gram compares as one integer key.
-    let mut ids: HashMap<&str, u32> = HashMap::new();
-    let mut intern = |text| -> Vec<u32> {
-        code_tokens(text)
+    BleuReference::new(reference).score(candidate)
+}
+
+/// The reference side of [`bleu`], computed once: the reference's
+/// vocabulary, its length in tokens and its sorted n-gram keys. An
+/// NL2SVA [`crate::Scorer`] holds one per case, since every response
+/// of the case is scored against the same reference.
+pub(crate) struct BleuReference<'a> {
+    /// Token text to id, over the reference's tokens only.
+    vocab: HashMap<&'a str, u32>,
+    /// Reference length in tokens.
+    len: usize,
+    /// Sorted n-gram keys for n = 1..=4.
+    ngrams: [Vec<u128>; 4],
+}
+
+impl<'a> BleuReference<'a> {
+    pub(crate) fn new(reference: &'a str) -> BleuReference<'a> {
+        let mut vocab: HashMap<&str, u32> = HashMap::new();
+        let ids: Vec<u32> = code_tokens(reference)
             .into_iter()
             .map(|t| {
-                let next = ids.len() as u32;
-                *ids.entry(t).or_insert(next)
+                let next = vocab.len() as u32;
+                *vocab.entry(t).or_insert(next)
             })
-            .collect()
-    };
-    let r = intern(reference);
-    let c = intern(candidate);
-    if c.is_empty() || r.is_empty() {
-        return 0.0;
+            .collect();
+        BleuReference {
+            len: ids.len(),
+            ngrams: [1, 2, 3, 4].map(|n| sorted_ngrams(&ids, n)),
+            vocab,
+        }
     }
-    let mut log_sum = 0.0;
-    for n in 1..=4usize {
-        let p = modified_precision(&r, &c, n);
-        log_sum += p.ln() * 0.25;
+
+    /// [`bleu`] of `candidate` against this reference.
+    pub(crate) fn score(&self, candidate: &str) -> f64 {
+        // Equal tokens get equal ids, so an n-gram compares as one
+        // integer key. Every token the reference lacks gets the one id
+        // outside its vocabulary: an n-gram holding it can never match,
+        // so clipped counts and lengths are unchanged.
+        let unknown = self.vocab.len() as u32;
+        let c: Vec<u32> = code_tokens(candidate)
+            .into_iter()
+            .map(|t| self.vocab.get(t).copied().unwrap_or(unknown))
+            .collect();
+        if c.is_empty() || self.len == 0 {
+            return 0.0;
+        }
+        let mut log_sum = 0.0;
+        for (n, reference) in (1..=4).zip(&self.ngrams) {
+            let p = modified_precision(reference, &sorted_ngrams(&c, n));
+            log_sum += p.ln() * 0.25;
+        }
+        let bp = if c.len() >= self.len {
+            1.0
+        } else {
+            (1.0 - self.len as f64 / c.len() as f64).exp()
+        };
+        bp * log_sum.exp()
     }
-    let bp = if c.len() >= r.len() {
-        1.0
-    } else {
-        (1.0 - r.len() as f64 / c.len() as f64).exp()
-    };
-    bp * log_sum.exp()
 }
 
 /// Every `n`-gram of `tokens` (`n <= 4`) packed into one key, sorted.
@@ -58,9 +89,9 @@ fn sorted_ngrams(tokens: &[u32], n: usize) -> Vec<u128> {
     keys
 }
 
-fn modified_precision(reference: &[u32], candidate: &[u32], n: usize) -> f64 {
-    let r = sorted_ngrams(reference, n);
-    let c = sorted_ngrams(candidate, n);
+/// Smoothed precision of the candidate's sorted n-gram keys `c`
+/// against the reference's `r`.
+fn modified_precision(r: &[u128], c: &[u128]) -> f64 {
     // Each candidate n-gram counts at most as often as the reference
     // has it: the clipped count is the size of the multiset
     // intersection, one merge over the two sorted lists.
@@ -129,7 +160,7 @@ mod tests {
 
     /// String-keyed BLEU — owned `String` tokens and one `HashMap` of
     /// n-gram slices per order — as the oracle the id-based [`bleu`]
-    /// must match bit for bit.
+    /// and [`BleuReference`] must match bit for bit.
     mod oracle {
         use std::collections::HashMap;
 
@@ -244,6 +275,9 @@ mod tests {
                 .reference_text()
                 .expect("NL2SVA tasks have a reference");
             assert_matches_oracle(reference, reference);
+            // One precomputed reference side serves every response, as
+            // in a scorer.
+            let precomputed = BleuReference::new(reference);
             for cfg in [
                 InferenceConfig::greedy(),
                 InferenceConfig::greedy().with_shots(3),
@@ -254,7 +288,13 @@ mod tests {
                     sample_idx: 0,
                 };
                 for model in &models {
-                    assert_matches_oracle(reference, &model.generate(&req));
+                    let response = model.generate(&req);
+                    assert_matches_oracle(reference, &response);
+                    assert_eq!(
+                        precomputed.score(&response).to_bits(),
+                        oracle::bleu(reference, &response).to_bits(),
+                        "reference {reference:?}, response {response:?}"
+                    );
                     scored += 1;
                 }
             }

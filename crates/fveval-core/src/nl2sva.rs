@@ -4,16 +4,17 @@
 //! into an [`EquivSession`]) and BLEU-scored against the reference
 //! text.
 
-use crate::bleu::bleu;
+use crate::bleu::BleuReference;
 use crate::metrics::SampleEval;
 use fv_core::{EquivSession, ProverStats};
 use sv_parser::parse_assertion_str;
 
 /// Scores one response through the case's equivalence session;
-/// `reference` is the text the session was opened with (for BLEU).
+/// `reference` is the BLEU side of the text the session was opened
+/// with.
 pub(crate) fn score(
     equiv: &mut EquivSession<'_>,
-    reference: &str,
+    reference: &BleuReference<'_>,
     response: &str,
 ) -> (SampleEval, ProverStats) {
     let candidate = match parse_assertion_str(response) {
@@ -21,14 +22,14 @@ pub(crate) fn score(
         Err(_) => {
             return (
                 SampleEval {
-                    bleu: bleu(reference, response),
+                    bleu: reference.score(response),
                     ..SampleEval::failed()
                 },
                 ProverStats::default(),
             )
         }
     };
-    let b = bleu(reference, response);
+    let b = reference.score(response);
     let before = equiv.stats();
     match equiv.check(&candidate) {
         Err(_) => (

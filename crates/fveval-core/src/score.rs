@@ -1,5 +1,6 @@
 //! [`Scorer`]: the one scoring routine behind every FVEval verdict.
 
+use crate::bleu::BleuReference;
 use crate::metrics::SampleEval;
 use crate::{design2sva, nl2sva};
 use fv_core::{
@@ -40,11 +41,11 @@ enum State<'a> {
     /// Every response is a tool failure: the reference does not parse
     /// or the design does not compile.
     Failed,
-    /// NL2SVA: the reference text (for BLEU) and the reference compiled
-    /// into an equivalence session. Boxed: the session (graph + solver
-    /// + simulators) dwarfs the other variants.
+    /// NL2SVA: the reference's BLEU side (tokens and n-grams) and the
+    /// reference compiled into an equivalence session. Boxed: the
+    /// session (graph + solver + simulators) dwarfs the other variants.
     Nl {
-        reference: &'a str,
+        bleu: BleuReference<'a>,
         equiv: Box<EquivSession<'a>>,
     },
     /// Design2SVA: the proof session over the compiled base netlist,
@@ -59,12 +60,12 @@ enum State<'a> {
 impl<'a> Scorer<'a> {
     /// Scores NL2SVA responses against `reference` in the signal scope
     /// `table`, under the default horizon ([`EquivConfig::default`]).
-    /// The reference is parsed here, once; an unparseable reference
-    /// scores every response as a tool failure.
+    /// The reference is parsed and tokenized for BLEU here, once; an
+    /// unparseable reference scores every response as a tool failure.
     pub fn nl(reference: &'a str, table: &'a SignalTable) -> Scorer<'a> {
         let state = match parse_assertion_str(reference) {
             Ok(parsed) => State::Nl {
-                reference,
+                bleu: BleuReference::new(reference),
                 equiv: Box::new(EquivSession::open(parsed, table, EquivConfig::default())),
             },
             Err(_) => State::Failed,
@@ -107,7 +108,7 @@ impl<'a> Scorer<'a> {
     pub fn score(&mut self, response: &str) -> (SampleEval, ProverStats) {
         match &mut self.state {
             State::Failed => (SampleEval::failed(), ProverStats::default()),
-            State::Nl { reference, equiv } => nl2sva::score(equiv, reference, response),
+            State::Nl { bleu, equiv } => nl2sva::score(equiv, bleu, response),
             State::Design {
                 compiled,
                 cfg,
@@ -208,6 +209,7 @@ mod tests {
             .spawn(move || {
                 let t = table();
                 let wrap = |body: String| format!("assert property (@(posedge clk) {body});");
+                let chain = |link: &str| wrap(format!("a{}", link.repeat(n)));
                 let texts = [
                     wrap(format!("{}a{}", "(".repeat(n), ")".repeat(n))),
                     wrap(format!("{}a", "!".repeat(n))),
@@ -215,6 +217,15 @@ mod tests {
                     // Parentheses around a property go through the
                     // property grammar, the deepest stack per level.
                     wrap(format!("{}a |-> b{}", "(".repeat(n - 1), ")".repeat(n - 1))),
+                    // Chains the parser builds in loops nest the AST one
+                    // level per link, and the encoders recurse on it.
+                    chain(" + a"),
+                    chain(" && a"),
+                    chain(" | a"),
+                    chain(" or a"),
+                    chain(" and a"),
+                    chain(" ##0 a"),
+                    chain("[0]"),
                 ];
                 let mut scorer = Scorer::nl("assert property (@(posedge clk) a);", &t);
                 texts
@@ -225,6 +236,6 @@ mod tests {
             .unwrap()
             .join()
             .expect("scoring stays within the default stack");
-        assert_eq!(scored, [true; 4]);
+        assert_eq!(scored, [true; 11]);
     }
 }

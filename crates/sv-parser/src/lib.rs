@@ -154,13 +154,22 @@ mod tests {
         assert!(parse_assertion_str("assert property (@(posedge clk) (a && b);").is_err());
     }
 
-    /// `n` nested parentheses, `!`s and `not`s around one signal.
-    fn nested(n: usize) -> [String; 3] {
+    /// `n` nested parentheses, `!`s and `not`s around one signal, and
+    /// chains of `n` links that the parser builds in loops.
+    fn nested(n: usize) -> Vec<String> {
         let wrap = |body: String| format!("assert property (@(posedge clk) {body});");
-        [
+        let chain = |link: &str| wrap(format!("a{}", link.repeat(n)));
+        vec![
             wrap(format!("{}a{}", "(".repeat(n), ")".repeat(n))),
             wrap(format!("{}a", "!".repeat(n))),
             wrap(format!("{}a", "not ".repeat(n))),
+            chain(" + a"),
+            chain(" && a"),
+            chain(" | a"),
+            chain(" or a"),
+            chain(" and a"),
+            chain(" ##0 a"),
+            chain("[0]"),
         ]
     }
 
@@ -179,7 +188,8 @@ mod tests {
     #[test]
     fn nesting_limit_counts_one_level_per_construct() {
         // The assertion's property and its expression open two levels,
-        // so `MAX_NESTING - 2` nested constructs are the deepest that parse.
+        // so `MAX_NESTING - 2` nested constructs (or chain links) are the
+        // deepest that parse.
         for text in nested(MAX_NESTING - 2) {
             assert!(parse_assertion_str(&text).is_ok(), "{text}");
         }

@@ -8,10 +8,14 @@ use sv_ast::{BinaryOp, Expr, Literal, SysFunc, UnaryOp};
 /// [`ParseError`] instead of overflowing the stack. Every parenthesis,
 /// brace, bracket, prefix operator (`!`, `~`, `not`, `s_eventually`, …),
 /// `?:` arm, implication, `until`, `throughout`, nested statement and
-/// generate region opens one level. Hand-written SVA nests a few levels
-/// deep. In an unoptimized build one parenthesized property level takes
-/// about 20 KiB of stack, so an assertion just under this limit still
-/// parses, encodes and scores on a thread with the default 2 MiB stack.
+/// generate region opens one level. So does every link of a chain the
+/// parser builds in a loop (`a + b + c`, `x[0][1]`, `p or q`, `p and q`,
+/// `a ##1 b ##1 c`), until the chain ends: each link nests the AST one
+/// level deeper, and the encoders recurse on the AST. Hand-written SVA
+/// nests a few levels deep. In an unoptimized build one parenthesized
+/// property level takes about 20 KiB of stack, so an assertion just
+/// under this limit still parses, encodes and scores on a thread with
+/// the default 2 MiB stack.
 pub const MAX_NESTING: usize = 64;
 
 /// A cursor over the token stream with single-token lookahead and
@@ -41,13 +45,33 @@ impl Cursor {
         &mut self,
         parse: impl FnOnce(&mut Cursor) -> Result<T, ParseError>,
     ) -> Result<T, ParseError> {
+        self.chain(|cur| {
+            cur.link()?;
+            parse(cur)
+        })
+    }
+
+    /// Runs `parse`, a loop that builds a left-deep chain, and closes
+    /// every level its links opened (see [`Cursor::link`]) when it
+    /// returns, on success or error.
+    pub fn chain<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Cursor) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        let depth = self.depth;
+        let out = parse(self);
+        self.depth = depth;
+        out
+    }
+
+    /// Opens one grammar level for a link of a [`Cursor::chain`],
+    /// failing once [`MAX_NESTING`] levels are open.
+    pub fn link(&mut self) -> Result<(), ParseError> {
         if self.depth == MAX_NESTING {
             return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
         }
         self.depth += 1;
-        let out = parse(self);
-        self.depth -= 1;
-        out
+        Ok(())
     }
 
     /// Current token.
@@ -237,20 +261,23 @@ pub fn parse_expr(cur: &mut Cursor) -> Result<Expr, ParseError> {
 
 #[allow(clippy::while_let_loop)] // the loop head mixes peek and guard logic
 fn parse_bin_expr(cur: &mut Cursor, min_prec: u8) -> Result<Expr, ParseError> {
-    let mut lhs = parse_unary(cur)?;
-    loop {
-        let op = match cur.peek() {
-            Tok::Punct(p) => match binop_of(*p) {
-                Some(op) if precedence(op) >= min_prec => op,
+    cur.chain(|cur| {
+        let mut lhs = parse_unary(cur)?;
+        loop {
+            let op = match cur.peek() {
+                Tok::Punct(p) => match binop_of(*p) {
+                    Some(op) if precedence(op) >= min_prec => op,
+                    _ => break,
+                },
                 _ => break,
-            },
-            _ => break,
-        };
-        cur.bump();
-        let rhs = parse_bin_expr(cur, precedence(op) + 1)?;
-        lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-    }
-    Ok(lhs)
+            };
+            cur.link()?;
+            cur.bump();
+            let rhs = parse_bin_expr(cur, precedence(op) + 1)?;
+            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
+        }
+        Ok(lhs)
+    })
 }
 
 fn parse_unary(cur: &mut Cursor) -> Result<Expr, ParseError> {
@@ -263,10 +290,10 @@ fn parse_unary(cur: &mut Cursor) -> Result<Expr, ParseError> {
 }
 
 fn parse_postfix(cur: &mut Cursor) -> Result<Expr, ParseError> {
-    let mut e = parse_primary(cur)?;
-    loop {
+    cur.chain(|cur| {
+        let mut e = parse_primary(cur)?;
         // `[` starts an index/slice unless it is a repetition `[*`.
-        if cur.at_punct(Punct::LBracket) && cur.peek_n(1) != &Tok::Punct(Punct::Star) {
+        while cur.at_punct(Punct::LBracket) && cur.peek_n(1) != &Tok::Punct(Punct::Star) {
             cur.bump();
             let first = parse_expr(cur)?;
             if cur.eat_punct(Punct::Colon) {
@@ -277,11 +304,12 @@ fn parse_postfix(cur: &mut Cursor) -> Result<Expr, ParseError> {
                 cur.expect_punct(Punct::RBracket, "']' of bit-select")?;
                 e = Expr::Index(Box::new(e), Box::new(first));
             }
-        } else {
-            break;
+            // The link opens after its index: the index expressions of
+            // a chain nest no deeper than the chain itself.
+            cur.link()?;
         }
-    }
-    Ok(e)
+        Ok(e)
+    })
 }
 
 fn parse_primary(cur: &mut Cursor) -> Result<Expr, ParseError> {

@@ -80,21 +80,27 @@ fn parse_ps_until(cur: &mut Cursor) -> Result<Ps, ParseError> {
 }
 
 fn parse_ps_or(cur: &mut Cursor) -> Result<Ps, ParseError> {
-    let mut lhs = parse_ps_and(cur)?;
-    while cur.eat_kw(Kw::Or) {
-        let rhs = parse_ps_and(cur)?;
-        lhs = combine(lhs, rhs, true);
-    }
-    Ok(lhs)
+    cur.chain(|cur| {
+        let mut lhs = parse_ps_and(cur)?;
+        while cur.eat_kw(Kw::Or) {
+            cur.link()?;
+            let rhs = parse_ps_and(cur)?;
+            lhs = combine(lhs, rhs, true);
+        }
+        Ok(lhs)
+    })
 }
 
 fn parse_ps_and(cur: &mut Cursor) -> Result<Ps, ParseError> {
-    let mut lhs = parse_ps_seq(cur)?;
-    while cur.eat_kw(Kw::And) {
-        let rhs = parse_ps_seq(cur)?;
-        lhs = combine(lhs, rhs, false);
-    }
-    Ok(lhs)
+    cur.chain(|cur| {
+        let mut lhs = parse_ps_seq(cur)?;
+        while cur.eat_kw(Kw::And) {
+            cur.link()?;
+            let rhs = parse_ps_seq(cur)?;
+            lhs = combine(lhs, rhs, false);
+        }
+        Ok(lhs)
+    })
 }
 
 fn combine(a: Ps, b: Ps, is_or: bool) -> Ps {
@@ -149,6 +155,10 @@ fn expect_small_number(cur: &mut Cursor, what: &str) -> Result<u32, ParseError> 
 }
 
 fn parse_ps_seq(cur: &mut Cursor) -> Result<Ps, ParseError> {
+    cur.chain(parse_ps_delays)
+}
+
+fn parse_ps_delays(cur: &mut Cursor) -> Result<Ps, ParseError> {
     // Leading delay: `##N seq`.
     let mut seq: SeqExpr;
     if cur.eat_punct(Punct::DoubleHash) {
@@ -178,6 +188,7 @@ fn parse_ps_seq(cur: &mut Cursor) -> Result<Ps, ParseError> {
         seq = first.into_seq(cur)?;
     }
     while cur.eat_punct(Punct::DoubleHash) {
+        cur.link()?;
         let (lo, hi) = parse_delay_bounds(cur)?;
         let rhs = parse_ps_unary(cur)?.into_seq(cur)?;
         seq = SeqExpr::Delay {

@@ -8,9 +8,10 @@
 //! 1. [`elaborate`] flattens a parsed design (parameters, generate
 //!    loops, hierarchy) into a [`Netlist`] of *atoms* — inputs,
 //!    registers, and combinational definitions at word level.
-//! 2. [`FrameExpander`] instantiates the netlist's combinational logic
-//!    into an [`fv_aig::Aig`] once per clock cycle; `fv-core` builds BMC
-//!    and k-induction queries on top.
+//! 2. [`FrameExpander`] bit-blasts the netlist's transition function
+//!    once into a template [`fv_aig::Aig`] and copies it into the
+//!    caller's graph once per clock cycle; `fv-core` builds BMC and
+//!    k-induction queries on top.
 //! 3. [`Simulator`] interprets the same netlist directly; property tests
 //!    check it against the bit-blasted form bit-for-bit.
 //!
