@@ -13,17 +13,6 @@ impl NodeId {
     }
 }
 
-/// Index of a latch in an [`Aig`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct LatchId(pub(crate) u32);
-
-impl LatchId {
-    /// Dense index of the latch.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
 /// A (possibly inverted) reference to an AIG node.
 ///
 /// Encoded as `node << 1 | inverted`, following the AIGER convention.
@@ -96,35 +85,29 @@ pub(crate) enum Node {
     False,
     /// Primary input, by dense input index.
     Input(u32),
-    /// Latch output, by dense latch index.
-    Latch(u32),
     /// And gate over two literals.
     And(AigLit, AigLit),
 }
 
-/// A state element of the sequential AIG.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Latch {
-    /// The node that reads the latch's current value.
-    pub output: NodeId,
-    /// Next-state function; defaults to constant false until set.
-    pub next: AigLit,
-    /// Initial (reset) value.
-    pub init: bool,
-}
-
-/// A sequential and-inverter graph with structural hashing.
+/// A combinational and-inverter graph with structural hashing.
 ///
-/// Node 0 is the constant-false node. Combinational logic is built with
-/// [`Aig::and`] and friends (two-level constant folding plus structural
-/// hashing keep the graph reduced); state is added with [`Aig::add_latch`]
-/// and closed with [`Aig::set_latch_next`].
-#[derive(Debug, Clone, Default)]
+/// Node 0 is the constant-false node. Logic is built with [`Aig::and`]
+/// and friends (two-level constant folding plus structural hashing keep
+/// the graph reduced). There is no state: a sequential design is
+/// unrolled into one graph, one copy of its transition function per
+/// time frame ([`Aig::instantiate`]).
+#[derive(Debug, Clone)]
 pub struct Aig {
     pub(crate) nodes: Vec<Node>,
     inputs: Vec<NodeId>,
-    latches: Vec<Latch>,
     strash: SymbolMap<(AigLit, AigLit), NodeId>,
+}
+
+impl Default for Aig {
+    /// [`Aig::new`]: a graph that starts with the constant-false node.
+    fn default() -> Aig {
+        Aig::new()
+    }
 }
 
 impl Aig {
@@ -133,7 +116,6 @@ impl Aig {
         Aig {
             nodes: vec![Node::False],
             inputs: Vec::new(),
-            latches: Vec::new(),
             strash: SymbolMap::default(),
         }
     }
@@ -148,22 +130,12 @@ impl Aig {
         self.inputs.len()
     }
 
-    /// Number of latches.
-    pub fn num_latches(&self) -> usize {
-        self.latches.len()
-    }
-
     /// Number of and gates.
     pub fn num_ands(&self) -> usize {
         self.nodes
             .iter()
             .filter(|n| matches!(n, Node::And(..)))
             .count()
-    }
-
-    /// The latch table.
-    pub fn latches(&self) -> &[Latch] {
-        &self.latches
     }
 
     /// The primary-input nodes, in creation order.
@@ -185,24 +157,6 @@ impl Aig {
         let id = self.push(Node::Input(idx));
         self.inputs.push(id);
         AigLit::new(id, false)
-    }
-
-    /// Creates a latch with the given initial value; its `next` function
-    /// must be provided later via [`Aig::set_latch_next`].
-    pub fn add_latch(&mut self, init: bool) -> (LatchId, AigLit) {
-        let idx = self.latches.len() as u32;
-        let id = self.push(Node::Latch(idx));
-        self.latches.push(Latch {
-            output: id,
-            next: AigLit::FALSE,
-            init,
-        });
-        (LatchId(idx), AigLit::new(id, false))
-    }
-
-    /// Sets the next-state function of a latch.
-    pub fn set_latch_next(&mut self, latch: LatchId, next: AigLit) {
-        self.latches[latch.index()].next = next;
     }
 
     fn push(&mut self, node: Node) -> NodeId {
@@ -274,9 +228,9 @@ impl Aig {
             .fold(AigLit::FALSE, |acc, l| self.or(acc, l))
     }
 
-    /// Copies this combinational graph into `dst` with `inputs[k]` in
-    /// place of primary input `k`, and returns the image of every node
-    /// in `dst`, indexed by node id (node 0 maps to [`AigLit::FALSE`]).
+    /// Copies this graph into `dst` with `inputs[k]` in place of primary
+    /// input `k`, and returns the image of every node in `dst`, indexed
+    /// by node id (node 0 maps to [`AigLit::FALSE`]).
     ///
     /// The and gates are copied in creation order through [`Aig::and`].
     /// So `dst` folds constants and shares structure as if the code that
@@ -288,20 +242,15 @@ impl Aig {
     ///
     /// # Panics
     ///
-    /// Panics if the graph has a latch, or if `inputs` does not hold
-    /// exactly one literal per primary input.
+    /// Panics if `inputs` does not hold exactly one literal per primary
+    /// input.
     pub fn instantiate(&self, dst: &mut Aig, inputs: &[AigLit]) -> Vec<AigLit> {
-        assert!(
-            self.latches.is_empty(),
-            "only a combinational graph can be instantiated"
-        );
         assert_eq!(inputs.len(), self.inputs.len(), "one literal per input");
         let mut image: Vec<AigLit> = Vec::with_capacity(self.nodes.len());
         for &node in &self.nodes {
             let lit = match node {
                 Node::False => AigLit::FALSE,
                 Node::Input(k) => inputs[k as usize],
-                Node::Latch(_) => unreachable!("latches rejected above"),
                 Node::And(a, b) => {
                     let (a, b) = (a.image(&image), b.image(&image));
                     dst.and(a, b)
@@ -333,6 +282,14 @@ mod tests {
     }
 
     #[test]
+    fn default_graph_starts_with_the_constant() {
+        let mut g = Aig::default();
+        let (a, b) = (g.input(), g.input());
+        assert_ne!(a, AigLit::FALSE);
+        assert_ne!(g.and(a, b), AigLit::FALSE);
+    }
+
+    #[test]
     fn structural_hashing_dedups() {
         let mut g = Aig::new();
         let a = g.input();
@@ -349,17 +306,6 @@ mod tests {
         let a = g.input();
         assert_eq!(g.xor(a, a), AigLit::FALSE);
         assert_eq!(g.xnor(a, a), AigLit::TRUE);
-    }
-
-    #[test]
-    fn latch_round_trip() {
-        let mut g = Aig::new();
-        let (l, q) = g.add_latch(true);
-        let next = !q;
-        g.set_latch_next(l, next);
-        assert_eq!(g.num_latches(), 1);
-        assert!(g.latches()[0].init);
-        assert_eq!(g.latches()[0].next, next);
     }
 
     #[test]
@@ -424,15 +370,6 @@ mod tests {
         assert_eq!(both.image(&image), AigLit::FALSE);
         assert_eq!(either.image(&image), b2);
         assert_eq!(dst.num_ands(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "combinational")]
-    fn instantiating_a_latch_is_rejected() {
-        let mut g = Aig::new();
-        let (l, q) = g.add_latch(false);
-        g.set_latch_next(l, !q);
-        g.instantiate(&mut Aig::new(), &[]);
     }
 
     #[test]

@@ -227,18 +227,6 @@ impl BitVec {
         BitVec::from_bits(bits)
     }
 
-    /// Arithmetic right shift by a constant amount (MSB fill).
-    pub fn ashr_const(&self, n: usize) -> BitVec {
-        let w = self.width();
-        let msb = self.bits[w - 1];
-        let mut bits = vec![msb; w];
-        let keep = w.saturating_sub(n);
-        if keep > 0 {
-            bits[..keep].copy_from_slice(&self.bits[n..n + keep]);
-        }
-        BitVec::from_bits(bits)
-    }
-
     /// Barrel left shift by a variable amount.
     pub fn shl(&self, g: &mut Aig, amount: &BitVec) -> BitVec {
         self.barrel(g, amount, |v, k| v.shl_const(k))
@@ -247,11 +235,6 @@ impl BitVec {
     /// Barrel logical right shift by a variable amount.
     pub fn lshr(&self, g: &mut Aig, amount: &BitVec) -> BitVec {
         self.barrel(g, amount, |v, k| v.lshr_const(k))
-    }
-
-    /// Barrel arithmetic right shift by a variable amount.
-    pub fn ashr(&self, g: &mut Aig, amount: &BitVec) -> BitVec {
-        self.barrel(g, amount, |v, k| v.ashr_const(k))
     }
 
     fn barrel(
@@ -528,11 +511,6 @@ mod tests {
         check2(8, |_g, a, _b| a.lshr_const(11), |_, _| 0);
         check2(
             8,
-            |_g, a, _b| a.ashr_const(11),
-            |x, _| if x & 0x80 != 0 { 0xff } else { 0 },
-        );
-        check2(
-            8,
             |g, a, b| a.shl(g, &b.resize(4)),
             |x, y| {
                 let sh = y & 0xf;
@@ -557,17 +535,6 @@ mod tests {
                 }
             },
         );
-    }
-
-    #[test]
-    fn ashr_fills_with_msb() {
-        let mut g = Aig::new();
-        let a = BitVec::input(&mut g, 4);
-        let out = a.ashr_const(2);
-        // 0b1000 >> 2 arithmetically = 0b1110
-        let ev = AigEvaluator::combinational(&g, &[false, false, false, true]);
-        let got: Vec<bool> = out.bits().iter().map(|&b| ev.lit(b)).collect();
-        assert_eq!(got, vec![false, true, true, true]);
     }
 
     #[test]

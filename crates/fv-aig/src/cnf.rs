@@ -6,10 +6,9 @@ use sv_ast::SymbolMap;
 
 /// Emits AIG cones into CNF with memoization.
 ///
-/// Each emitter instance owns one node-to-variable map, which is what the
-/// BMC unroller exploits: one emitter per time frame gives every frame its
-/// own copy of the combinational logic, while latch variables are stitched
-/// between frames by the caller.
+/// Each emitter owns one node-to-variable map, so every node is encoded
+/// once: the cones of many queries against one growing graph share
+/// their clauses in the solver.
 ///
 /// # Examples
 ///
@@ -60,12 +59,6 @@ impl CnfEmitter {
         self.map.get(&id).copied()
     }
 
-    /// Pre-binds a node to an existing solver variable (used to stitch
-    /// latch outputs across BMC frames).
-    pub fn bind(&mut self, id: NodeId, var: Var) {
-        self.map.insert(id, var);
-    }
-
     fn emit_node(&mut self, g: &Aig, id: NodeId, solver: &mut Solver) -> Var {
         if let Some(&v) = self.map.get(&id) {
             return v;
@@ -82,7 +75,7 @@ impl CnfEmitter {
                     solver.add_clause([Lit::neg(v)]);
                     self.map.insert(n, v);
                 }
-                Node::Input(_) | Node::Latch(_) => {
+                Node::Input(_) => {
                     let v = solver.new_var();
                     self.map.insert(n, v);
                 }
@@ -161,18 +154,6 @@ mod tests {
         let lf = em.emit(&g, AigLit::FALSE, &mut s);
         assert!(s.solve_with(&[lt]).is_sat());
         assert!(s.solve_with(&[lf]).is_unsat());
-    }
-
-    #[test]
-    fn bind_shares_variables() {
-        let mut g = Aig::new();
-        let a = g.input();
-        let mut s = Solver::new();
-        let shared = s.new_var();
-        let mut em = CnfEmitter::new();
-        em.bind(a.node(), shared);
-        let la = em.emit(&g, a, &mut s);
-        assert_eq!(la, Lit::pos(shared));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use crate::aig::{Aig, AigLit, Node, NodeId};
 
-/// Evaluates an AIG under a concrete input/state assignment.
+/// Evaluates an AIG under a concrete input assignment.
 ///
 /// # Examples
 ///
@@ -22,25 +22,17 @@ pub struct AigEvaluator {
 }
 
 impl AigEvaluator {
-    /// Evaluates with the given input values and all latches at their
-    /// initial values.
-    pub fn combinational(g: &Aig, inputs: &[bool]) -> AigEvaluator {
-        let latch_vals: Vec<bool> = g.latches().iter().map(|l| l.init).collect();
-        AigEvaluator::with_state(g, inputs, &latch_vals)
-    }
-
-    /// Evaluates with explicit input and latch values.
+    /// Evaluates with the given input values.
     ///
     /// # Panics
     ///
-    /// Panics if `inputs` or `latches` are shorter than the AIG requires.
-    pub fn with_state(g: &Aig, inputs: &[bool], latches: &[bool]) -> AigEvaluator {
+    /// Panics if `inputs` is shorter than the AIG requires.
+    pub fn combinational(g: &Aig, inputs: &[bool]) -> AigEvaluator {
         let mut values = vec![false; g.num_nodes()];
         for (i, node) in g.nodes.iter().enumerate() {
             values[i] = match *node {
                 Node::False => false,
                 Node::Input(k) => inputs[k as usize],
-                Node::Latch(k) => latches[k as usize],
                 Node::And(a, b) => {
                     let va = values[a.node().0 as usize] ^ a.is_inverted();
                     let vb = values[b.node().0 as usize] ^ b.is_inverted();
@@ -60,47 +52,12 @@ impl AigEvaluator {
     pub fn lit(&self, l: AigLit) -> bool {
         self.values[l.node().0 as usize] ^ l.is_inverted()
     }
-
-    /// Computes the next latch state vector from this evaluation.
-    pub fn next_state(&self, g: &Aig) -> Vec<bool> {
-        g.latches().iter().map(|l| self.lit(l.next)).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bitvec::BitVec;
-
-    #[test]
-    fn sequential_counter_steps() {
-        // 2-bit counter built from latches.
-        let mut g = Aig::new();
-        let (l0, q0) = g.add_latch(false);
-        let (l1, q1) = g.add_latch(false);
-        let n0 = !q0;
-        let n1 = g.xor(q1, q0);
-        g.set_latch_next(l0, n0);
-        g.set_latch_next(l1, n1);
-
-        let mut state = vec![false, false];
-        let mut seen = Vec::new();
-        for _ in 0..5 {
-            let ev = AigEvaluator::with_state(&g, &[], &state);
-            seen.push((ev.lit(q0), ev.lit(q1)));
-            state = ev.next_state(&g);
-        }
-        assert_eq!(
-            seen,
-            vec![
-                (false, false),
-                (true, false),
-                (false, true),
-                (true, true),
-                (false, false)
-            ]
-        );
-    }
 
     #[test]
     fn constants_evaluate() {

@@ -26,8 +26,8 @@ mod cnf;
 mod eval;
 mod sim;
 
-pub use aig::{Aig, AigLit, Latch, LatchId, NodeId};
+pub use aig::{Aig, AigLit, NodeId};
 pub use bitvec::BitVec;
 pub use cnf::CnfEmitter;
 pub use eval::AigEvaluator;
-pub use sim::{BitSim, SimSlot, Ternary, TernarySim};
+pub use sim::{BitSim, Ternary, TernarySim};

@@ -1,11 +1,10 @@
 //! Cheap pre-SAT simulation over AIGs: a 64-way bit-parallel random
 //! simulator and a three-valued (0/1/X) constant propagator.
 //!
-//! Both evaluators treat the graph as combinational: primary inputs
-//! *and* latch outputs are free slots whose values the caller supplies.
-//! This matches how the provers in `fv-core` use AIGs — time frames are
-//! unrolled by `sv-synth::FrameExpander`, so the monitors they check are
-//! pure combinational cones over per-frame inputs.
+//! Primary inputs are the free slots whose values the caller supplies,
+//! by dense input index. The graph is combinational: time frames are
+//! unrolled by `sv-synth::FrameExpander`, so the monitors the provers in
+//! `fv-core` check are pure combinational cones over per-frame inputs.
 //!
 //! The simulators are *incremental*: AIG nodes are append-only, so
 //! [`BitSim::extend`] / [`TernarySim::extend`] evaluate only the nodes
@@ -14,16 +13,6 @@
 //! whole run, not per anchor.
 
 use crate::aig::{Aig, AigLit, Node};
-
-/// A free value slot encountered during simulation: a primary input or
-/// a latch output, each identified by its dense index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimSlot {
-    /// Primary input by dense input index (see [`Aig::inputs`]).
-    Input(u32),
-    /// Latch output by dense latch index (see [`Aig::latches`]).
-    Latch(u32),
-}
 
 /// 64-way bit-parallel evaluator: every node holds a `u64` word, one
 /// simulation pattern per bit.
@@ -37,7 +26,7 @@ pub enum SimSlot {
 /// # Examples
 ///
 /// ```
-/// use fv_aig::{Aig, BitSim, SimSlot};
+/// use fv_aig::{Aig, BitSim};
 ///
 /// let mut g = Aig::new();
 /// let a = g.input();
@@ -45,11 +34,7 @@ pub enum SimSlot {
 /// let y = g.and(a, !b);
 /// let mut sim = BitSim::new();
 /// // Pattern bits: a = 0b01, b = 0b11 (two patterns in the low bits).
-/// sim.extend(&g, &mut |slot| match slot {
-///     SimSlot::Input(0) => 0b01,
-///     SimSlot::Input(1) => 0b11,
-///     _ => 0,
-/// });
+/// sim.extend(&g, &mut |input| [0b01, 0b11][input as usize]);
 /// assert_eq!(sim.lit(y) & 0b11, 0b00, "a & !b is false in both");
 /// assert!(sim.lit_bit(a, 0) && !sim.lit_bit(a, 1));
 /// ```
@@ -81,16 +66,15 @@ impl BitSim {
 
     /// Evaluates every node added to `g` since the previous call.
     /// `fill` supplies the 64-pattern word for each newly encountered
-    /// free slot; already-evaluated nodes keep their words, so patterns
-    /// must stay fixed across extends of one run (use [`BitSim::clear`]
-    /// to start over).
-    pub fn extend(&mut self, g: &Aig, fill: &mut dyn FnMut(SimSlot) -> u64) {
+    /// primary input, by input index; already-evaluated nodes keep
+    /// their words, so patterns must stay fixed across extends of one
+    /// run (use [`BitSim::clear`] to start over).
+    pub fn extend(&mut self, g: &Aig, fill: &mut dyn FnMut(u32) -> u64) {
         self.words.reserve(g.nodes.len() - self.words.len());
         for node in &g.nodes[self.words.len()..] {
             let w = match *node {
                 Node::False => 0,
-                Node::Input(k) => fill(SimSlot::Input(k)),
-                Node::Latch(k) => fill(SimSlot::Latch(k)),
+                Node::Input(k) => fill(k),
                 Node::And(a, b) => self.lit(a) & self.lit(b),
             };
             self.words.push(w);
@@ -172,10 +156,10 @@ impl Ternary {
     }
 }
 
-/// Three-valued constant propagation: slots the caller pins are known,
-/// everything else is `X`, and any node that still evaluates to a
-/// constant is that constant under *every* assignment of the free
-/// slots.
+/// Three-valued constant propagation: inputs the caller pins are
+/// known, everything else is `X`, and any node that still evaluates to
+/// a constant is that constant under *every* assignment of the free
+/// inputs.
 ///
 /// The BMC engine uses this to discharge unsatisfiable falsification
 /// queries without a SAT call ("ternary-kills"): if `¬holds` propagates
@@ -185,7 +169,7 @@ impl Ternary {
 /// # Examples
 ///
 /// ```
-/// use fv_aig::{Aig, SimSlot, Ternary, TernarySim};
+/// use fv_aig::{Aig, Ternary, TernarySim};
 ///
 /// let mut g = Aig::new();
 /// let a = g.input();
@@ -193,8 +177,8 @@ impl Ternary {
 /// let y = g.and(a, b);
 /// let mut sim = TernarySim::new();
 /// // Pin a = 0, leave b unknown: a & b is still definitely false.
-/// sim.extend(&g, &mut |slot| match slot {
-///     SimSlot::Input(0) => Ternary::False,
+/// sim.extend(&g, &mut |input| match input {
+///     0 => Ternary::False,
 ///     _ => Ternary::Unknown,
 /// });
 /// assert_eq!(sim.lit(y), Ternary::False);
@@ -227,14 +211,14 @@ impl TernarySim {
     }
 
     /// Evaluates every node added to `g` since the previous call, with
-    /// `fill` pinning (or leaving unknown) each newly encountered slot.
-    pub fn extend(&mut self, g: &Aig, fill: &mut dyn FnMut(SimSlot) -> Ternary) {
+    /// `fill` pinning (or leaving unknown) each newly encountered
+    /// primary input, by input index.
+    pub fn extend(&mut self, g: &Aig, fill: &mut dyn FnMut(u32) -> Ternary) {
         self.vals.reserve(g.nodes.len() - self.vals.len());
         for node in &g.nodes[self.vals.len()..] {
             let v = match *node {
                 Node::False => Ternary::False,
-                Node::Input(k) => fill(SimSlot::Input(k)),
-                Node::Latch(k) => fill(SimSlot::Latch(k)),
+                Node::Input(k) => fill(k),
                 Node::And(a, b) => self.lit(a).and(self.lit(b)),
             };
             self.vals.push(v);
@@ -276,11 +260,7 @@ mod tests {
         let wa = 0b0011u64;
         let wb = 0b0101u64;
         let mut sim = BitSim::new();
-        sim.extend(&g, &mut |slot| match slot {
-            SimSlot::Input(0) => wa,
-            SimSlot::Input(1) => wb,
-            _ => 0,
-        });
+        sim.extend(&g, &mut |input| [wa, wb][input as usize]);
         for p in 0..4u32 {
             let ia = (wa >> p) & 1 == 1;
             let ib = (wb >> p) & 1 == 1;
@@ -303,9 +283,9 @@ mod tests {
         let b = g.input();
         let y = g.and(a, b);
         let mut calls = 0;
-        sim.extend(&g, &mut |slot| {
+        sim.extend(&g, &mut |input| {
             calls += 1;
-            assert_eq!(slot, SimSlot::Input(1), "only the new input is free");
+            assert_eq!(input, 1, "only the new input is free");
             0b11
         });
         assert_eq!(calls, 1);
@@ -332,8 +312,8 @@ mod tests {
 
         // Pinning both inputs makes the xor definite.
         let mut sim = TernarySim::new();
-        sim.extend(&g, &mut |slot| match slot {
-            SimSlot::Input(0) => Ternary::True,
+        sim.extend(&g, &mut |input| match input {
+            0 => Ternary::True,
             _ => Ternary::False,
         });
         assert_eq!(sim.lit(y), Ternary::True);
@@ -349,8 +329,8 @@ mod tests {
         let t1 = g.mux(a, b, c);
         let t2 = g.xnor(t1, b);
         let mut sim = TernarySim::new();
-        sim.extend(&g, &mut |slot| match slot {
-            SimSlot::Input(0) => Ternary::True,
+        sim.extend(&g, &mut |input| match input {
+            0 => Ternary::True,
             _ => Ternary::Unknown,
         });
         for bits in 0..4u32 {
@@ -364,18 +344,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn latch_slots_are_free() {
-        let mut g = Aig::new();
-        let (_, q) = g.add_latch(false);
-        let y = g.and(q, AigLit::TRUE);
-        let mut sim = BitSim::new();
-        sim.extend(&g, &mut |slot| match slot {
-            SimSlot::Latch(0) => 0b1,
-            _ => 0,
-        });
-        assert_eq!(sim.lit(y) & 1, 1);
     }
 }

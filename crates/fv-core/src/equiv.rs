@@ -367,13 +367,6 @@ impl<'a> EquivSession<'a> {
 
         // Layer 2: random simulation. A non-zero word is a concrete
         // distinguishing trace — the direction is SAT with no solver.
-        // (The free-trace encoding is purely combinational; a latch
-        // node would make randomized latch slots a fabricated witness.)
-        debug_assert_eq!(
-            self.g.num_latches(),
-            0,
-            "simulation witnesses assume a latch-free monitor encoding"
-        );
         for (sim, rng) in &mut self.sims {
             if rc.is_some() && cr.is_some() {
                 break;

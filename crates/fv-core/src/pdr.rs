@@ -43,8 +43,10 @@
 //! Proof-obligation ordering is fully deterministic: cubes are decoded
 //! in register-bit order, generalization drops literals in ascending
 //! bit order, and propagation visits levels and cubes in insertion
-//! order. The only nondeterministic input is the wall-clock budget,
-//! which aborts to `Undetermined`, never to a different verdict.
+//! order. No clock is read: the work budget counts SAT queries
+//! ([`QUERY_BUDGET`] per check, [`QUERY_CONFLICT_BUDGET`] conflicts
+//! per query), so an exhausted budget aborts to `Undetermined` at the
+//! same query on every host, and never to a different verdict.
 
 use crate::cex::CexValue;
 use crate::env::DesignTraceEnv;
@@ -54,14 +56,17 @@ use crate::prove::{replay_design_cex, DesignCex, ProveConfig, ProveResult};
 use crate::stats::ProverStats;
 use fv_aig::{Aig, CnfEmitter};
 use fv_sat::{Lit, SolveResult, Solver};
-use std::time::{Duration, Instant};
 use sv_ast::Assertion;
 use sv_synth::{FrameExpander, Netlist};
 
-/// Per-query conflict budget: bounds the work of any single SAT call
-/// deterministically (the wall-clock budget in
-/// [`ProveConfig::prove_budget_ms`] is the machine-dependent backstop).
+/// Per-query conflict budget: bounds the work of any single SAT call.
 const QUERY_CONFLICT_BUDGET: u64 = 200_000;
+
+/// Per-check query budget: the SAT calls one PDR run may make before
+/// it aborts to `Undetermined`. No concluding check of `run-all --full`
+/// or of the 10k-case `gen` suite makes more than 94,413; a run that
+/// exhausts the budget takes seconds, not minutes.
+const QUERY_BUDGET: u64 = 1 << 17;
 
 /// Frame-count backstop far above any suite design's convergence depth.
 const MAX_FRAMES: usize = 256;
@@ -74,8 +79,8 @@ type Cube = Vec<(usize, bool)>;
 /// Engine entry point of a session's PDR checks
 /// ([`crate::ProveEngine::Pdr`] and [`crate::ProveEngine::Portfolio`]),
 /// reached after [`crate::ProofSession::check`] has answered unbounded
-/// operators. A run cut short by the wall-clock or conflict budget
-/// comes back `Undetermined`.
+/// operators. A run cut short by the query or conflict budget comes
+/// back `Undetermined`.
 pub(crate) fn run_pdr(
     netlist: &Netlist,
     assertion: &Assertion,
@@ -89,6 +94,7 @@ pub(crate) fn run_pdr(
     if span.is_active() {
         span.attr("frames", engine.act.len().saturating_sub(1));
         span.attr("clauses", engine.clauses_learned);
+        span.attr("queries", engine.sat_calls);
         span.attr("interrupted", engine.interrupted);
     }
     drop(span);
@@ -103,7 +109,7 @@ pub(crate) fn run_pdr(
 enum Query {
     Sat,
     Unsat,
-    /// Wall budget or conflict budget ran out.
+    /// Query budget or conflict budget ran out.
     Abort,
 }
 
@@ -148,7 +154,8 @@ struct Pdr<'n> {
     /// Cubes blocked at exactly level `i` (insertion order);
     /// `frames[0]` is unused.
     frames: Vec<Vec<Cube>>,
-    deadline: Option<Instant>,
+    /// Queries allowed before the run aborts ([`QUERY_BUDGET`]).
+    query_budget: u64,
     sat_calls: u64,
     clauses_learned: u64,
     interrupted: bool,
@@ -192,8 +199,6 @@ impl<'n> Pdr<'n> {
         for (&l, &iv) in v0.iter().zip(&init) {
             solver.add_clause_selected(init_act, [if iv { l } else { !l }]);
         }
-        let deadline = (cfg.prove_budget_ms > 0)
-            .then(|| Instant::now() + Duration::from_millis(cfg.prove_budget_ms));
         Ok(Pdr {
             netlist,
             assertion,
@@ -208,22 +213,16 @@ impl<'n> Pdr<'n> {
             init,
             act: vec![init_act],
             frames: vec![Vec::new()],
-            deadline,
+            query_budget: QUERY_BUDGET,
             sat_calls: 0,
             clauses_learned: 0,
             interrupted: false,
         })
     }
 
-    fn aborted(&mut self) -> bool {
-        if self.deadline.is_some_and(|d| Instant::now() >= d) {
-            self.interrupted = true;
-        }
-        self.interrupted
-    }
-
     fn solve(&mut self, assumptions: &[Lit]) -> Query {
-        if self.aborted() {
+        if self.sat_calls >= self.query_budget {
+            self.interrupted = true;
             return Query::Abort;
         }
         self.sat_calls += 1;
@@ -635,16 +634,25 @@ mod tests {
     }
 
     #[test]
-    fn wall_budget_aborts_to_undetermined() {
-        // A deadline already passed stops the run before its first
-        // query: the budget aborts to Undetermined, never to a verdict.
+    fn query_budget_aborts_deterministically() {
+        // A budget below what the proof needs aborts to Undetermined,
+        // never to a verdict, and at the same query on every run.
         let nl = wrapping_counter();
         let a = parse_assertion_str("assert property (@(posedge clk) q != 3'd7);").unwrap();
-        let mut e = Pdr::build(&nl, &a, &[], pdr()).unwrap();
-        e.deadline = Some(Instant::now());
-        assert_eq!(e.run(), Ok(ProveResult::Undetermined));
-        assert!(e.interrupted);
-        assert_eq!(e.sat_calls, 0);
+        let mut full = Pdr::build(&nl, &a, &[], pdr()).unwrap();
+        assert!(full.run().unwrap().is_proven());
+        let budget = full.sat_calls / 2;
+        let runs: Vec<(u64, u64)> = (0..2)
+            .map(|_| {
+                let mut e = Pdr::build(&nl, &a, &[], pdr()).unwrap();
+                e.query_budget = budget;
+                assert_eq!(e.run(), Ok(ProveResult::Undetermined));
+                assert!(e.interrupted);
+                (e.sat_calls, e.clauses_learned)
+            })
+            .collect();
+        assert_eq!(runs[0].0, budget);
+        assert_eq!(runs[0], runs[1]);
     }
 
     #[test]

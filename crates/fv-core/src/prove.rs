@@ -41,7 +41,7 @@ use crate::error::EncodeError;
 use crate::monitor::{encode_assertion_at, horizon_for};
 use crate::rng::splitmix64;
 use crate::stats::ProverStats;
-use fv_aig::{Aig, AigEvaluator, AigLit, BitSim, BitVec, CnfEmitter, SimSlot, Ternary, TernarySim};
+use fv_aig::{Aig, AigEvaluator, AigLit, BitSim, BitVec, CnfEmitter, Ternary, TernarySim};
 use fv_sat::{Lit, Solver};
 use std::collections::HashMap;
 use sv_ast::Assertion;
@@ -56,13 +56,14 @@ pub enum ProveEngine {
     /// [`ProveResult::Undetermined`].
     #[default]
     Bounded,
-    /// The IC3/PDR engine alone. Unbounded in depth, budgeted in work:
-    /// `Proven` means the engine found an inductive invariant (the `k`
-    /// reported is the frame level where the chain closed), `Falsified`
-    /// counterexamples are replay-validated through
-    /// [`replay_design_cex`] before being returned, and `Undetermined`
-    /// covers unbounded operators, monitors with pre-anchor reads, and
-    /// exhausted budgets. Verdicts agree with `Bounded` whenever both
+    /// The IC3/PDR engine alone. Unbounded in depth, budgeted in SAT
+    /// queries per check, so every verdict is a function of design,
+    /// candidate and config. `Proven` means the engine found an
+    /// inductive invariant (the `k` reported is the frame level where
+    /// the chain closed), `Falsified` counterexamples are
+    /// replay-validated through [`replay_design_cex`] before being
+    /// returned, and `Undetermined` covers unbounded operators, monitors
+    /// with pre-anchor reads, and exhausted budgets. Verdicts agree with `Bounded` whenever both
     /// conclude.
     ///
     /// A wrapping counter whose unreachable band makes `q != 7` true
@@ -107,6 +108,17 @@ pub enum ProveEngine {
     Portfolio,
 }
 
+impl ProveEngine {
+    /// The engine's CLI name: `bounded`, `pdr` or `portfolio`.
+    pub fn name(self) -> &'static str {
+        match self {
+            ProveEngine::Bounded => "bounded",
+            ProveEngine::Pdr => "pdr",
+            ProveEngine::Portfolio => "portfolio",
+        }
+    }
+}
+
 /// Configuration for the prover.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProveConfig {
@@ -118,12 +130,6 @@ pub struct ProveConfig {
     pub slack: u32,
     /// Which engine(s) answer each check.
     pub engine: ProveEngine,
-    /// Wall-clock budget per check for the PDR engine, in milliseconds
-    /// (`0` disables the wall clock; PDR's deterministic conflict
-    /// budget still bounds its work). Only hard instances ever reach
-    /// the budget — reported verdicts for suite scenarios are decided
-    /// long before it.
-    pub prove_budget_ms: u64,
 }
 
 impl Default for ProveConfig {
@@ -133,7 +139,6 @@ impl Default for ProveConfig {
             max_induction: 6,
             slack: 4,
             engine: ProveEngine::Bounded,
-            prove_budget_ms: 10_000,
         }
     }
 }
@@ -442,14 +447,7 @@ impl<'n> ProofSession<'n> {
     fn check_fresh(&mut self, assertion: &Assertion) -> Result<ProveResult, EncodeError> {
         let mut span = fv_trace::span!("prove.check");
         if span.is_active() {
-            span.attr(
-                "engine",
-                match self.cfg.engine {
-                    ProveEngine::Bounded => "bounded",
-                    ProveEngine::Pdr => "pdr",
-                    ProveEngine::Portfolio => "portfolio",
-                },
-            );
+            span.attr("engine", self.cfg.engine.name());
         }
         let sat_before = self.stats.sat_calls;
         // The open is charged to the first check so that summing
@@ -615,23 +613,14 @@ impl<'n> ProofSession<'n> {
         t: u32,
     ) -> Result<Option<DesignCex>, EncodeError> {
         let h = self.ensure_anchor(assertion, horizon, holds, t)?;
-        // The unrolled formula is purely combinational; a latch node
-        // would make the zero-filled latch slots below a fabricated
-        // "witness" instead of a real one.
-        debug_assert_eq!(
-            self.g.num_latches(),
-            0,
-            "simulation witnesses assume a latch-free unrolling"
-        );
 
         // Layer 1: ternary simulation — reset state pinned, inputs X.
         // A constant-false violation target needs no search at all.
         let forced = &self.forced;
-        self.tern.extend(&self.g, &mut |slot| match slot {
-            SimSlot::Input(k) => forced
+        self.tern.extend(&self.g, &mut |k| {
+            forced
                 .get(&k)
-                .map_or(Ternary::Unknown, |&b| Ternary::known(b)),
-            SimSlot::Latch(_) => Ternary::Unknown,
+                .map_or(Ternary::Unknown, |&b| Ternary::known(b))
         });
         if self.tern.lit(!h) == Ternary::False {
             self.stats.ternary_kills += 1;
@@ -641,13 +630,10 @@ impl<'n> ProofSession<'n> {
         // Layer 2: random simulation — any pattern violating the
         // attempt is already a full counterexample.
         let rng = &mut self.rng;
-        self.sim.extend(&self.g, &mut |slot| match slot {
-            SimSlot::Input(k) => match forced.get(&k) {
-                Some(true) => u64::MAX,
-                Some(false) => 0,
-                None => splitmix64(rng),
-            },
-            SimSlot::Latch(_) => 0,
+        self.sim.extend(&self.g, &mut |k| match forced.get(&k) {
+            Some(true) => u64::MAX,
+            Some(false) => 0,
+            None => splitmix64(rng),
         });
         let w = self.sim.lit(!h);
         if w != 0 {

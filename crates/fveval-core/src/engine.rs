@@ -107,7 +107,9 @@ pub struct VerdictRecord {
     pub task_id: String,
     /// [`fveval_llm::TaskSpec::content_digest`] of the task.
     pub digest: u64,
-    /// [`InferenceConfig::fingerprint`] of the inference config.
+    /// [`InferenceConfig::fingerprint`] of the inference config, plus
+    /// every prover field when a Design2SVA task was scored under a
+    /// non-default [`ProveConfig`].
     pub cfg: String,
     /// Sample index within the task.
     pub sample: u32,
@@ -138,10 +140,11 @@ impl VerdictRecord {
     }
 }
 
-/// Cache key: `(model, task-id, content digest, cfg fingerprint,
-/// sample)`. The digest guards against id collisions between
-/// differently-seeded dataset generations (machine case ids are always
-/// `nl2sva_machine_0000..` regardless of the generator seed).
+/// Cache key: `(model, task-id, content digest, cfg, sample)`, with
+/// `cfg` as in [`VerdictRecord::cfg`]. The digest guards against id
+/// collisions between differently-seeded dataset generations (machine
+/// case ids are always `nl2sva_machine_0000..` regardless of the
+/// generator seed).
 type VerdictKey = (String, String, u64, String, u32);
 
 /// Compiled-design cache key and value: `(design id, source digest)`
@@ -540,14 +543,14 @@ impl EvalEngine {
             backends = backends.len(),
             samples = n_samples
         );
-        let fingerprint = cfg.fingerprint();
+        let cfg_key = self.verdict_cfg(task, cfg);
         let digest = task.content_digest();
         let key = |backend: &dyn Backend, sample_idx: u32| -> VerdictKey {
             (
                 backend.name().to_string(),
                 task.id().to_string(),
                 digest,
-                fingerprint.clone(),
+                cfg_key.clone(),
                 sample_idx,
             )
         };
@@ -630,6 +633,27 @@ impl EvalEngine {
                     .collect(),
             })
             .collect()
+    }
+
+    /// The cfg part of a verdict key: the inference fingerprint, plus
+    /// every [`ProveConfig`] field for a Design2SVA task scored under a
+    /// non-default prover config. Default-config keys stay as they
+    /// were, so stores written under the default keep answering.
+    fn verdict_cfg(&self, task: &TaskSpec, cfg: &InferenceConfig) -> String {
+        let fingerprint = cfg.fingerprint();
+        let ProveConfig {
+            max_bmc,
+            max_induction,
+            slack,
+            engine,
+        } = self.prove_cfg;
+        match task {
+            TaskSpec::Design2sva { .. } if self.prove_cfg != ProveConfig::default() => format!(
+                "{fingerprint}_b{max_bmc}_k{max_induction}_h{slack}_{}",
+                engine.name()
+            ),
+            _ => fingerprint,
+        }
     }
 
     /// Opens the scorer for one case. A Design2SVA scorer borrows the
@@ -926,6 +950,37 @@ mod tests {
             "table change misses the cache"
         );
         assert_eq!(engine.cache_stats().entries, 8);
+    }
+
+    #[test]
+    fn verdict_keys_carry_a_non_default_prove_config() {
+        // Design2SVA verdicts depend on the prover config, NL2SVA ones
+        // do not: verdicts computed under the default config must miss
+        // for Design2SVA tasks under the portfolio and still answer
+        // NL2SVA tasks.
+        let mut tasks = machine_tasks(3);
+        tasks.extend(design_task_specs(&fsm_sweep(2, 5)));
+        let models = profiles();
+        let model = models
+            .iter()
+            .find(|m| m.profile().supports_design2sva)
+            .unwrap();
+        let cfg = InferenceConfig::greedy();
+        let bounded = EvalEngine::with_jobs(1);
+        bounded.run(model, &tasks, &cfg, 1);
+        let records = bounded.take_unpersisted();
+        assert!(
+            records.iter().all(|r| r.cfg == cfg.fingerprint()),
+            "default-config keys are the inference fingerprint alone"
+        );
+        let portfolio = EvalEngine::with_jobs(1).with_prove_config(ProveConfig {
+            engine: fv_core::ProveEngine::Portfolio,
+            ..ProveConfig::default()
+        });
+        assert_eq!(portfolio.load_verdicts(records), 5);
+        portfolio.run(model, &tasks, &cfg, 1);
+        let stats = portfolio.cache_stats();
+        assert_eq!((stats.persisted_hits, stats.misses), (3, 2));
     }
 
     #[test]

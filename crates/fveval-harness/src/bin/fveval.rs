@@ -3,7 +3,7 @@
 //! ```text
 //! fveval <command> [--full] [--seed N] [--jobs N] [--out DIR]
 //!                  [--cache-dir DIR] [--no-persist] [--trace-out FILE]
-//!                  [--engine bounded|pdr|portfolio] [--prove-budget-ms N]
+//!                  [--engine bounded|pdr|portfolio]
 //! fveval gen [--family NAME]... [--count N] [--depth N] [--width N]
 //!            [--seed N] [--mutations N] [--stratify] [--eval] [--out DIR]
 //! fveval serve [--addr HOST:PORT] [--jobs N] [--shards N]
@@ -60,10 +60,6 @@
 //!                   leaves Undetermined; bounded's verdict and trace
 //!                   whenever bounded concludes). Also accepted by
 //!                   `serve` for its shared engine.
-//!   --prove-budget-ms N
-//!                   wall-clock budget per PDR proof attempt in
-//!                   milliseconds (default 10000; 0 disables the
-//!                   deadline). Only the engines above consult it.
 //!
 //! `gen`/`submit`-only flags:
 //!   --family NAME   restrict to one family (repeatable; default:
@@ -133,22 +129,18 @@ struct Args {
     cache_dir: PathBuf,
     no_persist: bool,
     engine: Option<fv_core::ProveEngine>,
-    prove_budget_ms: Option<u64>,
     trace_out: Option<PathBuf>,
     gen: GenArgs,
     serve: ServeArgs,
 }
 
 impl Args {
-    /// The Design2SVA proving configuration the `--engine` /
-    /// `--prove-budget-ms` flags select (defaults when absent).
+    /// The Design2SVA proving configuration the `--engine` flag
+    /// selects (defaults when absent).
     fn prove_config(&self) -> fv_core::ProveConfig {
         let mut cfg = fv_core::ProveConfig::default();
         if let Some(engine) = self.engine {
             cfg.engine = engine;
-        }
-        if let Some(budget) = self.prove_budget_ms {
-            cfg.prove_budget_ms = budget;
         }
         cfg
     }
@@ -220,7 +212,6 @@ fn parse_args() -> Result<Args, String> {
     let mut cache_dir: Option<PathBuf> = None;
     let mut no_persist = false;
     let mut engine: Option<fv_core::ProveEngine> = None;
-    let mut prove_budget_ms: Option<u64> = None;
     let mut trace_out: Option<PathBuf> = None;
     let mut gen = GenArgs::default();
     let mut serve = ServeArgs::default();
@@ -239,10 +230,6 @@ fn parse_args() -> Result<Args, String> {
                         ))
                     }
                 });
-            }
-            "--prove-budget-ms" => {
-                let v = args.next().ok_or("--prove-budget-ms needs a value")?;
-                prove_budget_ms = Some(v.parse().map_err(|_| "bad budget".to_string())?);
             }
             "--seed" => {
                 let v = args.next().ok_or("--seed needs a value")?;
@@ -398,10 +385,6 @@ fn parse_args() -> Result<Args, String> {
             engine.is_some() && SERVICE_COMMANDS.contains(&cmd) && cmd != "serve",
             "--engine",
         ),
-        (
-            prove_budget_ms.is_some() && SERVICE_COMMANDS.contains(&cmd) && cmd != "serve",
-            "--prove-budget-ms",
-        ),
         // Tracing instruments the *local* process: every evaluation
         // command, but not the thin service clients (the server has
         // its own `/metrics` surface).
@@ -428,7 +411,6 @@ fn parse_args() -> Result<Args, String> {
         cache_dir: cache_dir.unwrap_or_else(|| out_dir.join("cache")),
         no_persist,
         engine,
-        prove_budget_ms,
         trace_out,
         gen,
         serve,
@@ -625,7 +607,7 @@ fn usage() -> String {
     format!(
         "usage: fveval <{}> [--full] [--seed N] [--jobs N] [--out DIR] \
          [--cache-dir DIR] [--no-persist] [--trace-out FILE] \
-         [--engine bounded|pdr|portfolio] [--prove-budget-ms N]\n\
+         [--engine bounded|pdr|portfolio]\n\
          \x20      fveval gen [--family NAME]... [--count N] [--depth N] \
          [--width N] [--seed N] [--mutations N] [--stratify] [--eval] \
          [--out DIR]\n\

@@ -78,7 +78,7 @@ pub struct ServerConfig {
     /// before its poller could read it.
     pub retain_finished: usize,
     /// Design2SVA proving configuration for every shard engine (the
-    /// CLI's `--engine` / `--prove-budget-ms` flags); the default is
+    /// CLI's `--engine` flag); the default is
     /// the plain bounded schedule.
     pub prove_cfg: fv_core::ProveConfig,
 }

@@ -1,12 +1,12 @@
 //! Bit-blasting netlist time frames into an [`Aig`].
 //!
-//! Rather than building a sequential AIG with latches, the expander
-//! bit-blasts the netlist's transition function once, into a private
-//! combinational template whose inputs are the primary-input and
-//! register bits. Each clock cycle is then a copy of that template into
-//! the caller's graph, the way AIGER-style model checkers unroll, and
-//! the caller stitches register values between frames. This is exactly
-//! the shape BMC, k-induction, and the bounded equivalence prover need.
+//! An [`Aig`] has no state elements. The expander bit-blasts the
+//! netlist's transition function once, into a private combinational
+//! template whose inputs are the primary-input and register bits. Each
+//! clock cycle is then a copy of that template into the caller's graph,
+//! the way AIGER-style model checkers unroll, and the caller stitches
+//! register values between frames. This is exactly the shape BMC,
+//! k-induction, and the bounded equivalence prover need.
 
 use crate::netexpr::{Nx, NxBin, NxRed};
 use crate::netlist::{AtomId, AtomKind, NetBinding, Netlist};
@@ -228,7 +228,6 @@ impl<'a> FrameExpander<'a> {
                     NxBin::Xor => x.xor(g, &y),
                     NxBin::Shl => x.shl(g, &y),
                     NxBin::LShr => x.lshr(g, &y),
-                    NxBin::AShr => x.ashr(g, &y),
                     NxBin::Eq => BitVec::from_lit(x.eq(g, &y)),
                     NxBin::Ult => BitVec::from_lit(x.ult(g, &y)),
                     NxBin::Ule => BitVec::from_lit(x.ule(g, &y)),
@@ -281,8 +280,7 @@ mod tests {
     /// dynamic bit-select and array read, slices and concatenation,
     /// constant and variable shifts, every arithmetic and comparison
     /// operator, reductions, `$countones`, `$onehot` and `$onehot0`,
-    /// and width resizes. (Every net is unsigned, so `>>>` elaborates
-    /// to a logical shift and `NxBin::AShr` is never emitted.)
+    /// and width resizes.
     const EVERY_NX: &str = "module m (clk, reset_, a, b, sel, idx, q, r, p, w);\n\
         input clk; input reset_; input [7:0] a; input [7:0] b; input sel; input [1:0] idx;\n\
         output [7:0] q; output [7:0] r; output p; output [15:0] w;\n\
@@ -419,7 +417,6 @@ mod tests {
                         NxBin::Xor => "xor",
                         NxBin::Shl => "shl",
                         NxBin::LShr => "lshr",
-                        NxBin::AShr => "ashr",
                         NxBin::Eq => "eq",
                         NxBin::Ult => "ult",
                         NxBin::Ule => "ule",

@@ -28,10 +28,9 @@ pub enum NxBin {
     Xor,
     /// Left shift (variable amount).
     Shl,
-    /// Logical right shift.
+    /// Logical right shift. Every net is unsigned, so `>>>` elaborates
+    /// to this too.
     LShr,
-    /// Arithmetic right shift.
-    AShr,
     /// Equality; 1-bit result.
     Eq,
     /// Unsigned less-than; 1-bit result.

@@ -212,26 +212,6 @@ impl<'a> Simulator<'a> {
                             x >> y
                         }
                     }
-                    NxBin::AShr => {
-                        // Arithmetic on the w-bit value.
-                        let sign = (x >> (w - 1)) & 1 == 1;
-
-                        if y >= u128::from(w) {
-                            if sign {
-                                mask(u128::MAX, w)
-                            } else {
-                                0
-                            }
-                        } else {
-                            let base = x >> y;
-                            if sign {
-                                let fill = mask(u128::MAX, w) << (u128::from(w) - y).min(127);
-                                mask(base | fill, w)
-                            } else {
-                                base
-                            }
-                        }
-                    }
                     NxBin::Eq => u128::from(x == y),
                     NxBin::Ult => u128::from(x < y),
                     NxBin::Ule => u128::from(x <= y),

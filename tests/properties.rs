@@ -281,7 +281,7 @@ proptest! {
     /// propagator.
     #[test]
     fn strashing_preserves_aig_semantics(t in arb_bx()) {
-        use fv_aig::{Aig, AigEvaluator, BitSim, SimSlot, Ternary, TernarySim};
+        use fv_aig::{Aig, AigEvaluator, BitSim, Ternary, TernarySim};
 
         let mut g = Aig::new();
         let inputs: Vec<fv_aig::AigLit> = (0..4).map(|_| g.input()).collect();
@@ -291,10 +291,7 @@ proptest! {
         // table: input i's word is the canonical truth-table mask.
         let masks: [u64; 4] = [0xAAAA, 0xCCCC, 0xF0F0, 0xFF00];
         let mut sim = BitSim::new();
-        sim.extend(&g, &mut |slot| match slot {
-            SimSlot::Input(k) => masks[k as usize],
-            SimSlot::Latch(_) => 0,
-        });
+        sim.extend(&g, &mut |k| masks[k as usize]);
         let mut tern = TernarySim::new();
         tern.extend(&g, &mut |_| Ternary::Unknown);
 
