@@ -2,7 +2,6 @@
 //!
 //! - **Horizon sensitivity** — how the equivalence-check cost grows
 //!   with the bounded-trace horizon slack.
-//! - **Induction depth** — k-induction cost versus `max_induction`.
 //! - **Formal vs. simulation** — the cost (and soundness gap) of
 //!   replacing the formal equivalence verdict by random-simulation
 //!   differential testing: simulation misses the weak/strong partial
@@ -10,9 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fv_core::{check_equivalence, compile_expr, EquivConfig, FreeTraceEnv, SignalTable};
-use fveval_data::{generate_fsm, FsmParams};
 use std::hint::black_box;
-use std::time::Duration;
 use sv_parser::parse_assertion_str;
 
 fn table() -> SignalTable {
@@ -37,37 +34,8 @@ fn bench_horizon_sensitivity(c: &mut Criterion) {
     let t = table();
     for slack in [2u32, 4, 8, 16] {
         g.bench_with_input(BenchmarkId::new("slack", slack), &slack, |b, &slack| {
-            let cfg = EquivConfig {
-                slack,
-                max_horizon: 128,
-            };
+            let cfg = EquivConfig { slack };
             b.iter(|| black_box(check_equivalence(&reference, &candidate, &t, cfg).unwrap()))
-        });
-    }
-    g.finish();
-}
-
-fn bench_induction_depth(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_induction");
-    g.sample_size(10).measurement_time(Duration::from_secs(8));
-    let case = generate_fsm(&FsmParams {
-        n_states: 6,
-        n_edges: 8,
-        width: 16,
-        guard_depth: 2,
-        seed: 51,
-    });
-    let bound = fveval_core::compile_design(&case).unwrap();
-    for k in [2u32, 4, 8] {
-        let cfg = fv_core::ProveConfig {
-            max_bmc: 12,
-            max_induction: k,
-            slack: 4,
-            ..fv_core::ProveConfig::default()
-        };
-        let golden = case.golden[0].clone();
-        g.bench_with_input(BenchmarkId::new("max_k", k), &k, |b, _| {
-            b.iter(|| black_box(fveval_core::Scorer::design(&bound, cfg).score(&golden)))
         });
     }
     g.finish();
@@ -177,7 +145,6 @@ fn bench_strash_effect(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_horizon_sensitivity,
-    bench_induction_depth,
     bench_formal_vs_simulation,
     bench_strash_effect
 );

@@ -21,10 +21,7 @@ use std::hint::black_box;
 use std::time::Duration;
 
 fn engine_cfg(engine: ProveEngine) -> ProveConfig {
-    ProveConfig {
-        engine,
-        ..ProveConfig::default()
-    }
+    ProveConfig { engine }
 }
 
 fn bench_portfolio(c: &mut Criterion) {

@@ -42,12 +42,6 @@ impl AigLit {
         self.0 & 1 == 1
     }
 
-    /// `true` if this is one of the two constants.
-    #[inline]
-    pub fn is_const(self) -> bool {
-        self.0 <= 1
-    }
-
     /// This literal carried through `image`, the per-node result of
     /// [`Aig::instantiate`].
     #[inline]

@@ -70,15 +70,6 @@ impl BitVec {
         BitVec::from_bits(bits)
     }
 
-    /// Sign-extends (or truncates) to `width`.
-    pub fn sext(&self, width: usize) -> BitVec {
-        let msb = *self.bits.last().expect("non-empty");
-        let mut bits = self.bits.clone();
-        bits.resize(width, msb);
-        bits.truncate(width);
-        BitVec::from_bits(bits)
-    }
-
     /// Slice `[lo..=hi]` (Verilog `x[hi:lo]`).
     ///
     /// # Panics
@@ -87,13 +78,6 @@ impl BitVec {
     pub fn slice(&self, hi: usize, lo: usize) -> BitVec {
         assert!(lo <= hi && hi < self.width(), "slice out of range");
         BitVec::from_bits(self.bits[lo..=hi].to_vec())
-    }
-
-    /// Concatenation: `self` becomes the *high* part (Verilog `{self, low}`).
-    pub fn concat(&self, low: &BitVec) -> BitVec {
-        let mut bits = low.bits.clone();
-        bits.extend_from_slice(&self.bits);
-        BitVec::from_bits(bits)
     }
 
     /// Reduction to a boolean: true iff any bit is set.
@@ -594,7 +578,7 @@ mod tests {
         let a = BitVec::input(&mut g, 8);
         let hi = a.slice(7, 4);
         let lo = a.slice(3, 0);
-        let back = hi.concat(&lo);
+        let back = BitVec::from_bits([lo.bits(), hi.bits()].concat());
         assert_eq!(back, a);
         let rep = lo.replicate(2);
         assert_eq!(rep.width(), 8);

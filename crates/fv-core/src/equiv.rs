@@ -29,22 +29,21 @@ use sv_ast::Assertion;
 /// back to SAT.
 const SIM_ROUNDS: usize = 4;
 
+/// Hard cap on the trace horizon: a pair needing more cycles is an
+/// [`EncodeError::HorizonExceeded`].
+const MAX_HORIZON: u32 = 64;
+
 /// Configuration for the bounded equivalence check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EquivConfig {
     /// Extra cycles granted beyond the assertions' bounded depth when
     /// unbounded operators are present.
     pub slack: u32,
-    /// Hard cap on the trace horizon.
-    pub max_horizon: u32,
 }
 
 impl Default for EquivConfig {
     fn default() -> EquivConfig {
-        EquivConfig {
-            slack: 4,
-            max_horizon: 64,
-        }
+        EquivConfig { slack: 4 }
     }
 }
 
@@ -321,10 +320,10 @@ impl<'a> EquivSession<'a> {
             });
         }
         let horizon = horizon_for(&self.reference, Some(candidate), self.cfg.slack);
-        if horizon > self.cfg.max_horizon {
+        if horizon > MAX_HORIZON {
             return Err(EncodeError::HorizonExceeded {
                 needed: horizon,
-                max: self.cfg.max_horizon,
+                max: MAX_HORIZON,
             });
         }
         self.env.reset_touched();
@@ -683,6 +682,26 @@ mod tests {
         let c = parse_assertion_str("assert property (@(posedge clk) ghost);").unwrap();
         let err = check_equivalence(&r, &c, &table(), EquivConfig::default()).unwrap_err();
         assert_eq!(err, EncodeError::UnknownSignal("ghost".into()));
+    }
+
+    #[test]
+    fn horizon_past_the_cap_is_an_error_and_the_session_keeps_answering() {
+        // `##70` needs a 72-cycle trace, past the 64-cycle cap: the
+        // check is an error, not a verdict, and the session still
+        // answers the next candidate.
+        let t = table();
+        let r = parse_assertion_str("assert property (@(posedge clk) a |-> ##1 b);").unwrap();
+        let mut session = EquivSession::open(r, &t, EquivConfig::default());
+        let deep = parse_assertion_str("assert property (@(posedge clk) a |-> ##70 b);").unwrap();
+        assert_eq!(
+            session.check(&deep),
+            Err(EncodeError::HorizonExceeded {
+                needed: 72,
+                max: 64
+            })
+        );
+        let c = parse_assertion_str("assert property (@(posedge clk) a |=> b);").unwrap();
+        assert_eq!(session.check(&c).unwrap().verdict, Equivalence::Equivalent);
     }
 
     #[test]

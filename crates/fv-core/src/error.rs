@@ -20,7 +20,7 @@ pub enum EncodeError {
     HorizonExceeded {
         /// Horizon the property needs.
         needed: u32,
-        /// Configured maximum.
+        /// The engine's maximum horizon.
         max: u32,
     },
 }

@@ -73,7 +73,7 @@ pub use equiv::{
 };
 pub use error::EncodeError;
 pub use expr::compile_expr;
-pub use monitor::{encode_assertion, encode_prop, encode_seq, SeqEnc};
+pub use monitor::encode_assertion;
 pub use prove::{
     prove, prove_with_stats, replay_design_cex, DesignCex, ProofSession, ProveConfig, ProveEngine,
     ProveResult,

@@ -18,7 +18,7 @@ type Result<T> = std::result::Result<T, EncodeError>;
 
 /// The bounded match set of a sequence, anchored at some start cycle.
 #[derive(Debug, Clone)]
-pub struct SeqEnc {
+pub(crate) struct SeqEnc {
     /// `(end_cycle, condition)` pairs for matches completing in-horizon.
     pub ends: Vec<(u32, AigLit)>,
     /// Condition under which a match could complete beyond the horizon.
@@ -39,7 +39,7 @@ impl SeqEnc {
 ///
 /// Propagates [`EncodeError`] from the boolean layer; zero-repetition
 /// and other unsupported corners are reported as `Unsupported`.
-pub fn encode_seq(
+pub(crate) fn encode_seq(
     g: &mut Aig,
     seq: &SeqExpr,
     t: u32,
@@ -231,7 +231,7 @@ fn merge_ends(g: &mut Aig, mut ends: Vec<(u32, AigLit)>) -> Vec<(u32, AigLit)> {
 /// # Errors
 ///
 /// Propagates [`EncodeError`] from the sequence and boolean layers.
-pub fn encode_prop(
+pub(crate) fn encode_prop(
     g: &mut Aig,
     p: &PropExpr,
     t: u32,
@@ -374,14 +374,24 @@ pub fn encode_assertion_at(
     }
 }
 
+/// Bounded temporal depth plus sampled-value look-back.
+fn depth(a: &Assertion) -> u32 {
+    a.body.temporal_depth() + a.body.sampled_depth()
+}
+
 /// A reasonable evaluation horizon for a pair of assertions: bounded
 /// temporal depth plus sampled-value look-back plus slack for the
 /// unbounded tail.
 pub(crate) fn horizon_for(a: &Assertion, b: Option<&Assertion>, slack: u32) -> u32 {
-    let d1 = a.body.temporal_depth() + a.body.sampled_depth();
-    let d2 = b.map_or(0, |b| b.body.temporal_depth() + b.body.sampled_depth());
     let unbounded = a.body.has_unbounded() || b.is_some_and(|b| b.body.has_unbounded());
-    d1.max(d2) + if unbounded { slack.max(1) } else { 1 } + 1
+    depth(a).max(b.map_or(0, depth)) + if unbounded { slack.max(1) } else { 1 } + 1
+}
+
+/// The evaluation horizon of a design check: [`horizon_for`] of a lone
+/// bounded assertion. The provers answer an unbounded body
+/// `Undetermined` before they encode it, so no slack applies.
+pub(crate) fn design_horizon(a: &Assertion) -> u32 {
+    depth(a) + 2
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! clauses; a property is proven the moment two adjacent frames carry
 //! the same clause set (a fixpoint: `R_i` is an inductive invariant
 //! stronger than the property), so inductive depth never bounds the
-//! engine the way `max_induction` bounds k-induction.
+//! engine the way the bounded schedule's k ≤ 6 bounds k-induction.
 //!
 //! # Frames are clause groups
 //!
@@ -51,8 +51,8 @@
 use crate::cex::CexValue;
 use crate::env::DesignTraceEnv;
 use crate::error::EncodeError;
-use crate::monitor::{encode_assertion_at, horizon_for};
-use crate::prove::{replay_design_cex, DesignCex, ProveConfig, ProveResult};
+use crate::monitor::{design_horizon, encode_assertion_at};
+use crate::prove::{replay_design_cex, DesignCex, ProveResult};
 use crate::stats::ProverStats;
 use fv_aig::{Aig, CnfEmitter};
 use fv_sat::{Lit, SolveResult, Solver};
@@ -85,10 +85,9 @@ pub(crate) fn run_pdr(
     netlist: &Netlist,
     assertion: &Assertion,
     consts: &[(String, u32, u128)],
-    cfg: ProveConfig,
     stats: &mut ProverStats,
 ) -> Result<ProveResult, EncodeError> {
-    let mut engine = Pdr::build(netlist, assertion, consts, cfg)?;
+    let mut engine = Pdr::build(netlist, assertion, consts)?;
     let mut span = fv_trace::span!("pdr.run");
     let result = engine.run();
     if span.is_active() {
@@ -136,7 +135,6 @@ struct Pdr<'n> {
     netlist: &'n Netlist,
     assertion: &'n Assertion,
     consts: &'n [(String, u32, u128)],
-    cfg: ProveConfig,
     env: DesignTraceEnv<'n>,
     solver: Solver,
     em: CnfEmitter,
@@ -166,7 +164,6 @@ impl<'n> Pdr<'n> {
         netlist: &'n Netlist,
         assertion: &'n Assertion,
         consts: &'n [(String, u32, u128)],
-        cfg: ProveConfig,
     ) -> Result<Pdr<'n>, EncodeError> {
         let expander = FrameExpander::new(netlist)
             .map_err(|n| EncodeError::Unsupported(format!("combinational cycle through '{n}'")))?;
@@ -175,7 +172,7 @@ impl<'n> Pdr<'n> {
             env.bind_const(n.clone(), *w, *v);
         }
         let mut g = Aig::new();
-        let horizon = horizon_for(assertion, None, cfg.slack);
+        let horizon = design_horizon(assertion);
         let holds = encode_assertion_at(&mut g, assertion, 0, horizon, &mut env)?;
         env.ensure_frames(&mut g, 0);
         let mut solver = Solver::new();
@@ -203,7 +200,6 @@ impl<'n> Pdr<'n> {
             netlist,
             assertion,
             consts,
-            cfg,
             env,
             solver,
             em,
@@ -499,7 +495,7 @@ impl<'n> Pdr<'n> {
     /// indicate an engine bug) degrades to `Undetermined` instead of
     /// reporting an unsound falsification.
     fn falsified(&self, cex: DesignCex) -> Result<ProveResult, EncodeError> {
-        let ok = replay_design_cex(self.netlist, self.assertion, self.consts, self.cfg, &cex)?;
+        let ok = replay_design_cex(self.netlist, self.assertion, self.consts, &cex)?;
         debug_assert!(ok, "PDR counterexample must replay in sv-synth::sim");
         if ok {
             Ok(ProveResult::Falsified { cex })
@@ -512,7 +508,7 @@ impl<'n> Pdr<'n> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prove::{prove, prove_with_stats, ProveEngine};
+    use crate::prove::{prove, prove_with_stats, ProveConfig, ProveEngine};
     use sv_parser::{parse_assertion_str, parse_source};
     use sv_synth::elaborate;
 
@@ -532,7 +528,6 @@ mod tests {
     fn pdr() -> ProveConfig {
         ProveConfig {
             engine: ProveEngine::Pdr,
-            ..ProveConfig::default()
         }
     }
 
@@ -547,7 +542,7 @@ mod tests {
         // v0 state bits: from reset (cnt = 0), cnt' = 4 is impossible.
         let nl = wrapping_counter();
         let a = parse_assertion_str("assert property (@(posedge clk) q != 3'd4);").unwrap();
-        let mut e = Pdr::build(&nl, &a, &[], ProveConfig::default()).unwrap();
+        let mut e = Pdr::build(&nl, &a, &[]).unwrap();
         let assm = vec![e.act[0], !e.v1[0], !e.v1[1], e.v1[2]];
         let r = e.solver.solve_with(&assm);
         assert!(r.is_unsat(), "transition should forbid init->4, got {r:?}");
@@ -605,10 +600,7 @@ mod tests {
         match r {
             ProveResult::Falsified { cex } => {
                 assert!(cex.anchor >= 4, "needs four increments: {cex:?}");
-                assert_eq!(
-                    replay_design_cex(&nl, &a, &[], ProveConfig::default(), &cex),
-                    Ok(true)
-                );
+                assert_eq!(replay_design_cex(&nl, &a, &[], &cex), Ok(true));
                 let shown = cex.to_string();
                 assert!(shown.starts_with("violation of attempt anchored at cycle"));
             }
@@ -639,12 +631,12 @@ mod tests {
         // never to a verdict, and at the same query on every run.
         let nl = wrapping_counter();
         let a = parse_assertion_str("assert property (@(posedge clk) q != 3'd7);").unwrap();
-        let mut full = Pdr::build(&nl, &a, &[], pdr()).unwrap();
+        let mut full = Pdr::build(&nl, &a, &[]).unwrap();
         assert!(full.run().unwrap().is_proven());
         let budget = full.sat_calls / 2;
         let runs: Vec<(u64, u64)> = (0..2)
             .map(|_| {
-                let mut e = Pdr::build(&nl, &a, &[], pdr()).unwrap();
+                let mut e = Pdr::build(&nl, &a, &[]).unwrap();
                 e.query_budget = budget;
                 assert_eq!(e.run(), Ok(ProveResult::Undetermined));
                 assert!(e.interrupted);
@@ -664,7 +656,7 @@ mod tests {
         assert_eq!(stats.pdr_wins, 1, "{stats:?}");
         assert!(stats.pdr_clauses_learned >= 1, "{stats:?}");
         let mut direct = ProverStats::default();
-        assert_eq!(run_pdr(&nl, &a, &[], pdr(), &mut direct).unwrap(), r);
+        assert_eq!(run_pdr(&nl, &a, &[], &mut direct).unwrap(), r);
         assert_eq!(direct.pdr_clauses_learned, stats.pdr_clauses_learned);
     }
 }

@@ -38,22 +38,31 @@
 use crate::cex::CexValue;
 use crate::env::{DesignTraceEnv, TraceEnv};
 use crate::error::EncodeError;
-use crate::monitor::{encode_assertion_at, horizon_for};
+use crate::monitor::{design_horizon, encode_assertion_at};
 use crate::rng::splitmix64;
 use crate::stats::ProverStats;
 use fv_aig::{Aig, AigEvaluator, AigLit, BitSim, BitVec, CnfEmitter, Ternary, TernarySim};
 use fv_sat::{Lit, Solver};
 use std::collections::HashMap;
 use sv_ast::Assertion;
-use sv_synth::{AtomId, FrameExpander, NetBinding, Netlist, Simulator};
+use sv_synth::{AtomId, FrameExpander, Netlist, Simulator};
+
+/// BMC anchors the bounded schedule checks: attempts anchored at
+/// cycles `0..MAX_BMC`.
+const MAX_BMC: u32 = 12;
+
+/// Deepest k the bounded schedule tries for k-induction. The first k
+/// BMC anchors make its base case, so it may not exceed [`MAX_BMC`].
+const MAX_INDUCTION: u32 = 6;
+const _: () = assert!(MAX_INDUCTION <= MAX_BMC);
 
 /// Which proof engine(s) answer a check (see [`ProveConfig::engine`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ProveEngine {
     /// The interleaved BMC + k-induction schedule (the default). Fully
-    /// deterministic, but bounded: properties whose inductive depth
-    /// exceeds `max_induction` come back
-    /// [`ProveResult::Undetermined`].
+    /// deterministic, but bounded: it checks the first 12 anchors and
+    /// tries k up to 6, so properties whose inductive depth exceeds 6
+    /// come back [`ProveResult::Undetermined`].
     #[default]
     Bounded,
     /// The IC3/PDR engine alone. Unbounded in depth, budgeted in SAT
@@ -91,7 +100,6 @@ pub enum ProveEngine {
     /// assert_eq!(prove(&nl, &a, &[], cfg).unwrap(), ProveResult::Undetermined);
     /// let pdr = ProveConfig {
     ///     engine: ProveEngine::Pdr,
-    ///     ..cfg
     /// };
     /// let (r, stats) = prove_with_stats(&nl, &a, &[], pdr).unwrap();
     /// assert!(r.is_proven());
@@ -119,28 +127,14 @@ impl ProveEngine {
     }
 }
 
-/// Configuration for the prover.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Configuration for the prover: which engine answers each check. The
+/// bounded schedule's bounds are fixed (12 BMC anchors, k up to 6), as
+/// is PDR's query budget, so a verdict is a function of design,
+/// candidate and engine.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProveConfig {
-    /// Maximum BMC depth (number of anchor cycles checked).
-    pub max_bmc: u32,
-    /// Maximum k for k-induction.
-    pub max_induction: u32,
-    /// Horizon slack (see [`crate::EquivConfig::slack`]).
-    pub slack: u32,
     /// Which engine(s) answer each check.
     pub engine: ProveEngine,
-}
-
-impl Default for ProveConfig {
-    fn default() -> ProveConfig {
-        ProveConfig {
-            max_bmc: 12,
-            max_induction: 6,
-            slack: 4,
-            engine: ProveEngine::Bounded,
-        }
-    }
 }
 
 /// A concrete counterexample trace from BMC.
@@ -325,7 +319,7 @@ pub fn prove_with_stats(
 pub struct ProofSession<'n> {
     netlist: &'n Netlist,
     consts: Vec<(String, u32, u128)>,
-    cfg: ProveConfig,
+    engine: ProveEngine,
     g: Aig,
     env: DesignTraceEnv<'n>,
     solver: Solver,
@@ -381,7 +375,7 @@ impl<'n> ProofSession<'n> {
         Ok(ProofSession {
             netlist,
             consts: consts.to_vec(),
-            cfg,
+            engine: cfg.engine,
             g: Aig::new(),
             env,
             solver,
@@ -399,11 +393,6 @@ impl<'n> ProofSession<'n> {
             memo: HashMap::new(),
             stats: ProverStats::default(),
         })
-    }
-
-    /// The prover bounds this session was opened with.
-    pub fn config(&self) -> ProveConfig {
-        self.cfg
     }
 
     /// Cumulative counters over the session's lifetime. A session that
@@ -447,7 +436,7 @@ impl<'n> ProofSession<'n> {
     fn check_fresh(&mut self, assertion: &Assertion) -> Result<ProveResult, EncodeError> {
         let mut span = fv_trace::span!("prove.check");
         if span.is_active() {
-            span.attr("engine", self.cfg.engine.name());
+            span.attr("engine", self.engine.name());
         }
         let sat_before = self.stats.sat_calls;
         // The open is charged to the first check so that summing
@@ -458,8 +447,8 @@ impl<'n> ProofSession<'n> {
             span.attr("result", "undetermined");
             return Ok(ProveResult::Undetermined);
         }
-        let horizon = horizon_for(assertion, None, self.cfg.slack);
-        let outcome = match self.cfg.engine {
+        let horizon = design_horizon(assertion);
+        let outcome = match self.engine {
             ProveEngine::Bounded => self.check_bounded(assertion, horizon)?,
             ProveEngine::Pdr => self.check_pdr(assertion)?,
             ProveEngine::Portfolio => match self.check_bounded(assertion, horizon)? {
@@ -504,13 +493,7 @@ impl<'n> ProofSession<'n> {
     /// unrolled time frames), so the session's shared unrolling is
     /// untouched.
     fn check_pdr(&mut self, assertion: &Assertion) -> Result<ProveResult, EncodeError> {
-        let result = crate::pdr::run_pdr(
-            self.netlist,
-            assertion,
-            &self.consts,
-            self.cfg,
-            &mut self.stats,
-        )?;
+        let result = crate::pdr::run_pdr(self.netlist, assertion, &self.consts, &mut self.stats)?;
         if !matches!(result, ProveResult::Undetermined) {
             self.stats.pdr_wins += 1;
         }
@@ -528,10 +511,9 @@ impl<'n> ProofSession<'n> {
         assertion: &Assertion,
         horizon: u32,
     ) -> Result<ProveResult, EncodeError> {
-        let cfg = self.cfg;
         let mut holds: Vec<AigLit> = Vec::new();
         let mut bmc_done = 0u32;
-        for k in 1..=cfg.max_induction.min(cfg.max_bmc) {
+        for k in 1..=MAX_INDUCTION {
             while bmc_done < k {
                 if let Some(cex) = self.bmc_check(assertion, horizon, &mut holds, bmc_done)? {
                     self.debug_replay(assertion, &cex);
@@ -544,7 +526,7 @@ impl<'n> ProofSession<'n> {
             }
         }
         // ---- Induction exhausted: finish the BMC sweep. ----
-        for t in bmc_done..cfg.max_bmc {
+        for t in bmc_done..MAX_BMC {
             if let Some(cex) = self.bmc_check(assertion, horizon, &mut holds, t)? {
                 self.debug_replay(assertion, &cex);
                 return Ok(ProveResult::Falsified { cex });
@@ -555,7 +537,7 @@ impl<'n> ProofSession<'n> {
 
     fn debug_replay(&self, assertion: &Assertion, cex: &DesignCex) {
         debug_assert_eq!(
-            replay_design_cex(self.netlist, assertion, &self.consts, self.cfg, cex),
+            replay_design_cex(self.netlist, assertion, &self.consts, cex),
             Ok(true),
             "counterexample must replay in sv-synth::sim"
         );
@@ -757,27 +739,6 @@ struct ReplayEnv<'a> {
     consts: HashMap<String, (u32, u128)>,
 }
 
-impl ReplayEnv<'_> {
-    fn read_binding(&self, binding: &NetBinding, frame: usize) -> u128 {
-        let mask = |v: u128, w: u32| {
-            if w >= 128 {
-                v
-            } else {
-                v & ((1u128 << w) - 1)
-            }
-        };
-        let values = &self.frames[frame];
-        let mut acc: u128 = 0;
-        let mut off = 0u32;
-        for seg in &binding.segs {
-            let v = mask(values[seg.atom.index()] >> seg.lo, seg.width);
-            acc |= v << off;
-            off += seg.width;
-        }
-        acc
-    }
-}
-
 impl TraceEnv for ReplayEnv<'_> {
     fn read(&mut self, _g: &mut Aig, name: &str, cycle: i32) -> Result<BitVec, EncodeError> {
         if let Some(&(w, v)) = self.consts.get(name) {
@@ -792,7 +753,7 @@ impl TraceEnv for ReplayEnv<'_> {
             .ok_or_else(|| EncodeError::UnknownSignal(name.to_string()))?;
         Ok(BitVec::constant(
             binding.width as usize,
-            self.read_binding(binding, cycle),
+            binding.value(&self.frames[cycle]),
         ))
     }
 
@@ -821,11 +782,10 @@ pub fn replay_design_cex(
     netlist: &Netlist,
     assertion: &Assertion,
     consts: &[(String, u32, u128)],
-    cfg: ProveConfig,
     cex: &DesignCex,
 ) -> Result<bool, EncodeError> {
     let _span = fv_trace::span!("cex.replay", anchor = cex.anchor);
-    let horizon = horizon_for(assertion, None, cfg.slack);
+    let horizon = design_horizon(assertion);
     let total = cex.anchor + horizon;
     let mut sim = Simulator::new(netlist).map_err(|e| EncodeError::Unsupported(e.to_string()))?;
     let stimuli: HashMap<(&str, u32), u128> = cex
@@ -1021,7 +981,7 @@ mod tests {
         match prove(&nl, &a, &[], ProveConfig::default()).unwrap() {
             ProveResult::Falsified { cex } => {
                 assert_eq!(
-                    replay_design_cex(&nl, &a, &[], ProveConfig::default(), &cex),
+                    replay_design_cex(&nl, &a, &[], &cex),
                     Ok(true),
                     "returned counterexample must be a real violation"
                 );
@@ -1030,10 +990,7 @@ mod tests {
                 for v in &mut bogus.inputs {
                     v.value = 0;
                 }
-                assert_eq!(
-                    replay_design_cex(&nl, &a, &[], ProveConfig::default(), &bogus),
-                    Ok(false)
-                );
+                assert_eq!(replay_design_cex(&nl, &a, &[], &bogus), Ok(false));
             }
             other => panic!("expected falsified, got {other:?}"),
         }
@@ -1072,10 +1029,7 @@ mod tests {
             ProveEngine::Pdr,
             ProveEngine::Portfolio,
         ] {
-            let cfg = ProveConfig {
-                engine,
-                ..ProveConfig::default()
-            };
+            let cfg = ProveConfig { engine };
             let (r, stats) = prove_with_stats(&nl, &a, &[], cfg).unwrap();
             assert_eq!(r, ProveResult::Undetermined, "{engine:?}");
             assert_eq!(
@@ -1209,11 +1163,7 @@ mod tests {
             ProveEngine::Pdr,
             ProveEngine::Portfolio,
         ] {
-            let cfg = ProveConfig {
-                engine,
-                ..ProveConfig::default()
-            };
-            let mut session = ProofSession::open(&nl, &[], cfg).unwrap();
+            let mut session = ProofSession::open(&nl, &[], ProveConfig { engine }).unwrap();
             for (text, respelled) in [
                 (
                     "assert property (@(posedge clk) q != 3'd2);",
@@ -1260,7 +1210,6 @@ mod tests {
     fn portfolio_cfg() -> ProveConfig {
         ProveConfig {
             engine: ProveEngine::Portfolio,
-            ..ProveConfig::default()
         }
     }
 
@@ -1317,28 +1266,31 @@ mod tests {
 
     #[test]
     fn portfolio_deep_falsification_replays() {
-        // A violation beyond max_bmc anchors: bounded is undetermined,
+        // A 4-bit counter first reaches 13 at anchor 13, past the
+        // bounded schedule's last anchor, and every step query fails
+        // (a free state can count up into 13): bounded is undetermined,
         // PDR finds the deep counterexample and it replays.
-        let nl = wrapping_counter();
-        let cfg = ProveConfig {
-            max_bmc: 2,
-            max_induction: 2,
-            ..portfolio_cfg()
-        };
-        let a = parse_assertion_str("assert property (@(posedge clk) q != 3'd4);").unwrap();
-        let bounded_cfg = ProveConfig {
-            engine: ProveEngine::Bounded,
-            ..cfg
-        };
+        let f = parse_source(
+            "module m (clk, reset_, en, q);\n\
+             input clk; input reset_; input en; output [3:0] q;\n\
+             reg [3:0] cnt;\n\
+             always @(posedge clk) begin\n\
+             if (!reset_) cnt <= 4'd0;\n\
+             else if (en) cnt <= cnt + 4'd1;\nend\n\
+             assign q = cnt;\nendmodule\n",
+        )
+        .unwrap();
+        let nl = elaborate(&f, "m").unwrap();
+        let a = parse_assertion_str("assert property (@(posedge clk) q != 4'd13);").unwrap();
         assert_eq!(
-            prove(&nl, &a, &[], bounded_cfg).unwrap(),
+            prove(&nl, &a, &[], ProveConfig::default()).unwrap(),
             ProveResult::Undetermined
         );
-        let (r, stats) = prove_with_stats(&nl, &a, &[], cfg).unwrap();
+        let (r, stats) = prove_with_stats(&nl, &a, &[], portfolio_cfg()).unwrap();
         match r {
             ProveResult::Falsified { cex } => {
-                assert!(cex.anchor >= 4);
-                assert_eq!(replay_design_cex(&nl, &a, &[], cfg, &cex), Ok(true));
+                assert!(cex.anchor > MAX_BMC, "{cex}");
+                assert_eq!(replay_design_cex(&nl, &a, &[], &cex), Ok(true));
             }
             other => panic!("expected falsified, got {other:?}"),
         }

@@ -11,12 +11,11 @@
 //!   key/value attributes. When tracing is disabled (the default) a
 //!   span site costs one relaxed atomic load — no clock read, no
 //!   allocation.
-//! - **Metrics** ([`metrics`]) — counters, gauges, and log2-bucket
-//!   latency histograms behind stable dotted names
-//!   (`span.sat.solve.us`, `serve.flushes`). Histogram recording is
-//!   lock-free on the hot path: each thread owns a private shard of
-//!   atomic buckets, and shards are merged when a [`metrics::Snapshot`]
-//!   is taken.
+//! - **Metrics** ([`metrics`]) — log2-bucket latency histograms of
+//!   span durations behind stable dotted names (`span.sat.solve.us`,
+//!   `span.store.flush.us`). Recording is lock-free on the hot path:
+//!   each thread owns a private shard of atomic buckets, and shards
+//!   are merged when a [`metrics::Snapshot`] is taken.
 //! - **Exporters** ([`chrome`], [`prometheus`]) — render collected
 //!   spans as a Chrome-trace (`about://tracing`) JSON document, and
 //!   render metrics in Prometheus text exposition format.

@@ -1,15 +1,12 @@
-//! Counters, gauges, and log2-bucket latency histograms behind
-//! stable dotted names.
+//! Log2-bucket latency histograms behind stable dotted names
+//! (`span.<name>.us`, one per span name, fed by span durations).
 //!
-//! Counters and gauges live in small global maps guarded by a mutex —
-//! they are recorded at coarse choke points (per check, per flush),
-//! never per clause. Histograms are hotter (one observation per span)
-//! so they use per-thread shards: each thread owns a private
-//! [`AtomicHistogram`] per metric name, found through a thread-local
-//! cache (no lock, no contention) and bumped with relaxed atomic
-//! adds. [`snapshot`] merges every live thread's shards, plus the
-//! retired totals, into plain [`Histogram`] values without pausing
-//! writers.
+//! Histograms are hot (one observation per span), so they use
+//! per-thread shards: each thread owns a private [`AtomicHistogram`]
+//! per metric name, found through a thread-local cache (no lock, no
+//! contention) and bumped with relaxed atomic adds. [`snapshot`]
+//! merges every live thread's shards, plus the retired totals, into
+//! plain [`Histogram`] values without pausing writers.
 //!
 //! A shard lives only as long as its thread. When a thread exits, its
 //! shards are folded into a per-name retired [`Histogram`] and leave
@@ -128,12 +125,10 @@ impl AtomicHistogram {
     }
 }
 
-/// Global registry state: counters, gauges, the histogram shards of
-/// every live thread, and the folded totals of exited threads' shards.
-/// Lock order: `shards` before `retired`.
+/// Global registry state: the histogram shards of every live thread,
+/// and the folded totals of exited threads' shards. Lock order:
+/// `shards` before `retired`.
 struct Registry {
-    counters: Mutex<BTreeMap<&'static str, u64>>,
-    gauges: Mutex<BTreeMap<&'static str, i64>>,
     shards: Mutex<Vec<(&'static str, Arc<AtomicHistogram>)>>,
     retired: Mutex<BTreeMap<&'static str, Histogram>>,
 }
@@ -141,8 +136,6 @@ struct Registry {
 fn registry() -> &'static Registry {
     static REGISTRY: OnceLock<Registry> = OnceLock::new();
     REGISTRY.get_or_init(|| Registry {
-        counters: Mutex::new(BTreeMap::new()),
-        gauges: Mutex::new(BTreeMap::new()),
         shards: Mutex::new(Vec::new()),
         retired: Mutex::new(BTreeMap::new()),
     })
@@ -183,21 +176,10 @@ thread_local! {
     static LOCAL_HISTS: RefCell<LocalHists> = RefCell::new(LocalHists::default());
 }
 
-/// Adds `delta` to the counter `name` (dotted, e.g. `serve.flushes`).
-pub fn counter_add(name: &'static str, delta: u64) {
-    let mut counters = registry().counters.lock().unwrap();
-    *counters.entry(name).or_insert(0) += delta;
-}
-
-/// Sets the gauge `name` to `value`.
-pub fn gauge_set(name: &'static str, value: i64) {
-    registry().gauges.lock().unwrap().insert(name, value);
-}
-
 /// Records one observation into the histogram `name`. The fast path
 /// (shard already exists on this thread) is a thread-local hash
 /// lookup plus three relaxed atomic adds.
-pub fn observe(name: &'static str, value: u64) {
+pub(crate) fn observe(name: &'static str, value: u64) {
     LOCAL_HISTS.with(|local| {
         let mut local = local.borrow_mut();
         let shard = local.0.entry(name).or_insert_with(|| {
@@ -236,15 +218,11 @@ pub(crate) fn observe_span_us(span_name: &'static str, dur_us: u64) {
     observe(metric, dur_us);
 }
 
-/// A point-in-time copy of every metric, with histogram shards merged
-/// per name. Maps are `BTreeMap`s so iteration (and therefore every
+/// A point-in-time copy of every histogram, with shards merged per
+/// name. The map is a `BTreeMap` so iteration (and therefore every
 /// rendering) is deterministically sorted.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
-    /// Monotonic counters by dotted name.
-    pub counters: BTreeMap<String, u64>,
-    /// Gauges by dotted name.
-    pub gauges: BTreeMap<String, i64>,
     /// Merged histograms by dotted name.
     pub histograms: BTreeMap<String, Histogram>,
 }
@@ -255,20 +233,6 @@ pub struct Snapshot {
 /// observations but never invents data.
 pub fn snapshot() -> Snapshot {
     let registry = registry();
-    let counters = registry
-        .counters
-        .lock()
-        .unwrap()
-        .iter()
-        .map(|(&k, &v)| (k.to_string(), v))
-        .collect();
-    let gauges = registry
-        .gauges
-        .lock()
-        .unwrap()
-        .iter()
-        .map(|(&k, &v)| (k.to_string(), v))
-        .collect();
     let live = registry.shards.lock().unwrap();
     let mut histograms: BTreeMap<String, Histogram> = registry
         .retired
@@ -283,11 +247,7 @@ pub fn snapshot() -> Snapshot {
             .or_default()
             .merge(&shard.load());
     }
-    Snapshot {
-        counters,
-        gauges,
-        histograms,
-    }
+    Snapshot { histograms }
 }
 
 #[cfg(test)]
@@ -331,10 +291,7 @@ mod tests {
     }
 
     #[test]
-    fn registry_counters_gauges_and_shards_round_trip() {
-        counter_add("test.metrics.counter", 2);
-        counter_add("test.metrics.counter", 3);
-        gauge_set("test.metrics.gauge", -7);
+    fn registry_histogram_shards_round_trip() {
         std::thread::scope(|scope| {
             for _ in 0..3 {
                 scope.spawn(|| {
@@ -344,10 +301,7 @@ mod tests {
                 });
             }
         });
-        let snap = snapshot();
-        assert!(snap.counters["test.metrics.counter"] >= 5);
-        assert_eq!(snap.gauges["test.metrics.gauge"], -7);
-        let hist = &snap.histograms["test.metrics.hist"];
+        let hist = &snapshot().histograms["test.metrics.hist"];
         assert!(
             hist.count >= 300,
             "all three threads merged: {}",

@@ -3,10 +3,10 @@
 //! Dotted metric names map to the flat Prometheus namespace by
 //! replacing every non-`[a-zA-Z0-9_]` byte with `_` and prefixing
 //! `fveval_`; counters additionally get the conventional `_total`
-//! suffix. So the registry's `prover.sat_calls` counter becomes
-//! `fveval_prover_sat_calls_total`, and the `span.sat.solve.us`
-//! histogram becomes the `fveval_span_sat_solve_us_bucket` /
-//! `_sum` / `_count` series.
+//! suffix. So a `prover.sat_calls` counter becomes
+//! `fveval_prover_sat_calls_total`, and the registry's
+//! `span.sat.solve.us` histogram becomes the
+//! `fveval_span_sat_solve_us_bucket` / `_sum` / `_count` series.
 
 use crate::metrics::{bucket_le, Histogram, Snapshot, BUCKETS};
 use std::collections::HashSet;
@@ -126,15 +126,9 @@ impl PromText {
             .push_str(&format!("{base}_count{block} {}\n", hist.count));
     }
 
-    /// Appends every counter, gauge, and histogram from a registry
-    /// snapshot (sorted by name — `Snapshot` maps are ordered).
+    /// Appends every histogram from a registry snapshot (sorted by
+    /// name — the `Snapshot` map is ordered).
     pub fn snapshot(&mut self, snap: &Snapshot) {
-        for (name, value) in &snap.counters {
-            self.counter(name, &[], *value);
-        }
-        for (name, value) in &snap.gauges {
-            self.gauge(name, &[], *value);
-        }
         for (name, hist) in &snap.histograms {
             self.histogram(name, &[], hist);
         }

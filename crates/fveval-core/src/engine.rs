@@ -108,7 +108,7 @@ pub struct VerdictRecord {
     /// [`fveval_llm::TaskSpec::content_digest`] of the task.
     pub digest: u64,
     /// [`InferenceConfig::fingerprint`] of the inference config, plus
-    /// every prover field when a Design2SVA task was scored under a
+    /// the engine name when a Design2SVA task was scored under a
     /// non-default [`ProveConfig`].
     pub cfg: String,
     /// Sample index within the task.
@@ -118,7 +118,8 @@ pub struct VerdictRecord {
 }
 
 impl VerdictRecord {
-    fn key(&self) -> VerdictKey {
+    /// The record's cache key.
+    pub fn key(&self) -> VerdictKey {
         (
             self.model.clone(),
             self.task_id.clone(),
@@ -128,7 +129,8 @@ impl VerdictRecord {
         )
     }
 
-    fn from_parts(key: &VerdictKey, eval: SampleEval) -> VerdictRecord {
+    /// The record of `eval` under `key`.
+    pub fn from_parts(key: &VerdictKey, eval: SampleEval) -> VerdictRecord {
         VerdictRecord {
             model: key.0.clone(),
             task_id: key.1.clone(),
@@ -145,7 +147,7 @@ impl VerdictRecord {
 /// collisions between differently-seeded dataset generations (machine
 /// case ids are always `nl2sva_machine_0000..` regardless of the
 /// generator seed).
-type VerdictKey = (String, String, u64, String, u32);
+pub type VerdictKey = (String, String, u64, String, u32);
 
 /// Compiled-design cache key and value: `(design id, source digest)`
 /// to the shared compile outcome. Content-addressing by digest keeps
@@ -309,8 +311,8 @@ impl EvalEngine {
         }
     }
 
-    /// Overrides the prover bounds Design2SVA responses are scored
-    /// under (default [`ProveConfig::default`]).
+    /// Overrides the prover config (the engine) Design2SVA responses
+    /// are scored under (default [`ProveConfig::default`]).
     pub fn with_prove_config(mut self, cfg: ProveConfig) -> EvalEngine {
         self.prove_cfg = cfg;
         self
@@ -636,22 +638,16 @@ impl EvalEngine {
     }
 
     /// The cfg part of a verdict key: the inference fingerprint, plus
-    /// every [`ProveConfig`] field for a Design2SVA task scored under a
-    /// non-default prover config. Default-config keys stay as they
+    /// the engine name for a Design2SVA task scored under a
+    /// non-default [`ProveConfig`]. Default-config keys stay as they
     /// were, so stores written under the default keep answering.
     fn verdict_cfg(&self, task: &TaskSpec, cfg: &InferenceConfig) -> String {
         let fingerprint = cfg.fingerprint();
-        let ProveConfig {
-            max_bmc,
-            max_induction,
-            slack,
-            engine,
-        } = self.prove_cfg;
+        let ProveConfig { engine } = self.prove_cfg;
         match task {
-            TaskSpec::Design2sva { .. } if self.prove_cfg != ProveConfig::default() => format!(
-                "{fingerprint}_b{max_bmc}_k{max_induction}_h{slack}_{}",
-                engine.name()
-            ),
+            TaskSpec::Design2sva { .. } if self.prove_cfg != ProveConfig::default() => {
+                format!("{fingerprint}_{}", engine.name())
+            }
             _ => fingerprint,
         }
     }
@@ -975,12 +971,18 @@ mod tests {
         );
         let portfolio = EvalEngine::with_jobs(1).with_prove_config(ProveConfig {
             engine: fv_core::ProveEngine::Portfolio,
-            ..ProveConfig::default()
         });
         assert_eq!(portfolio.load_verdicts(records), 5);
         portfolio.run(model, &tasks, &cfg, 1);
         let stats = portfolio.cache_stats();
         assert_eq!((stats.persisted_hits, stats.misses), (3, 2));
+        let portfolio_key = format!("{}_portfolio", cfg.fingerprint());
+        let fresh = portfolio.take_unpersisted();
+        assert_eq!(fresh.len(), 2);
+        assert!(
+            fresh.iter().all(|r| r.cfg == portfolio_key),
+            "a non-default key is the fingerprint and the engine name"
+        );
     }
 
     #[test]

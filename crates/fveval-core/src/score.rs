@@ -73,8 +73,8 @@ impl<'a> Scorer<'a> {
         Scorer { state }
     }
 
-    /// Scores Design2SVA responses against `compiled` under the prover
-    /// bounds `cfg`.
+    /// Scores Design2SVA responses against `compiled` with the proving
+    /// engine `cfg` selects.
     pub fn design(compiled: &'a CompiledDesign, cfg: ProveConfig) -> Scorer<'a> {
         Scorer {
             state: State::Design {

@@ -947,12 +947,12 @@ impl ScenarioGenerator for CrcGen {
 // Family 7: deep-inductive wrap counter (PDR-only headline invariant)
 // ---------------------------------------------------------------------
 
-/// Size of the unreachable top band. Must exceed the default
-/// `max_induction` (6): a band state `MAX - BAND + 1 + i` needs
-/// `BAND - 1 - i` ticks to climb to `MAX`, so the induction step has
-/// counterexamples-to-induction at every k up to the band size — and
-/// because `tick = 0` self-loops stretch any such path arbitrarily, at
-/// every k beyond it too.
+/// Size of the unreachable top band. Must exceed the bounded
+/// schedule's deepest k-induction step (6): a band state
+/// `MAX - BAND + 1 + i` needs `BAND - 1 - i` ticks to climb to `MAX`,
+/// so the induction step has counterexamples-to-induction at every k
+/// up to the band size — and because `tick = 0` self-loops stretch any
+/// such path arbitrarily, at every k beyond it too.
 const DEEP_BAND: u128 = 8;
 
 struct DeepCntGen;

@@ -59,8 +59,8 @@ pub use mutate::{derive_mutants, derive_mutants_with_ops, mutate_scenario, Mutat
 pub use suite::{generate_suite, write_atomic, write_suite, Suite, SuiteConfig};
 pub use validate::{validate_scenario, validate_suite, ScenarioReport};
 
-// Re-exported so downstream callers (CLI, benches) can tune prover
-// bounds without depending on `fv-core` directly.
+// Re-exported so downstream callers (CLI, benches) can choose the
+// proving engine without depending on `fv-core` directly.
 pub use fv_core::{ProveConfig, ProverStats};
 
 /// Size and seed knobs handed to every [`ScenarioGenerator`].

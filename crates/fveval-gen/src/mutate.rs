@@ -539,7 +539,7 @@ pub fn derive_mutants(scenario: &Scenario, count: usize) -> Vec<Candidate> {
     derive_mutants_with_ops(scenario, count, &MutationOp::ALL)
 }
 
-/// Proves a tentative mutant under the *default* bounds (never the
+/// Proves a tentative mutant under the *default* engine (never the
 /// caller's engine choice, so suites stay byte-identical across
 /// engines) and accepts it only on `Falsified` with a replaying
 /// counterexample.
@@ -548,7 +548,7 @@ fn confirmed_falsifiable(compiled: &fv_core::CompiledDesign, a: &Assertion) -> b
     let (netlist, consts) = (compiled.netlist(), compiled.consts());
     match fv_core::prove_with_stats(netlist, a, consts, cfg) {
         Ok((fv_core::ProveResult::Falsified { cex }, _)) => {
-            fv_core::replay_design_cex(netlist, a, consts, cfg, &cex).unwrap_or(false)
+            fv_core::replay_design_cex(netlist, a, consts, &cex).unwrap_or(false)
         }
         _ => false,
     }

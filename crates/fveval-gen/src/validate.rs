@@ -63,7 +63,6 @@ pub fn validate_scenario(scenario: &Scenario, cfg: ProveConfig) -> Result<Scenar
     let cfg = match cfg.engine {
         ProveEngine::Bounded => ProveConfig {
             engine: ProveEngine::Portfolio,
-            ..cfg
         },
         _ => cfg,
     };
@@ -97,8 +96,7 @@ pub fn validate_scenario(scenario: &Scenario, cfg: ProveConfig) -> Result<Scenar
         match (cand.verdict, &result) {
             (GoldenVerdict::Provable, ProveResult::Proven { .. }) => report.confirmed += 1,
             (GoldenVerdict::Falsifiable, ProveResult::Falsified { cex }) => {
-                match replay_design_cex(compiled.netlist(), &assertion, compiled.consts(), cfg, cex)
-                {
+                match replay_design_cex(compiled.netlist(), &assertion, compiled.consts(), cex) {
                     Ok(true) => report.confirmed += 1,
                     other if cand.mutation.is_some() => {
                         // A mutant whose counterexample does not replay

@@ -12,10 +12,7 @@ use fveval_gen::{generators, validate_scenario, GenParams, GoldenVerdict};
 use proptest::prelude::*;
 
 fn engine_cfg(engine: ProveEngine) -> ProveConfig {
-    ProveConfig {
-        engine,
-        ..ProveConfig::default()
-    }
+    ProveConfig { engine }
 }
 
 /// Proves one candidate under both engines and checks the agreement
@@ -72,14 +69,8 @@ fn check_candidate(
                 scenario_id,
                 cand.name
             );
-            let ok = replay_design_cex(
-                compiled.netlist(),
-                &assertion,
-                compiled.consts(),
-                pdr_cfg,
-                cex,
-            )
-            .map_err(|e| fail(format!("replay: {e:?}")))?;
+            let ok = replay_design_cex(compiled.netlist(), &assertion, compiled.consts(), cex)
+                .map_err(|e| fail(format!("replay: {e:?}")))?;
             prop_assert!(ok, "{}/{}: PDR cex does not replay", scenario_id, cand.name);
         }
         ProveResult::Undetermined => {}

@@ -5,7 +5,7 @@
 //!                  [--cache-dir DIR] [--no-persist] [--trace-out FILE]
 //!                  [--engine bounded|pdr|portfolio]
 //! fveval gen [--family NAME]... [--count N] [--depth N] [--width N]
-//!            [--seed N] [--mutations N] [--stratify] [--eval] [--out DIR]
+//!            [--seed N] [--mutations N] [--eval] [--out DIR]
 //! fveval serve [--addr HOST:PORT] [--jobs N] [--shards N]
 //!              [--queue-depth N] [--retain N] [--cache-dir DIR]
 //!              [--no-persist]
@@ -69,9 +69,8 @@
 //!   --depth N       pin the family-size knob instead of sweeping it
 //!   --width N       pin the data width instead of sweeping it
 //!   --mutations N   derive up to N prove-gated OP-Tree mutants per
-//!                   scenario (default 0)
-//!   --stratify      (`gen` only) also write the per-family,
-//!                   per-operator `gen_difficulty.{md,csv}`
+//!                   scenario (default 0); `gen` then also writes the
+//!                   per-family, per-operator `gen_difficulty.{md,csv}`
 //!   --eval          (`gen` only) also run all simulated models over
 //!                   the generated task set through the shared engine
 //!
@@ -138,11 +137,9 @@ impl Args {
     /// The Design2SVA proving configuration the `--engine` flag
     /// selects (defaults when absent).
     fn prove_config(&self) -> fv_core::ProveConfig {
-        let mut cfg = fv_core::ProveConfig::default();
-        if let Some(engine) = self.engine {
-            cfg.engine = engine;
+        fv_core::ProveConfig {
+            engine: self.engine.unwrap_or_default(),
         }
-        cfg
     }
 }
 
@@ -154,7 +151,6 @@ struct GenArgs {
     depth: Option<u32>,
     width: Option<u32>,
     mutations: Option<usize>,
-    stratify: bool,
     eval: bool,
 }
 
@@ -283,7 +279,6 @@ fn parse_args() -> Result<Args, String> {
                 let v = args.next().ok_or("--mutations needs a value")?;
                 gen.mutations = Some(v.parse().map_err(|_| "bad mutation count".to_string())?);
             }
-            "--stratify" => gen.stratify = true,
             "--eval" => gen.eval = true,
             "--addr" => serve.addr = Some(args.next().ok_or("--addr needs a value")?),
             "--shards" => {
@@ -361,7 +356,6 @@ fn parse_args() -> Result<Args, String> {
             gen.mutations.is_some() && !["gen", "submit"].contains(&cmd),
             "--mutations",
         ),
-        (gen.stratify && cmd != "gen", "--stratify"),
         (gen.eval && cmd != "gen", "--eval"),
         (
             serve.addr.is_some() && !SERVICE_COMMANDS.contains(&cmd),
@@ -438,7 +432,7 @@ fn run_gen(args: &Args, engine: &EvalEngine) -> Result<(), String> {
     println!("{notes}");
     let md = format!("{}\n{notes}", table.to_markdown());
     write_out(&args.out_dir, "gen", &md, Some(&table.to_csv()));
-    if args.gen.stratify || cfg.mutations > 0 {
+    if cfg.mutations > 0 {
         let strata = fveval_harness::difficulty_table(&suite);
         println!("{}", strata.to_markdown());
         write_out(
@@ -609,7 +603,7 @@ fn usage() -> String {
          [--cache-dir DIR] [--no-persist] [--trace-out FILE] \
          [--engine bounded|pdr|portfolio]\n\
          \x20      fveval gen [--family NAME]... [--count N] [--depth N] \
-         [--width N] [--seed N] [--mutations N] [--stratify] [--eval] \
+         [--width N] [--seed N] [--mutations N] [--eval] \
          [--out DIR]\n\
          \x20      fveval serve [--addr A] [--shards N] [--queue-depth N] \
          [--retain N]\n\
@@ -845,7 +839,9 @@ fn main() -> ExitCode {
     if failed {
         return ExitCode::FAILURE;
     }
-    write_slow_checks(&args.out_dir, &engine);
+    if args.trace_out.is_some() {
+        write_slow_checks(&args.out_dir, &engine);
+    }
     let stats = engine.cache_stats();
     if stats.hits + stats.persisted_hits + stats.misses > 0 {
         eprintln!(
@@ -902,10 +898,10 @@ fn write_trace(path: &Path) {
     }
 }
 
-/// Writes `slow_checks.md`: the run's slowest prover-backed checks
-/// with task-kind and mutation-tag attribution. This is a timing side
-/// channel — ranks and milliseconds vary run to run, so the file is
-/// never part of the byte-compared result tables.
+/// Writes `slow_checks.md` (under `--trace-out`): the run's slowest
+/// prover-backed checks with task-kind and mutation-tag attribution.
+/// This is a timing side channel — ranks and milliseconds vary run to
+/// run, so the file is never part of the byte-compared result tables.
 fn write_slow_checks(dir: &Path, engine: &EvalEngine) {
     let slow = engine.slow_checks();
     if slow.is_empty() {

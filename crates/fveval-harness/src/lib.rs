@@ -772,8 +772,8 @@ pub fn gen_report(
 /// family-authored candidates and of derived mutants split by mutation
 /// operator. Operator columns order follows
 /// [`fveval_gen::MutationOp::ALL`]; a trailing `total` row sums every
-/// column. Written as `results/gen_difficulty.md` by
-/// `fveval gen --stratify` (and whenever `--mutations` is nonzero).
+/// column. Written as `results/gen_difficulty.md` by `fveval gen`
+/// whenever `--mutations` is nonzero.
 pub fn difficulty_table(suite: &fveval_data::Suite) -> Table {
     use fveval_gen::MutationOp;
 

@@ -14,7 +14,6 @@ use fveval_harness::gen_report;
 fn engine_with(prove_engine: fv_core::ProveEngine, jobs: usize) -> EvalEngine {
     let cfg = fv_core::ProveConfig {
         engine: prove_engine,
-        ..fv_core::ProveConfig::default()
     };
     EvalEngine::with_jobs(jobs).with_prove_config(cfg)
 }

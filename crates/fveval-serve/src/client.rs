@@ -27,27 +27,20 @@ pub enum SubmitOutcome {
     },
 }
 
+/// Read and write timeout of every request.
+const REQUEST_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// A client bound to one server address.
 #[derive(Debug, Clone)]
 pub struct Client {
     addr: String,
-    timeout: Duration,
 }
 
 impl Client {
     /// Client for `addr` (e.g. `127.0.0.1:8642`) with a 30 s
     /// per-request timeout.
     pub fn new(addr: impl Into<String>) -> Client {
-        Client {
-            addr: addr.into(),
-            timeout: Duration::from_secs(30),
-        }
-    }
-
-    /// Overrides the per-request timeout.
-    pub fn with_timeout(mut self, timeout: Duration) -> Client {
-        self.timeout = timeout;
-        self
+        Client { addr: addr.into() }
     }
 
     /// The server address this client talks to.
@@ -59,8 +52,8 @@ impl Client {
         let mut stream = TcpStream::connect(&self.addr)
             .map_err(|e| format!("cannot connect to {}: {e}", self.addr))?;
         stream
-            .set_read_timeout(Some(self.timeout))
-            .and_then(|()| stream.set_write_timeout(Some(self.timeout)))
+            .set_read_timeout(Some(REQUEST_TIMEOUT))
+            .and_then(|()| stream.set_write_timeout(Some(REQUEST_TIMEOUT)))
             .map_err(|e| format!("cannot set timeouts: {e}"))?;
         http::write_request(&mut stream, method, path, body)
             .map_err(|e| format!("request failed: {e}"))?;
@@ -235,8 +228,8 @@ impl Client {
         let mut stream = TcpStream::connect(&self.addr)
             .map_err(|e| format!("cannot connect to {}: {e}", self.addr))?;
         stream
-            .set_read_timeout(Some(self.timeout))
-            .and_then(|()| stream.set_write_timeout(Some(self.timeout)))
+            .set_read_timeout(Some(REQUEST_TIMEOUT))
+            .and_then(|()| stream.set_write_timeout(Some(REQUEST_TIMEOUT)))
             .map_err(|e| format!("cannot set timeouts: {e}"))?;
         http::write_request(&mut stream, "GET", "/metrics", "")
             .map_err(|e| format!("request failed: {e}"))?;

@@ -1027,8 +1027,7 @@ fn metrics_text(shared: &Arc<Shared>) -> String {
         prom.counter("shard.cache_misses", &labels, shard_cache.misses);
     }
     // Everything the fv-trace registry collected: span-duration
-    // histograms (serve.job, store.flush, prove.check, sat.solve, …)
-    // and any trace-layer counters.
+    // histograms (serve.job, store.flush, prove.check, sat.solve, …).
     prom.snapshot(&fv_trace::metrics::snapshot());
     prom.finish()
 }
@@ -1067,7 +1066,6 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
         let fresh = shard.engine.take_unpersisted();
         if let Some(store) = shared.store.lock().expect("store poisoned").as_mut() {
             let _span = fv_trace::span!("store.flush", shard = index, records = fresh.len());
-            fv_trace::metrics::counter_add("serve.flushes", 1);
             if let Err(e) = store.append(&fresh) {
                 eprintln!("[serve] store flush failed: {e}");
             }

@@ -3,7 +3,8 @@
 //! A [`VerdictStore`] is a directory of append-only JSON-lines
 //! *segments* (`seg-<NNNNNN>.jsonl`), each line one
 //! [`VerdictRecord`] keyed by the engine's `(model, task-id,
-//! content-digest, cfg, sample)` cache key. The format is designed
+//! content-digest, cfg, sample)` cache key ([`VerdictKey`]). The
+//! format is designed
 //! around three guarantees:
 //!
 //! - **atomic writes**: a flush writes a complete new segment to a
@@ -21,30 +22,16 @@
 //! See `docs/SERVICE.md` for the on-disk format in full.
 
 use crate::json::{parse, Json};
-use fveval_core::{SampleEval, VerdictRecord};
+use fveval_core::{SampleEval, VerdictKey, VerdictRecord};
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-
-/// The store's in-memory key: the engine cache key with the digest in
-/// its portable form.
-type StoreKey = (String, String, u64, String, u32);
-
-fn key_of(record: &VerdictRecord) -> StoreKey {
-    (
-        record.model.clone(),
-        record.task_id.clone(),
-        record.digest,
-        record.cfg.clone(),
-        record.sample,
-    )
-}
 
 /// A persistent verdict store rooted at one directory.
 #[derive(Debug)]
 pub struct VerdictStore {
     dir: PathBuf,
-    entries: HashMap<StoreKey, SampleEval>,
+    entries: HashMap<VerdictKey, SampleEval>,
     segments: Vec<PathBuf>,
     next_segment: u64,
     torn_lines: usize,
@@ -96,7 +83,7 @@ impl VerdictStore {
                 }
                 match std::str::from_utf8(line).ok().and_then(decode_record) {
                     Some(record) => {
-                        store.entries.insert(key_of(&record), record.eval);
+                        store.entries.insert(record.key(), record.eval);
                     }
                     None => store.torn_lines += 1,
                 }
@@ -134,17 +121,10 @@ impl VerdictStore {
     /// Every live verdict, sorted by key (deterministic — feed this to
     /// [`fveval_core::EvalEngine::load_verdicts`]).
     pub fn records(&self) -> Vec<VerdictRecord> {
-        let mut keys: Vec<&StoreKey> = self.entries.keys().collect();
+        let mut keys: Vec<&VerdictKey> = self.entries.keys().collect();
         keys.sort();
         keys.into_iter()
-            .map(|key| VerdictRecord {
-                model: key.0.clone(),
-                task_id: key.1.clone(),
-                digest: key.2,
-                cfg: key.3.clone(),
-                sample: key.4,
-                eval: self.entries[key],
-            })
+            .map(|key| VerdictRecord::from_parts(key, self.entries[key]))
             .collect()
     }
 
@@ -164,7 +144,7 @@ impl VerdictStore {
         let path = self.write_segment(records)?;
         self.segments.push(path);
         for record in records {
-            self.entries.insert(key_of(record), record.eval);
+            self.entries.insert(record.key(), record.eval);
         }
         Ok(())
     }

@@ -122,10 +122,20 @@ fn restart_serves_warm_work_from_store_with_zero_prover_calls() {
     let tmp = TempDir::new("restart");
     let request = suite_request();
 
-    // Cold server: compute, persist, stop.
+    // Cold server: compute, persist, stop. The worker flushes the
+    // store once per finished job, inside a `store.flush` span, before
+    // it marks the job done; this is the one test in the binary with a
+    // store, so the process-wide span histogram counts exactly its
+    // flushes.
     let (client, server) = start(Some(tmp.path().to_path_buf()));
+    let flushes_before = store_flushes(&client);
     let id = client.submit(&request).expect("submit");
     let cold = client.wait(id, WAIT).expect("cold job").result.unwrap();
+    assert_eq!(
+        store_flushes(&client),
+        flushes_before + 1,
+        "one flush per job"
+    );
     let stats = client.stats().expect("stats");
     let prover_queries = stats
         .get("prover")
@@ -150,6 +160,11 @@ fn restart_serves_warm_work_from_store_with_zero_prover_calls() {
     let id = client.submit(&request).expect("warm submit");
     let warm = client.wait(id, WAIT).expect("warm job").result.unwrap();
     assert_eq!(warm, cold, "restart changes nothing");
+    assert_eq!(
+        store_flushes(&client),
+        flushes_before + 2,
+        "one flush per job"
+    );
     let stats = client.stats().expect("warm stats");
     let cache = stats.get("cache").unwrap();
     let rate = cache
@@ -606,15 +621,27 @@ fn assert_totals_match_shard_rows(stats: &Json) {
     );
 }
 
-/// The value of an unlabeled series in a Prometheus text exposition.
-fn prom_value(text: &str, name: &str) -> u64 {
+/// The value of an unlabeled series in a Prometheus text exposition,
+/// if the series is there.
+fn prom_sample(text: &str, name: &str) -> Option<u64> {
     text.lines()
         .filter_map(|line| {
             let (series, value) = line.split_once(' ')?;
             (series == name).then(|| value.trim().parse::<u64>().expect("integer sample"))
         })
         .next()
-        .unwrap_or_else(|| panic!("metric {name} missing from exposition"))
+}
+
+/// The value of an unlabeled series in a Prometheus text exposition.
+fn prom_value(text: &str, name: &str) -> u64 {
+    prom_sample(text, name).unwrap_or_else(|| panic!("metric {name} missing from exposition"))
+}
+
+/// Store flushes so far in this process: the `/metrics` count of
+/// `store.flush` spans (absent before the first one).
+fn store_flushes(client: &Client) -> u64 {
+    let text = client.metrics().expect("metrics exposition");
+    prom_sample(&text, "fveval_span_store_flush_us_count").unwrap_or(0)
 }
 
 /// Sums every sample of a labeled series family (e.g. the per-shard

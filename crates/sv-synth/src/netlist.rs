@@ -1,6 +1,6 @@
 //! The flat word-level netlist produced by elaboration.
 
-use crate::netexpr::Nx;
+use crate::netexpr::{mask, Nx};
 use std::sync::Arc;
 use sv_ast::{Interner, Symbol, SymbolMap};
 
@@ -103,6 +103,19 @@ impl NetBinding {
             _ => Nx::Concat(parts),
         }
     }
+
+    /// The net's concrete value, given every atom's value indexed by
+    /// atom (as [`crate::Simulator`] computes them): each segment's
+    /// bits, stitched LSB first.
+    pub fn value(&self, atom_values: &[u128]) -> u128 {
+        let mut acc: u128 = 0;
+        let mut off = 0u32;
+        for seg in &self.segs {
+            acc |= mask(atom_values[seg.atom.index()] >> seg.lo, seg.width) << off;
+            off += seg.width;
+        }
+        acc
+    }
 }
 
 /// A flat design: atoms plus the name bindings of source-level nets.
@@ -167,12 +180,6 @@ impl Netlist {
     /// Resolves a net binding by name.
     pub fn net(&self, name: &str) -> Option<&NetBinding> {
         self.nets.get(&self.syms.lookup(name)?)
-    }
-
-    /// Resolves a net binding by interned symbol (integer probe, no
-    /// string hashing).
-    pub fn net_sym(&self, sym: Symbol) -> Option<&NetBinding> {
-        self.nets.get(&sym)
     }
 
     /// The text of an interned name.

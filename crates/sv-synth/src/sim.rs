@@ -136,15 +136,7 @@ impl<'a> Simulator<'a> {
         if !self.stepped {
             return None;
         }
-        let binding = self.netlist.net(name)?;
-        let mut acc: u128 = 0;
-        let mut off = 0u32;
-        for seg in &binding.segs {
-            let v = mask(self.values[seg.atom.index()] >> seg.lo, seg.width);
-            acc |= v << off;
-            off += seg.width;
-        }
-        Some(acc)
+        Some(self.netlist.net(name)?.value(&self.values))
     }
 
     fn eval(&self, nx: &Nx) -> u128 {

@@ -353,13 +353,7 @@ proptest! {
                 panic!("dropping a successor must falsify: {src}");
             };
             prop_assert_eq!(
-                fv_core::replay_design_cex(
-                    netlist,
-                    &assertion,
-                    consts,
-                    ProveConfig::default(),
-                    &cex
-                ),
+                fv_core::replay_design_cex(netlist, &assertion, consts, &cex),
                 Ok(true),
                 "counterexample must replay: {}\n{}", src, cex
             );
