@@ -13,9 +13,9 @@
 //!   allocation.
 //! - **Metrics** ([`metrics`]) — log2-bucket latency histograms of
 //!   span durations behind stable dotted names (`span.sat.solve.us`,
-//!   `span.store.flush.us`). Recording is lock-free on the hot path:
-//!   each thread owns a private shard of atomic buckets, and shards
-//!   are merged when a [`metrics::Snapshot`] is taken.
+//!   `span.store.flush.us`). Every duration goes into one
+//!   process-wide map keyed by span name, under one lock; a
+//!   [`metrics::Snapshot`] copies it.
 //! - **Exporters** ([`chrome`], [`prometheus`]) — render collected
 //!   spans as a Chrome-trace (`about://tracing`) JSON document, and
 //!   render metrics in Prometheus text exposition format.

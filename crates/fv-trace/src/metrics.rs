@@ -1,24 +1,16 @@
 //! Log2-bucket latency histograms behind stable dotted names
 //! (`span.<name>.us`, one per span name, fed by span durations).
 //!
-//! Histograms are hot (one observation per span), so they use
-//! per-thread shards: each thread owns a private [`AtomicHistogram`]
-//! per metric name, found through a thread-local cache (no lock, no
-//! contention) and bumped with relaxed atomic adds. [`snapshot`]
-//! merges every live thread's shards, plus the retired totals, into
-//! plain [`Histogram`] values without pausing writers.
-//!
-//! A shard lives only as long as its thread. When a thread exits, its
-//! shards are folded into a per-name retired [`Histogram`] and leave
-//! the live list, so a process that spawns short-lived recording
-//! threads (an engine's scoped workers, once per served job) keeps
-//! one retired histogram per name instead of one shard per thread,
-//! while totals stay cumulative.
+//! Every duration goes into one process-wide map from span name to
+//! [`Histogram`], under one mutex. The traffic is small: `fveval
+//! serve` records about 40 durations per job, some 40,000 a second at
+//! a thousand jobs a second, and the span collector already takes one
+//! global lock for every span it keeps. Threads therefore keep no
+//! state of their own, and an exited thread's observations are simply
+//! part of the map.
 
-use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::collections::BTreeMap;
+use std::sync::{Mutex, PoisonError};
 
 /// Number of log2 buckets. Bucket `i` (for `i >= 1`) holds values `v`
 /// with `bit_len(v) == i`, i.e. `2^(i-1) <= v < 2^i`; bucket 0 holds
@@ -42,9 +34,8 @@ pub fn bucket_le(i: usize) -> u64 {
     }
 }
 
-/// A plain-value log2 histogram: per-bucket counts plus the total
-/// observation count and sum. This is the merge/value type — the
-/// lock-free recording side is [`AtomicHistogram`].
+/// A log2 histogram: per-bucket counts plus the total observation
+/// count and sum.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     /// Per-bucket observation counts, indexed by [`bucket_of`].
@@ -72,181 +63,42 @@ impl Histogram {
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
     }
-
-    /// Folds another histogram (e.g. one thread's shard) into this
-    /// one. Merging is associative and commutative: any grouping of
-    /// shards produces the same totals.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-    }
-
-    /// Whether no observations were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
 }
 
-/// The lock-free recording side of a histogram: one per (thread,
-/// metric name), bumped with relaxed atomic adds.
-pub struct AtomicHistogram {
-    buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-}
-
-impl AtomicHistogram {
-    fn new() -> AtomicHistogram {
-        AtomicHistogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }
-    }
-
-    /// Records one observation (relaxed atomics; no locks).
-    #[inline]
-    pub fn record(&self, value: u64) {
-        self.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-    }
-
-    /// Loads the current contents as a plain [`Histogram`].
-    pub fn load(&self) -> Histogram {
-        Histogram {
-            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Global registry state: the histogram shards of every live thread,
-/// and the folded totals of exited threads' shards. Lock order:
-/// `shards` before `retired`.
-struct Registry {
-    shards: Mutex<Vec<(&'static str, Arc<AtomicHistogram>)>>,
-    retired: Mutex<BTreeMap<&'static str, Histogram>>,
-}
-
-fn registry() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(|| Registry {
-        shards: Mutex::new(Vec::new()),
-        retired: Mutex::new(BTreeMap::new()),
-    })
-}
-
-/// One thread's histogram shards, keyed by metric name. Dropped when
-/// the thread exits, which retires every shard it registered.
-#[derive(Default)]
-struct LocalHists(HashMap<&'static str, Arc<AtomicHistogram>>);
-
-impl Drop for LocalHists {
-    fn drop(&mut self) {
-        if self.0.is_empty() {
-            return;
-        }
-        let registry = registry();
-        // Both locks, in snapshot order, so a snapshot sees each shard
-        // either live or retired, never both and never neither. A
-        // poisoned registry keeps the shards live rather than panic in
-        // a destructor.
-        let Ok(mut live) = registry.shards.lock() else {
-            return;
-        };
-        let Ok(mut retired) = registry.retired.lock() else {
-            return;
-        };
-        for (name, shard) in self.0.drain() {
-            retired.entry(name).or_default().merge(&shard.load());
-            if let Some(at) = live.iter().position(|(_, s)| Arc::ptr_eq(s, &shard)) {
-                live.swap_remove(at);
-            }
-        }
-    }
-}
-
-thread_local! {
-    /// This thread's histogram shards.
-    static LOCAL_HISTS: RefCell<LocalHists> = RefCell::new(LocalHists::default());
-}
-
-/// Records one observation into the histogram `name`. The fast path
-/// (shard already exists on this thread) is a thread-local hash
-/// lookup plus three relaxed atomic adds.
-pub(crate) fn observe(name: &'static str, value: u64) {
-    LOCAL_HISTS.with(|local| {
-        let mut local = local.borrow_mut();
-        let shard = local.0.entry(name).or_insert_with(|| {
-            let shard = Arc::new(AtomicHistogram::new());
-            registry()
-                .shards
-                .lock()
-                .unwrap()
-                .push((name, Arc::clone(&shard)));
-            shard
-        });
-        shard.record(value);
-    });
-}
+/// Span-duration histograms, keyed by span name. A poisoned lock is
+/// recovered, not propagated: no update can stop halfway through a
+/// histogram, and recording runs inside `SpanGuard::drop`, which must
+/// not panic.
+static SPAN_HISTOGRAMS: Mutex<BTreeMap<&'static str, Histogram>> = Mutex::new(BTreeMap::new());
 
 /// Records a span duration into the `span.<name>.us` histogram.
-/// Span names are interned so the combined name is `&'static str`
-/// (allocated once per distinct span name for the process lifetime).
 pub(crate) fn observe_span_us(span_name: &'static str, dur_us: u64) {
-    static INTERNED: OnceLock<Mutex<HashMap<&'static str, &'static str>>> = OnceLock::new();
-    thread_local! {
-        static CACHE: RefCell<HashMap<&'static str, &'static str>> = RefCell::new(HashMap::new());
-    }
-    let metric = CACHE.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        *cache.entry(span_name).or_insert_with(|| {
-            let mut interned = INTERNED
-                .get_or_init(|| Mutex::new(HashMap::new()))
-                .lock()
-                .unwrap();
-            interned
-                .entry(span_name)
-                .or_insert_with(|| Box::leak(format!("span.{span_name}.us").into_boxed_str()))
-        })
-    });
-    observe(metric, dur_us);
+    SPAN_HISTOGRAMS
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .entry(span_name)
+        .or_default()
+        .record(dur_us);
 }
 
-/// A point-in-time copy of every histogram, with shards merged per
-/// name. The map is a `BTreeMap` so iteration (and therefore every
-/// rendering) is deterministically sorted.
+/// A point-in-time copy of every histogram. The map is a `BTreeMap`
+/// so iteration (and therefore every rendering) is deterministically
+/// sorted.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
-    /// Merged histograms by dotted name.
+    /// Histograms by dotted name.
     pub histograms: BTreeMap<String, Histogram>,
 }
 
-/// Takes a cumulative snapshot of the registry: the retired totals
-/// plus every live shard. Writers are not paused; each shard is read
-/// atomically bucket-by-bucket, which can lag `count` by in-flight
-/// observations but never invents data.
+/// Copies every span-duration histogram, named `span.<name>.us`. The
+/// totals are cumulative over the process lifetime.
 pub fn snapshot() -> Snapshot {
-    let registry = registry();
-    let live = registry.shards.lock().unwrap();
-    let mut histograms: BTreeMap<String, Histogram> = registry
-        .retired
+    let histograms = SPAN_HISTOGRAMS
         .lock()
-        .unwrap()
+        .unwrap_or_else(PoisonError::into_inner)
         .iter()
-        .map(|(&name, hist)| (name.to_string(), hist.clone()))
+        .map(|(name, hist)| (format!("span.{name}.us"), hist.clone()))
         .collect();
-    for (name, shard) in live.iter() {
-        histograms
-            .entry(name.to_string())
-            .or_default()
-            .merge(&shard.load());
-    }
     Snapshot { histograms }
 }
 
@@ -273,21 +125,14 @@ mod tests {
 
     #[test]
     fn record_and_merge_agree_with_direct_counts() {
-        let mut a = Histogram::default();
-        let mut b = Histogram::default();
+        let mut hist = Histogram::default();
         for v in [0u64, 1, 1, 7, 8, 1000, u64::MAX] {
-            a.record(v);
+            hist.record(v);
         }
-        for v in [3u64, 4, 5] {
-            b.record(v);
-        }
-        let mut merged = a.clone();
-        merged.merge(&b);
-        assert_eq!(merged.count, 10);
-        assert_eq!(merged.buckets.iter().sum::<u64>(), merged.count);
-        let mut swapped = b.clone();
-        swapped.merge(&a);
-        assert_eq!(merged, swapped, "merge commutes");
+        assert_eq!(hist.count, 7);
+        assert_eq!(hist.sum, u64::MAX, "the sum saturates");
+        assert_eq!(hist.buckets.iter().sum::<u64>(), hist.count);
+        assert_eq!(hist.buckets[bucket_of(1)], 2);
     }
 
     #[test]
@@ -296,44 +141,28 @@ mod tests {
             for _ in 0..3 {
                 scope.spawn(|| {
                     for v in 0..100u64 {
-                        observe("test.metrics.hist", v);
+                        observe_span_us("test.metrics.hist", v);
                     }
                 });
             }
         });
-        let hist = &snapshot().histograms["test.metrics.hist"];
-        assert!(
-            hist.count >= 300,
-            "all three threads merged: {}",
-            hist.count
-        );
+        let hist = &snapshot().histograms["span.test.metrics.hist.us"];
+        assert_eq!(hist.count, 300, "all three threads recorded");
+        assert_eq!(hist.sum, 3 * (0..100u64).sum::<u64>());
         assert_eq!(hist.buckets.iter().sum::<u64>(), hist.count);
     }
 
     #[test]
     fn exited_threads_retire_their_shards_into_cumulative_totals() {
         const THREADS: u64 = 64;
-        const NAME: &str = "test.metrics.retired";
-        let live = || registry().shards.lock().unwrap().len();
-        let before = live();
         for v in 0..THREADS {
-            std::thread::spawn(move || observe(NAME, v)).join().unwrap();
+            std::thread::spawn(move || observe_span_us("test.metrics.exited", v))
+                .join()
+                .unwrap();
         }
-        let hist = &snapshot().histograms[NAME];
+        let hist = &snapshot().histograms["span.test.metrics.exited.us"];
         assert_eq!(hist.count, THREADS, "every exited thread still counts");
         assert_eq!(hist.sum, (0..THREADS).sum::<u64>());
         assert_eq!(hist.buckets.iter().sum::<u64>(), THREADS);
-        let named = registry()
-            .shards
-            .lock()
-            .unwrap()
-            .iter()
-            .filter(|(name, _)| *name == NAME)
-            .count();
-        assert_eq!(named, 0, "no shard outlives its thread");
-        assert!(
-            live() < before + THREADS as usize,
-            "the live list did not grow by one shard per exited thread"
-        );
     }
 }

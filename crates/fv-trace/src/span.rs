@@ -138,6 +138,16 @@ pub struct SpanRecord {
     pub attrs: Vec<(&'static str, AttrValue)>,
 }
 
+impl SpanRecord {
+    /// The string attribute `key`, if the span has one.
+    pub fn str_attr(&self, key: &str) -> Option<&str> {
+        self.attrs.iter().find_map(|(k, v)| match v {
+            AttrValue::Str(s) if *k == key => Some(s.as_str()),
+            _ => None,
+        })
+    }
+}
+
 /// The live half of an active span guard.
 struct ActiveSpan {
     id: u64,
@@ -268,6 +278,20 @@ mod tests {
             g.attr("late", "ignored");
         }
         assert!(take_spans().is_empty());
+    }
+
+    #[test]
+    fn timed_spans_land_in_the_snapshot_under_their_name() {
+        let _serial = serial();
+        set_timing_enabled(true);
+        for _ in 0..3 {
+            let _timed = crate::span!("test.span.timed");
+        }
+        set_timing_enabled(false);
+        let snap = crate::metrics::snapshot();
+        let hist = &snap.histograms["span.test.span.timed.us"];
+        assert_eq!(hist.count, 3);
+        assert_eq!(hist.buckets.iter().sum::<u64>(), 3);
     }
 
     #[test]

@@ -35,27 +35,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// How many timed checks the engine retains for the slow-check
-/// report (the top N by wall time).
-const SLOW_CHECKS_CAP: usize = 32;
-
-/// One timed prover check (a scored cache-miss sample), retained for
-/// the `results/slow_checks.md` side-channel report. Wall time is
-/// nondeterministic, so these records never feed a byte-compared
-/// table.
-#[derive(Debug, Clone)]
-pub struct SlowCheck {
-    /// Case id the sample was scored against.
-    pub id: String,
-    /// Task shape: `nl2sva-human`, `nl2sva-machine`, or `design2sva`.
-    pub kind: &'static str,
-    /// OP-Tree mutation operator tag when the case is a derived
-    /// mutant (PR 7's mutation layer); `None` otherwise.
-    pub mutation: Option<String>,
-    /// Scoring wall time in microseconds (parse + formal check).
-    pub micros: u64,
-}
-
 /// Verdict-cache counters (monotonic over the engine's lifetime).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
@@ -277,9 +256,6 @@ pub struct EvalEngine {
     /// this is nowhere near the hot path). Cache hits skip scoring, so
     /// only formal work actually performed is counted.
     prover: Mutex<ProverStats>,
-    /// The slowest scored checks seen so far (bounded, sorted by wall
-    /// time descending). Purely observational — see [`SlowCheck`].
-    slow: Mutex<Vec<SlowCheck>>,
 }
 
 impl Default for EvalEngine {
@@ -307,7 +283,6 @@ impl EvalEngine {
             verdicts: VerdictCache::default(),
             compiled: Mutex::new(HashMap::new()),
             prover: Mutex::new(ProverStats::default()),
-            slow: Mutex::new(Vec::new()),
         }
     }
 
@@ -367,37 +342,6 @@ impl EvalEngine {
             .lock()
             .expect("prover counters poisoned")
             .merge(stats);
-    }
-
-    /// The slowest scored checks so far (wall time descending, at most
-    /// 32 entries). Cache hits skip scoring and never
-    /// appear. Timing is nondeterministic: this feeds the
-    /// `slow_checks.md` side-channel report only, never a
-    /// byte-compared table.
-    pub fn slow_checks(&self) -> Vec<SlowCheck> {
-        self.slow.lock().expect("slow-check list poisoned").clone()
-    }
-
-    /// Records one scored sample's wall time into the bounded
-    /// slowest-checks list.
-    fn note_check_time(&self, task: &TaskSpec, micros: u64) {
-        let mut slow = self.slow.lock().expect("slow-check list poisoned");
-        if slow.len() >= SLOW_CHECKS_CAP && slow.last().is_some_and(|l| l.micros >= micros) {
-            return;
-        }
-        let (kind, mutation) = match task {
-            TaskSpec::Nl2svaHuman { case, .. } => ("nl2sva-human", case.mutation.clone()),
-            TaskSpec::Nl2svaMachine { case, .. } => ("nl2sva-machine", case.mutation.clone()),
-            TaskSpec::Design2sva { .. } => ("design2sva", None),
-        };
-        slow.push(SlowCheck {
-            id: task.id().to_string(),
-            kind,
-            mutation,
-            micros,
-        });
-        slow.sort_by(|a, b| b.micros.cmp(&a.micros).then_with(|| a.id.cmp(&b.id)));
-        slow.truncate(SLOW_CHECKS_CAP);
     }
 
     /// Runs one backend over a task list with `n_samples` responses per
@@ -539,12 +483,21 @@ impl EvalEngine {
         cfg: &InferenceConfig,
         n_samples: u32,
     ) -> Vec<CaseEvals> {
-        let _span = fv_trace::span!(
+        let (kind, mutation) = match task.as_ref() {
+            TaskSpec::Nl2svaHuman { case, .. } => ("nl2sva-human", case.mutation.as_deref()),
+            TaskSpec::Nl2svaMachine { case, .. } => ("nl2sva-machine", case.mutation.as_deref()),
+            TaskSpec::Design2sva { .. } => ("design2sva", None),
+        };
+        let mut span = fv_trace::span!(
             "engine.case",
             task = task.id(),
+            kind = kind,
             backends = backends.len(),
             samples = n_samples
         );
+        if let Some(tag) = mutation {
+            span.attr("mutation", tag);
+        }
         let cfg_key = self.verdict_cfg(task, cfg);
         let digest = task.content_digest();
         let key = |backend: &dyn Backend, sample_idx: u32| -> VerdictKey {
@@ -616,9 +569,7 @@ impl EvalEngine {
             let mut scorer = self.open_scorer(task, digest, &mut compiled);
             for (backend, unit) in backends.iter().zip(&mut prepared) {
                 for (sample_idx, response) in &unit.missing {
-                    let started = std::time::Instant::now();
                     let eval = self.score_with(&mut scorer, response);
-                    self.note_check_time(task, started.elapsed().as_micros() as u64);
                     self.verdicts.insert(key(*backend, *sample_idx), eval);
                     unit.samples[*sample_idx as usize] = Some(eval);
                 }
@@ -677,7 +628,9 @@ impl EvalEngine {
     }
 
     /// Scores one response and merges its formal-work delta into the
-    /// engine counters.
+    /// engine counters. The `engine.score` span is the check's only
+    /// timer: the `fveval` CLI ranks these spans, under their
+    /// `engine.case` parents, into `slow_checks.md`.
     fn score_with(&self, scorer: &mut Scorer<'_>, response: &str) -> SampleEval {
         let _span = fv_trace::span!("engine.score");
         let (eval, stats) = scorer.score(response);

@@ -33,7 +33,7 @@ pub use bleu::bleu;
 pub use design2sva::compile_design;
 pub use engine::{
     design_task_specs, generated_task_specs, human_task_specs, machine_task_specs, CacheStats,
-    EvalEngine, SlowCheck, VerdictKey, VerdictRecord,
+    EvalEngine, VerdictKey, VerdictRecord,
 };
 pub use fv_core::{CompiledDesign, ProverStats};
 pub use metrics::{CaseEvals, MetricSummary, SampleEval};

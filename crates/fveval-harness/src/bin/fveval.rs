@@ -53,7 +53,9 @@
 //!                   chrome://tracing or Perfetto). Tracing is a side
 //!                   channel: every results/ table stays byte-identical
 //!                   with or without it. Also writes the run's slowest
-//!                   prover checks to `--out/slow_checks.md`.
+//!                   prover checks to `--out/slow_checks.md`, ranked
+//!                   from the same spans (`engine.score` under
+//!                   `engine.case`).
 //!   --engine E      Design2SVA proving engine: bounded (BMC +
 //!                   k-induction, the default), pdr (IC3/PDR), or
 //!                   portfolio (bounded, then PDR on checks bounded
@@ -110,15 +112,20 @@
 //! store. The README's *Prover statistics* table says what each column
 //! means.
 
+use fv_trace::SpanRecord;
 use fveval_core::EvalEngine;
 use fveval_harness::HarnessOptions;
 use fveval_serve::{Client, EvalRequest, Server, ServerConfig, TaskSetRef, VerdictStore};
+use std::cmp::Reverse;
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 
 const DEFAULT_ADDR: &str = "127.0.0.1:8642";
 const WAIT_TIMEOUT: Duration = Duration::from_secs(3600);
+/// How many checks `slow_checks.md` lists.
+const SLOW_CHECKS_CAP: usize = 32;
 
 struct Args {
     command: String,
@@ -761,10 +768,8 @@ fn flush_store(store: &mut VerdictStore, engine: &EvalEngine) {
         eprintln!("warning: cannot flush verdict store: {e}");
         return;
     }
-    if store.segment_count() > 8 {
-        if let Err(e) = store.compact() {
-            eprintln!("warning: cannot compact verdict store: {e}");
-        }
+    if let Err(e) = store.compact_if_fragmented() {
+        eprintln!("warning: cannot compact verdict store: {e}");
     }
 }
 
@@ -777,11 +782,11 @@ fn main() -> ExitCode {
         }
     };
     if args.trace_out.is_some() {
-        // Spans (for the Chrome export) and timing histograms are pure
-        // side channels: enabling them must never change a byte of any
-        // results/ table — only add the trace artifact.
+        // Spans are a pure side channel: enabling them must never
+        // change a byte of any results/ table — only add the trace
+        // artifact and slow_checks.md. No CLI command reads the span
+        // histograms, so timing stays off.
         fv_trace::set_spans_enabled(true);
-        fv_trace::set_timing_enabled(true);
     }
     if SERVICE_COMMANDS.contains(&args.command.as_str()) {
         let outcome = match args.command.as_str() {
@@ -833,14 +838,16 @@ fn main() -> ExitCode {
     }
     // The trace is written even for failed runs — that is when the
     // span tree is most useful.
-    if let Some(path) = &args.trace_out {
-        write_trace(path);
-    }
+    let spans = args.trace_out.as_ref().map(|path| {
+        let spans = fv_trace::take_spans();
+        write_trace(path, &spans);
+        spans
+    });
     if failed {
         return ExitCode::FAILURE;
     }
-    if args.trace_out.is_some() {
-        write_slow_checks(&args.out_dir, &engine);
+    if let Some(spans) = &spans {
+        write_slow_checks(&args.out_dir, spans);
     }
     let stats = engine.cache_stats();
     if stats.hits + stats.persisted_hits + stats.misses > 0 {
@@ -880,9 +887,8 @@ fn main() -> ExitCode {
 
 /// Writes the collected span tree as a Chrome-trace JSON file (loads
 /// in `chrome://tracing` and Perfetto) — the `--trace-out` artifact.
-fn write_trace(path: &Path) {
-    let spans = fv_trace::take_spans();
-    let json = fv_trace::chrome::render(&spans);
+fn write_trace(path: &Path, spans: &[SpanRecord]) {
+    let json = fv_trace::chrome::render(spans);
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             let _ = std::fs::create_dir_all(parent);
@@ -898,12 +904,33 @@ fn write_trace(path: &Path) {
     }
 }
 
+/// The run's slowest scored checks: every `engine.score` span whose
+/// parent is an `engine.case` span (the engine's scored cache misses),
+/// as its duration and that case span. Slowest first with ties by case
+/// id, at most [`SLOW_CHECKS_CAP`].
+fn slowest_checks(spans: &[SpanRecord]) -> Vec<(u64, &SpanRecord)> {
+    let cases: HashMap<u64, &SpanRecord> = spans
+        .iter()
+        .filter(|span| span.name == "engine.case")
+        .map(|span| (span.id, span))
+        .collect();
+    let mut checks: Vec<(u64, &SpanRecord)> = spans
+        .iter()
+        .filter(|span| span.name == "engine.score")
+        .filter_map(|span| Some((span.dur_us, *cases.get(&span.parent?)?)))
+        .collect();
+    checks.sort_by_key(|&(dur_us, case)| (Reverse(dur_us), case.str_attr("task")));
+    checks.truncate(SLOW_CHECKS_CAP);
+    checks
+}
+
 /// Writes `slow_checks.md` (under `--trace-out`): the run's slowest
-/// prover-backed checks with task-kind and mutation-tag attribution.
-/// This is a timing side channel — ranks and milliseconds vary run to
-/// run, so the file is never part of the byte-compared result tables.
-fn write_slow_checks(dir: &Path, engine: &EvalEngine) {
-    let slow = engine.slow_checks();
+/// prover-backed checks with task-kind and mutation-tag attribution,
+/// read off the trace's spans. This is a timing side channel — ranks
+/// and milliseconds vary run to run, so the file is never part of the
+/// byte-compared result tables.
+fn write_slow_checks(dir: &Path, spans: &[SpanRecord]) {
+    let slow = slowest_checks(spans);
     if slow.is_empty() {
         return;
     }
@@ -914,14 +941,15 @@ fn write_slow_checks(dir: &Path, engine: &EvalEngine) {
          | Rank | Case | Task | Mutation | ms |\n\
          |---:|---|---|---|---:|\n",
     );
-    for (rank, check) in slow.iter().enumerate() {
+    for (rank, (dur_us, case)) in slow.iter().enumerate() {
+        let attr = |key| case.str_attr(key).unwrap_or("—");
         md.push_str(&format!(
             "| {} | {} | {} | {} | {:.1} |\n",
             rank + 1,
-            check.id,
-            check.kind,
-            check.mutation.as_deref().unwrap_or("—"),
-            check.micros as f64 / 1000.0
+            attr("task"),
+            attr("kind"),
+            attr("mutation"),
+            *dur_us as f64 / 1000.0
         ));
     }
     write_out(dir, "slow_checks", &md, None);
@@ -963,6 +991,66 @@ fn prover_stats_table(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn span(id: u64, parent: Option<u64>, name: &'static str, dur_us: u64) -> SpanRecord {
+        SpanRecord {
+            id,
+            parent,
+            name,
+            tid: 1,
+            start_us: 0,
+            dur_us,
+            attrs: Vec::new(),
+        }
+    }
+
+    /// The case span `i`'s kind and mutation tag.
+    fn case_attrs(i: u64) -> (&'static str, Option<&'static str>) {
+        let kind = ["nl2sva-human", "nl2sva-machine", "design2sva"][i as usize % 3];
+        let mutation = (kind != "design2sva" && i.is_multiple_of(4)).then_some("opswap");
+        (kind, mutation)
+    }
+
+    #[test]
+    fn slowest_checks_rank_scored_spans_under_their_cases() {
+        let mut spans = Vec::new();
+        for i in 1..=40u64 {
+            spans.push(span(100 + i, Some(i), "engine.score", (i % 10) * 1000));
+            let (kind, mutation) = case_attrs(i);
+            let mut case = span(i, None, "engine.case", 50_000);
+            case.attrs = vec![
+                ("task", format!("case_{i:02}").into()),
+                ("kind", kind.into()),
+            ];
+            case.attrs
+                .extend(mutation.map(|tag| ("mutation", tag.into())));
+            spans.push(case);
+        }
+        // Neither a one-shot score outside any case nor another span
+        // under a case is a row, however slow.
+        spans.push(span(500, None, "engine.score", 9_000_000));
+        spans.push(span(501, Some(1), "sat.solve", 8_000_000));
+
+        let rows = slowest_checks(&spans);
+        assert_eq!(rows.len(), SLOW_CHECKS_CAP);
+        let ranked: Vec<(u64, &str)> = rows
+            .iter()
+            .map(|&(dur_us, case)| (dur_us, case.str_attr("task").unwrap()))
+            .collect();
+        assert_eq!(ranked[0], (9000, "case_09"));
+        for pair in ranked.windows(2) {
+            assert!(pair[0].0 > pair[1].0 || (pair[0].0 == pair[1].0 && pair[0].1 < pair[1].1));
+        }
+        assert!(rows
+            .iter()
+            .any(|(_, case)| case.str_attr("mutation").is_some()));
+        for (dur_us, case) in rows {
+            assert!(dur_us < 10_000, "only engine.score under a case");
+            let (kind, mutation) = case_attrs(case.id);
+            assert_eq!(case.str_attr("kind"), Some(kind));
+            assert_eq!(case.str_attr("mutation"), mutation);
+        }
+    }
 
     #[test]
     fn prover_stats_columns_keep_their_order() {

@@ -80,9 +80,9 @@ impl TaskSetRef {
     /// encoding of the task set (tasks only — models, inference
     /// config, and sample count do not participate). Two requests for
     /// the same task content therefore always carry the same digest,
-    /// so a sharded server lands them on the same shard and its
-    /// `CompiledDesign`/`ProofSession` caches stay hot. Pure function
-    /// of `self`: stable across processes, restarts, and shard counts.
+    /// so a sharded server lands them on the same shard, whose task
+    /// memo and engine caches answer the repeat. Pure function of
+    /// `self`: stable across processes, restarts, and shard counts.
     pub fn route_digest(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;

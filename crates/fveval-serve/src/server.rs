@@ -15,15 +15,18 @@
 //! Evaluation model: [`ServerConfig::shards`] engine shards, each a
 //! [`Shard`] owning a private [`fveval_core::EvalEngine`] drained by
 //! one worker thread. Jobs route by the request's task-content digest
-//! ([`TaskSetRef::route_digest`] mod shard count), so a design's
-//! `CompiledDesign`/`ProofSession` state always lands on the same
-//! shard, and each worker builds a task set once and reuses it from
-//! its `TaskMemo` on every later job. Every shard queue is bounded
-//! ([`ServerConfig::queue_depth`]); a submit that finds its shard full
-//! is answered `429 Too Many Requests` with a `Retry-After` header and
-//! a `retry_after_ms` body hint. A maintenance thread compacts a
-//! fragmented [`VerdictStore`] in the background whenever every shard
-//! is idle, instead of only at shutdown.
+//! ([`TaskSetRef::route_digest`] mod shard count), so a repeated task
+//! set always lands on the same shard: its worker builds the set once
+//! and reuses it from its `TaskMemo` on every later job, and that
+//! shard engine's verdict and compiled-design caches answer the
+//! repeat. (A `ProofSession` lives inside one case group's scoring and
+//! is dropped with it, so no session outlives a job.) Every shard
+//! queue is bounded ([`ServerConfig::queue_depth`]); a submit that
+//! finds its shard full is answered `429 Too Many Requests` with a
+//! `Retry-After` header and a `retry_after_ms` body hint. A
+//! maintenance thread compacts a fragmented [`VerdictStore`] in the
+//! background whenever every shard is idle, instead of only at
+//! shutdown.
 //!
 //! Determinism is unchanged from the single-engine server: shards
 //! partition *jobs*, not cases, and every engine computes the same
@@ -117,10 +120,6 @@ const TICK_MS: i32 = 25;
 
 /// Longest honored `?wait_ms=` long-poll window.
 const MAX_WAIT_MS: u64 = 30_000;
-
-/// A fragmented store (more segments than this) is compacted by the
-/// maintenance thread at the next idle moment, and at shutdown.
-const COMPACT_SEGMENT_THRESHOLD: usize = 4;
 
 #[derive(Debug)]
 struct Job {
@@ -361,11 +360,9 @@ impl Server {
         if let Some(store) = store.as_mut() {
             // Bound fragmentation across restarts: many short runs each
             // append one segment; fold them once at shutdown.
-            if store.segment_count() > COMPACT_SEGMENT_THRESHOLD {
-                store
-                    .compact()
-                    .map_err(|e| format!("compaction failed: {e}"))?;
-            }
+            store
+                .compact_if_fragmented()
+                .map_err(|e| format!("compaction failed: {e}"))?;
         }
         result
     }
@@ -1148,7 +1145,7 @@ fn run_job(
 }
 
 /// The background store maintainer: whenever the store has fragmented
-/// past [`COMPACT_SEGMENT_THRESHOLD`] segments and every shard is
+/// (see [`VerdictStore::compact_if_fragmented`]) and every shard is
 /// idle, fold it into one segment — while the server keeps serving.
 /// Compaction refreshes from disk first (see
 /// [`VerdictStore::compact`]), so a flush racing the fold can never be
@@ -1161,13 +1158,12 @@ fn maintenance_loop(shared: &Arc<Shared>) {
         }
         let mut store = shared.store.lock().expect("store poisoned");
         if let Some(store) = store.as_mut() {
-            if store.segment_count() > COMPACT_SEGMENT_THRESHOLD {
-                match store.compact() {
-                    Ok(()) => {
-                        shared.compactions.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(e) => eprintln!("[serve] background compaction failed: {e}"),
+            match store.compact_if_fragmented() {
+                Ok(true) => {
+                    shared.compactions.fetch_add(1, Ordering::Relaxed);
                 }
+                Ok(false) => {}
+                Err(e) => eprintln!("[serve] background compaction failed: {e}"),
             }
         }
     }

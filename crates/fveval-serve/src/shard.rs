@@ -5,12 +5,14 @@
 //! queue and drained by one worker thread. Jobs route to shards by
 //! [`shard_of`] over the request's task-content digest
 //! ([`crate::TaskSetRef::route_digest`]), so repeated evaluations of
-//! the same design always land on the same shard — its
-//! `CompiledDesign`/`ProofSession` caches stay hot, and no design
-//! state ever migrates across engines. The queue bound is the
-//! backpressure surface: a submit that finds `queued + in-flight` at
-//! the bound is rejected (`429`) with a [`Shard::retry_after_ms`]
-//! hint derived from an EWMA of recent job durations on that shard.
+//! the same design always land on the same shard — its engine's
+//! verdict and compiled-design caches stay hot, and no design state
+//! ever migrates across engines. (A `ProofSession` is opened per case
+//! group and dropped with it, so no session outlives a job.) The
+//! queue bound is the backpressure surface: a submit that finds
+//! `queued + in-flight` at the bound is rejected (`429`) with a
+//! [`Shard::retry_after_ms`] hint derived from an EWMA of recent job
+//! durations on that shard.
 //!
 //! Routing also means each task set is built on one shard only: a
 //! shard worker keeps the sets it built in a `TaskMemo`, so a task

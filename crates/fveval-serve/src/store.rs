@@ -27,6 +27,10 @@ use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
+/// A store with more segments than this is fragmented: see
+/// [`VerdictStore::compact_if_fragmented`].
+const MAX_SEGMENTS: usize = 4;
+
 /// A persistent verdict store rooted at one directory.
 #[derive(Debug)]
 pub struct VerdictStore {
@@ -200,6 +204,21 @@ impl VerdictStore {
         }
         self.segments = vec![path];
         Ok(())
+    }
+
+    /// Compacts the store when it holds more than four segments, the
+    /// one fragmentation bound shared by every CLI run and `fveval
+    /// serve`. Returns whether it compacted.
+    ///
+    /// # Errors
+    ///
+    /// Returns the I/O error of [`VerdictStore::compact`].
+    pub fn compact_if_fragmented(&mut self) -> std::io::Result<bool> {
+        if self.segments.len() <= MAX_SEGMENTS {
+            return Ok(false);
+        }
+        self.compact()?;
+        Ok(true)
     }
 
     /// Writes `records` to a process-unique hidden tmp file, then
@@ -384,6 +403,23 @@ mod tests {
         again.compact().unwrap();
         let after = std::fs::read_to_string(&again.segments[0]).unwrap();
         assert_eq!(before, after);
+    }
+
+    #[test]
+    fn only_a_store_past_four_segments_is_compacted() {
+        let tmp = TempDir::new("store-fragmented");
+        let mut store = VerdictStore::open(tmp.path()).unwrap();
+        for i in 0..4 {
+            store.append(&[record(i, 0.5)]).unwrap();
+        }
+        assert!(!store.compact_if_fragmented().unwrap());
+        assert_eq!(store.segment_count(), 4);
+        store.append(&[record(4, 0.5)]).unwrap();
+        let before = store.records();
+        assert!(store.compact_if_fragmented().unwrap());
+        assert_eq!(store.segment_count(), 1);
+        assert_eq!(store.records(), before);
+        assert_eq!(VerdictStore::open(tmp.path()).unwrap().records(), before);
     }
 
     #[test]
