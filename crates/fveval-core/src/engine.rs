@@ -3,16 +3,17 @@
 //!
 //! [`EvalEngine`] executes the `model × case × sample` product behind a
 //! single API. Work is partitioned **case-major**: one group = one
-//! case across every backend and sample, executed end to end by a
-//! single worker thread. Within a group, all candidates stream through
-//! one shared *proof session* (a [`fv_core::ProofSession`] over the
-//! compiled design for Design2SVA, an [`fv_core::EquivSession`] over
-//! the compiled reference for NL2SVA), so unrollings, monitor
-//! encodings, and solver state amortize across samples *and* models —
-//! and because a session never migrates across threads and candidate
-//! order within a group is fixed, a parallel run produces
-//! byte-identical results (and jobs-invariant prover counters) to a
-//! sequential one.
+//! case across every backend and sample. The calling thread first
+//! settles every group the verdict cache answers in full; each other
+//! group is executed end to end by a single worker thread. Within a
+//! group, all candidates stream through one shared *proof session* (a
+//! [`fv_core::ProofSession`] over the compiled design for Design2SVA,
+//! an [`fv_core::EquivSession`] over the compiled reference for
+//! NL2SVA), so unrollings, monitor encodings, and solver state
+//! amortize across samples *and* models — and because a session never
+//! migrates across threads and candidate order within a group is
+//! fixed, a parallel run produces byte-identical results (and
+//! jobs-invariant prover counters) to a sequential one.
 //!
 //! Two caches amortize repeated work across tables:
 //!
@@ -33,7 +34,7 @@ use fveval_data::{DesignCase, HumanCase, MachineCase};
 use fveval_llm::{Backend, InferenceConfig, Request, TaskSpec};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Verdict-cache counters (monotonic over the engine's lifetime).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -133,6 +134,45 @@ pub type VerdictKey = (String, String, u64, String, u32);
 /// same-id cases from differently-seeded generations apart.
 type CompiledKey = (String, u64);
 type SharedCompiled = Arc<Result<CompiledDesign, String>>;
+
+/// The verdict key of `backend`'s sample `sample` on `task`.
+fn verdict_key(
+    backend: &dyn Backend,
+    task: &TaskSpec,
+    digest: u64,
+    cfg_key: &str,
+    sample: u32,
+) -> VerdictKey {
+    (
+        backend.name().to_string(),
+        task.id().to_string(),
+        digest,
+        cfg_key.to_string(),
+        sample,
+    )
+}
+
+/// One backend's settled samples for `task`.
+fn case_evals(task: &TaskSpec, samples: Vec<Option<SampleEval>>) -> CaseEvals {
+    CaseEvals {
+        id: task.id().to_string(),
+        samples: samples
+            .into_iter()
+            .map(|s| s.expect("every sample resolved"))
+            .collect(),
+    }
+}
+
+/// A case group the cache pass could not answer in full: the key
+/// parts it looked its verdicts up by, and what it found.
+struct ColdGroup {
+    /// The task's position in the work-list.
+    index: usize,
+    digest: u64,
+    cfg_key: String,
+    /// Per backend, per sample: the cached verdict, or `None`.
+    cached: Vec<Vec<Option<SampleEval>>>,
+}
 
 /// One cached verdict plus where it came from: verdicts preloaded from
 /// a persistent store count as `persisted_hits` and are never drained
@@ -384,20 +424,27 @@ impl EvalEngine {
             .unwrap_or_default()
     }
 
-    /// Runs the full `backends × tasks × samples` work-list through the
-    /// worker pool. Returns one `Vec<CaseEvals>` per backend, in input
-    /// order; `result[b][t]` holds backend `b`'s samples for task `t`.
+    /// Runs the full `backends × tasks × samples` work-list. Returns
+    /// one `Vec<CaseEvals>` per backend, in input order; `result[b][t]`
+    /// holds backend `b`'s samples for task `t`.
     ///
     /// Work is partitioned case-major: one group per task, covering
-    /// every backend and sample, executed by a single worker — so the
-    /// per-case proof session never migrates across threads and the
-    /// candidate stream order (backends in input order, samples
-    /// ascending) is fixed for any `jobs` setting. Results *and*
-    /// prover counters are therefore jobs-invariant. The tradeoff:
-    /// effective parallelism is `min(jobs, tasks)`, so a work-list
-    /// with fewer cases than workers leaves some idle — benchmark
-    /// tables have dozens-to-hundreds of cases, where this never
-    /// binds.
+    /// every backend and sample. A cache pass on the calling thread
+    /// looks every verdict up once and settles each group the cache
+    /// answers in full; a work pass then hands each remaining group to
+    /// a single worker of the pool — so the per-case proof session
+    /// never migrates across threads and the candidate stream order
+    /// (backends in input order, samples ascending) is fixed for any
+    /// `jobs` setting. Results *and* prover counters are therefore
+    /// jobs-invariant. The tradeoff: effective parallelism is
+    /// `min(jobs, groups to score)`, so a work-list with fewer such
+    /// cases than workers leaves some idle — benchmark tables have
+    /// dozens-to-hundreds of cases, where this never binds.
+    ///
+    /// Every lookup happens before any verdict is computed, so a
+    /// work-list that repeats a `(task id, content digest)` pair scores
+    /// both copies. No list built by this crate, the `fveval` CLI or
+    /// the server repeats one.
     pub fn run_matrix(
         &self,
         backends: &[&dyn Backend],
@@ -408,13 +455,18 @@ impl EvalEngine {
         self.run_matrix_with_progress(backends, tasks, cfg, n_samples, &|_, _| {})
     }
 
-    /// [`EvalEngine::run_matrix`] with a completion callback: after
-    /// each case group (one task across every backend and sample)
-    /// finishes, `progress(done, total)` is invoked with the number of
-    /// groups settled so far and the group total. The callback runs on
-    /// worker threads and must be cheap and `Sync`; `done` is strictly
-    /// increasing across calls (the counter is claimed atomically),
-    /// though call *order* across threads is unspecified. Results are
+    /// [`EvalEngine::run_matrix`] with a completion callback
+    /// `progress(done, total)`, where `total` is the number of case
+    /// groups (one task across every backend and sample) and `done`
+    /// the number settled so far.
+    ///
+    /// If the cache answers any group in full, the calling thread
+    /// reports those groups in one call, before any other. Each other
+    /// group reports once when it finishes, from the thread that ran
+    /// it. The `done` values are distinct and the largest is `total`,
+    /// but calls from different workers may arrive out of order: a
+    /// caller that wants a monotone view keeps the largest `done` it
+    /// has seen. The callback must be cheap and `Sync`. Results are
     /// identical to `run_matrix` for any callback.
     pub fn run_matrix_with_progress(
         &self,
@@ -425,61 +477,110 @@ impl EvalEngine {
         progress: &(dyn Fn(usize, usize) + Sync),
     ) -> Vec<Vec<CaseEvals>> {
         let n_samples = n_samples.max(1);
-        let total = backends.len() * tasks.len();
-        if total == 0 {
+        if backends.is_empty() || tasks.is_empty() {
             return backends.iter().map(|_| Vec::new()).collect();
         }
-        let slots: Vec<OnceLock<CaseEvals>> = (0..total).map(|_| OnceLock::new()).collect();
-        let done = AtomicUsize::new(0);
-        let run_group = |t: usize| {
-            let task = &tasks[t];
-            let results = self.eval_group(backends, task, cfg, n_samples);
-            for (b, evals) in results.into_iter().enumerate() {
-                slots[b * tasks.len() + t]
-                    .set(evals)
-                    .expect("each work unit is claimed exactly once");
+        // ---- Cache pass: settle every group the cache answers. ----
+        let mut groups: Vec<Option<Vec<CaseEvals>>> = Vec::with_capacity(tasks.len());
+        let mut cold: Vec<ColdGroup> = Vec::new();
+        for (index, task) in tasks.iter().enumerate() {
+            let digest = task.content_digest();
+            let cfg_key = self.verdict_cfg(task, cfg);
+            let cached: Vec<Vec<Option<SampleEval>>> = backends
+                .iter()
+                .map(|backend| {
+                    (0..n_samples)
+                        .map(|sample| {
+                            self.verdicts
+                                .get(&verdict_key(*backend, task, digest, &cfg_key, sample))
+                        })
+                        .collect()
+                })
+                .collect();
+            if cached.iter().flatten().all(Option::is_some) {
+                groups.push(Some(
+                    cached
+                        .into_iter()
+                        .map(|samples| case_evals(task, samples))
+                        .collect(),
+                ));
+            } else {
+                groups.push(None);
+                cold.push(ColdGroup {
+                    index,
+                    digest,
+                    cfg_key,
+                    cached,
+                });
             }
-            let settled = done.fetch_add(1, Ordering::AcqRel) + 1;
-            progress(settled, tasks.len());
+        }
+        let warm = tasks.len() - cold.len();
+        if warm > 0 {
+            progress(warm, tasks.len());
+        }
+
+        // ---- Work pass: infer and score the rest. ----
+        let done = AtomicUsize::new(warm);
+        let run_group = |group: &ColdGroup| {
+            let evals = self.eval_group(backends, &tasks[group.index], group, cfg, n_samples);
+            progress(done.fetch_add(1, Ordering::AcqRel) + 1, tasks.len());
+            evals
         };
-        let workers = self.jobs.min(tasks.len());
+        let workers = self.jobs.min(cold.len());
         if workers <= 1 {
-            (0..tasks.len()).for_each(run_group);
+            for group in &cold {
+                groups[group.index] = Some(run_group(group));
+            }
         } else {
             let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let group = next.fetch_add(1, Ordering::Relaxed);
-                        if group >= tasks.len() {
-                            break;
-                        }
-                        run_group(group);
-                    });
-                }
-            });
-        }
-        let mut slots = slots.into_iter();
-        backends
-            .iter()
-            .map(|_| {
-                (&mut slots)
-                    .take(tasks.len())
-                    .map(|s| s.into_inner().expect("all units completed"))
+            let settled: Vec<Vec<(usize, Vec<CaseEvals>)>> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            let mut settled = Vec::new();
+                            while let Some(group) = cold.get(next.fetch_add(1, Ordering::Relaxed)) {
+                                settled.push((group.index, run_group(group)));
+                            }
+                            settled
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|handle| {
+                        handle
+                            .join()
+                            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                    })
                     .collect()
-            })
-            .collect()
+            });
+            for (index, evals) in settled.into_iter().flatten() {
+                groups[index] = Some(evals);
+            }
+        }
+
+        let mut rows: Vec<Vec<CaseEvals>> = backends
+            .iter()
+            .map(|_| Vec::with_capacity(tasks.len()))
+            .collect();
+        for group in groups {
+            let group = group.expect("every group settled");
+            for (row, evals) in rows.iter_mut().zip(group) {
+                row.push(evals);
+            }
+        }
+        rows
     }
 
-    /// Evaluates one case group — every backend's samples for `task` —
-    /// in two phases: (1) per backend, consult the verdict cache and
-    /// batch the misses through [`Backend::generate_batch`]; (2) score
-    /// every miss, in backend order then sample order, through the
-    /// case's one [`Scorer`].
+    /// Evaluates one case group the cache pass could not answer in
+    /// full, in two phases: (1) per backend, batch the misses through
+    /// [`Backend::generate_batch`]; (2) score every miss, in backend
+    /// order then sample order, through the case's one [`Scorer`].
     fn eval_group(
         &self,
         backends: &[&dyn Backend],
         task: &Arc<TaskSpec>,
+        group: &ColdGroup,
         cfg: &InferenceConfig,
         n_samples: u32,
     ) -> Vec<CaseEvals> {
@@ -498,28 +599,19 @@ impl EvalEngine {
         if let Some(tag) = mutation {
             span.attr("mutation", tag);
         }
-        let cfg_key = self.verdict_cfg(task, cfg);
-        let digest = task.content_digest();
-        let key = |backend: &dyn Backend, sample_idx: u32| -> VerdictKey {
-            (
-                backend.name().to_string(),
-                task.id().to_string(),
-                digest,
-                cfg_key.clone(),
-                sample_idx,
-            )
+        let digest = group.digest;
+        let key = |backend: &dyn Backend, sample: u32| {
+            verdict_key(backend, task, digest, &group.cfg_key, sample)
         };
-        // ---- Phase 1: cache lookups + inference for the misses. ----
+        // ---- Phase 1: inference for the misses. ----
         struct PreparedUnit {
             samples: Vec<Option<SampleEval>>,
             /// `(sample index, response)` pairs awaiting scoring.
             missing: Vec<(u32, String)>,
         }
         let mut prepared: Vec<PreparedUnit> = Vec::with_capacity(backends.len());
-        for backend in backends {
-            let mut samples: Vec<Option<SampleEval>> = (0..n_samples)
-                .map(|i| self.verdicts.get(&key(*backend, i)))
-                .collect();
+        for (backend, cached) in backends.iter().zip(&group.cached) {
+            let mut samples = cached.clone();
             let missing_idx: Vec<u32> = (0..n_samples)
                 .filter(|&i| samples[i as usize].is_none())
                 .collect();
@@ -577,14 +669,7 @@ impl EvalEngine {
         }
         prepared
             .into_iter()
-            .map(|unit| CaseEvals {
-                id: task.id().to_string(),
-                samples: unit
-                    .samples
-                    .into_iter()
-                    .map(|s| s.expect("every sample resolved"))
-                    .collect(),
-            })
+            .map(|unit| case_evals(task, unit.samples))
             .collect()
     }
 
@@ -828,6 +913,100 @@ mod tests {
         assert_eq!(after_second.hits, 10, "repeat run is fully cached");
         assert_eq!(after_second.misses, 10);
         assert_eq!(first, second);
+    }
+
+    #[test]
+    fn a_warm_run_settles_on_the_calling_thread_with_one_report() {
+        let tasks = machine_tasks(12);
+        let models = profiles();
+        let backends: Vec<&dyn Backend> = models[..3].iter().map(|m| m as &dyn Backend).collect();
+        let cfg = InferenceConfig::sampling();
+        let engine = EvalEngine::with_jobs(4);
+        let cold = engine.run_matrix(&backends, &tasks, &cfg, 2);
+        let before = engine.cache_stats();
+        let caller = std::thread::current().id();
+        let reports = Mutex::new(Vec::new());
+        let warm = engine.run_matrix_with_progress(&backends, &tasks, &cfg, 2, &|done, total| {
+            let on_caller = std::thread::current().id() == caller;
+            reports.lock().unwrap().push((done, total, on_caller));
+        });
+        assert_eq!(warm, cold);
+        assert_eq!(
+            reports.into_inner().unwrap(),
+            [(tasks.len(), tasks.len(), true)],
+            "one report, for every group, from the calling thread"
+        );
+        let after = engine.cache_stats();
+        assert_eq!(
+            after.hits - before.hits,
+            (tasks.len() * backends.len() * 2) as u64
+        );
+        assert_eq!(after.misses, before.misses);
+    }
+
+    #[test]
+    fn a_half_warm_run_scores_only_the_cold_half() {
+        let tables: HashMap<&str, SignalTable> = testbenches()
+            .iter()
+            .map(|tb| (tb.name, signal_table_for(tb).unwrap()))
+            .collect();
+        let human: Vec<HumanCase> = human_cases().into_iter().take(4).collect();
+        let mut broken = fsm_sweep(1, 9)[0].clone();
+        broken.design_source = "module garbage (syntax error".into();
+        let mut tasks = human_task_specs(&human, &tables);
+        tasks.extend(machine_tasks(6));
+        tasks.extend(design_task_specs(&fsm_sweep(3, 5)));
+        // Index 13, so the broken design falls in the cold half.
+        tasks.extend(design_task_specs(&[broken]));
+        let (warm_half, cold_half): (Vec<_>, Vec<_>) = tasks
+            .iter()
+            .cloned()
+            .enumerate()
+            .partition(|(t, _)| t % 2 == 0);
+        let warm_half: Vec<Arc<TaskSpec>> = warm_half.into_iter().map(|(_, task)| task).collect();
+        let cold_half: Vec<Arc<TaskSpec>> = cold_half.into_iter().map(|(_, task)| task).collect();
+        let models = profiles();
+        let backends: Vec<&dyn Backend> = models
+            .iter()
+            .filter(|m| m.profile().supports_design2sva)
+            .take(2)
+            .map(|m| m as &dyn Backend)
+            .collect();
+        let cfg = InferenceConfig::sampling();
+        let full = EvalEngine::with_jobs(1).run_matrix(&backends, &tasks, &cfg, 2);
+        let fresh = EvalEngine::with_jobs(1);
+        fresh.run_matrix(&backends, &cold_half, &cfg, 2);
+        for jobs in [1, 4] {
+            let engine = EvalEngine::with_jobs(jobs);
+            engine.run_matrix(&backends, &warm_half, &cfg, 2);
+            let (stats, prover) = (engine.cache_stats(), engine.prover_stats());
+            assert_eq!(
+                engine.run_matrix(&backends, &tasks, &cfg, 2),
+                full,
+                "jobs={jobs}"
+            );
+            let after = engine.cache_stats();
+            let delta = CacheStats {
+                hits: after.hits - stats.hits,
+                persisted_hits: after.persisted_hits - stats.persisted_hits,
+                misses: after.misses - stats.misses,
+                entries: after.entries - stats.entries,
+            };
+            let warm_lookups = (warm_half.len() * backends.len() * 2) as u64;
+            assert_eq!(
+                delta,
+                CacheStats {
+                    hits: warm_lookups,
+                    ..fresh.cache_stats()
+                },
+                "jobs={jobs}"
+            );
+            assert_eq!(
+                engine.prover_stats().delta_since(&prover),
+                fresh.prover_stats(),
+                "jobs={jobs}"
+            );
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The `engine.case` span carries what `slow_checks.md` prints about a
-//! scored check: its case id, task kind and mutation tag.
+//! scored check: its case id, task kind and mutation tag. Only case
+//! groups the verdict cache does not answer in full open one.
 //!
 //! Span collection is process-global, so this test has its own binary.
 
@@ -40,10 +41,18 @@ fn every_scored_check_runs_under_a_case_span_naming_its_task() {
 
     let models = profiles();
     let backends: Vec<&dyn Backend> = models.iter().take(2).map(|m| m as &dyn Backend).collect();
+    let engine = EvalEngine::with_jobs(2);
     fv_trace::set_spans_enabled(true);
-    EvalEngine::with_jobs(2).run_matrix(&backends, &tasks, &InferenceConfig::greedy(), 2);
-    fv_trace::set_spans_enabled(false);
+    engine.run_matrix(&backends, &tasks, &InferenceConfig::greedy(), 2);
     let spans = fv_trace::take_spans();
+    // A warm run is answered by the cache pass: no case group runs.
+    engine.run_matrix(&backends, &tasks, &InferenceConfig::greedy(), 2);
+    fv_trace::set_spans_enabled(false);
+    let warm = fv_trace::take_spans();
+    assert!(
+        warm.iter().all(|span| span.name != "engine.case"),
+        "a warm run opens no engine.case span"
+    );
 
     let by_id: HashMap<u64, &SpanRecord> = spans.iter().map(|span| (span.id, span)).collect();
     let scores: Vec<&SpanRecord> = spans.iter().filter(|s| s.name == "engine.score").collect();

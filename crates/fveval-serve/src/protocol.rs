@@ -23,7 +23,8 @@ use fveval_llm::InferenceConfig;
 // mutations 2, samples 10, 2 models) with room to spare, and keeps one
 // request from asking a shard for more than it can build. Depth and
 // width need none here: each family clamps them; `families` and
-// `models` are bounded by the generator and backend rosters.
+// `models` are bounded by the generator and backend rosters, and
+// `models` may name a backend only once.
 
 /// Most cases a `machine` task set may ask for.
 const MAX_MACHINE_COUNT: u64 = 10_000;
@@ -277,16 +278,25 @@ impl EvalRequest {
             models.len() as u64,
             fveval_llm::profiles().len() as u64,
         )?;
+        let models: Vec<String> = models
+            .iter()
+            .map(|m| {
+                m.as_str()
+                    .map(str::to_string)
+                    .ok_or_else(|| "model names must be strings".to_string())
+            })
+            .collect::<Result<_, _>>()?;
+        // A repeated name would evaluate that backend twice.
+        if let Some(name) = models
+            .iter()
+            .enumerate()
+            .find_map(|(i, name)| models[..i].contains(name).then_some(name))
+        {
+            return Err(format!("'models' names '{name}' twice"));
+        }
         Ok(EvalRequest {
             tasks: TaskSetRef::decode(value.get("tasks").ok_or("request needs 'tasks'")?)?,
-            models: models
-                .iter()
-                .map(|m| {
-                    m.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| "model names must be strings".to_string())
-                })
-                .collect::<Result<_, _>>()?,
+            models,
             cfg: inference,
             samples: bounded(
                 "samples",
@@ -732,12 +742,26 @@ mod tests {
 
     #[test]
     fn models_are_bounded_by_the_roster() {
-        let roster = fveval_llm::profiles().len() as u64;
-        assert_eq!(roster, 8);
-        assert_limit("models", roster, |n| EvalRequest {
-            models: vec!["gpt-4o".to_string(); n as usize],
+        let roster: Vec<String> = fveval_llm::profiles()
+            .iter()
+            .map(|m| m.profile().name.to_string())
+            .collect();
+        assert_eq!(roster.len(), 8);
+        // The first n roster names; a ninth entry repeats the first.
+        assert_limit("models", roster.len() as u64, |n| EvalRequest {
+            models: roster.iter().cycle().take(n as usize).cloned().collect(),
             ..with_tasks(TaskSetRef::Human)
         });
+    }
+
+    #[test]
+    fn repeated_models_are_rejected() {
+        let request = EvalRequest {
+            models: vec!["gpt-4o".into(), "llama-3.1-70b".into(), "gpt-4o".into()],
+            ..with_tasks(TaskSetRef::Human)
+        };
+        let err = EvalRequest::decode(&parse(&request.encode().encode()).unwrap()).unwrap_err();
+        assert_eq!(err, "'models' names 'gpt-4o' twice");
     }
 
     #[test]

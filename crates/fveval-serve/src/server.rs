@@ -71,7 +71,8 @@ pub struct ServerConfig {
     /// Per-shard bound on `queued + in-flight` jobs; submissions
     /// beyond it are answered `429` with a retry hint. Clamped to ≥ 1.
     pub queue_depth: usize,
-    /// Worker threads *inside* each engine (`--jobs`; 0 = all CPUs).
+    /// Worker threads *inside* each engine, for the case groups its
+    /// verdict cache does not answer (`--jobs`; 0 = all CPUs).
     pub engine_jobs: usize,
     /// Verdict-store directory; `None` disables persistence.
     pub cache_dir: Option<PathBuf>,
