@@ -62,17 +62,6 @@ impl CacheStats {
             self.persisted_hits as f64 / total as f64
         }
     }
-
-    /// Folds another engine's counters into this one. A sharded server
-    /// runs one engine per shard; the aggregate view (and derived
-    /// rates like [`CacheStats::persisted_hit_rate`]) is the merge of
-    /// every shard's counters.
-    pub fn merge(&mut self, other: &CacheStats) {
-        self.hits += other.hits;
-        self.persisted_hits += other.persisted_hits;
-        self.misses += other.misses;
-        self.entries += other.entries;
-    }
 }
 
 /// One verdict in portable form: the full cache key plus the scored

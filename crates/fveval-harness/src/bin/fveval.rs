@@ -78,8 +78,9 @@
 //!
 //! Service flags:
 //!   --addr A        server address (default 127.0.0.1:8642)
-//!   --shards N      (`serve`) engine shards, one worker thread each;
-//!                   jobs route by task-content digest (default 2)
+//!   --shards N      (`serve`) shards, each a job queue and one worker
+//!                   thread, all on one shared engine; jobs route by
+//!                   task-content digest (default 2)
 //!   --queue-depth N (`serve`) per-shard bound on queued + in-flight
 //!                   jobs; beyond it submits answer 429 with a
 //!                   Retry-After hint (default 32)

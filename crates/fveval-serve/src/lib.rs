@@ -13,11 +13,12 @@
 //!    deterministic compaction. The `fveval` CLI flushes through it
 //!    too, so every run — not just the server — survives restarts.
 //! 2. [`Server`] — a non-blocking readiness-driven event loop ([`poll`]
-//!    wraps `epoll` with no new dependencies) in front of N engine
-//!    shards ([`shard`]): each shard owns a private
-//!    [`fveval_core::EvalEngine`] and a bounded queue, jobs route by
-//!    task-content digest so per-design caches stay shard-local,
-//!    full queues answer `429` with a `Retry-After` hint, long-poll
+//!    wraps `epoll` with no new dependencies) in front of N shards,
+//!    each a bounded queue and one worker thread, all evaluating on
+//!    one shared [`fveval_core::EvalEngine`] preloaded once from the
+//!    store. Jobs route by task-content digest ([`shard_of`]), so a
+//!    repeated task set is built once by one worker; full queues
+//!    answer `429` with a `Retry-After` hint, long-poll
 //!    `GET /v1/jobs/<id>?wait_ms=` streams per-case progress, and a
 //!    maintenance thread compacts the store while serving.
 //! 3. The protocol + [`Client`] — minimal HTTP/1.1 over
@@ -41,12 +42,12 @@ pub mod json;
 pub mod poll;
 mod protocol;
 mod server;
-pub mod shard;
+mod shard;
 mod store;
 pub mod testutil;
 
 pub use client::{Client, SubmitOutcome};
 pub use protocol::{EvalRequest, EvalResult, JobState, JobView, TaskSetRef};
 pub use server::{build_tasks, resolve_backends, Server, ServerConfig, DEFAULT_RETAINED_FINISHED};
-pub use shard::{shard_of, Shard};
+pub use shard::shard_of;
 pub use store::{decode_record, encode_record, VerdictStore};

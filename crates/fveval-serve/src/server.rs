@@ -1,5 +1,6 @@
 //! The evaluation server: a non-blocking readiness-driven event loop
-//! (epoll via [`crate::poll`]) in front of N engine shards.
+//! (epoll via [`crate::poll`]) in front of N shards that share one
+//! engine.
 //!
 //! Connection model: one single-threaded event loop owns every socket.
 //! Requests are parsed incrementally as bytes arrive and responses are
@@ -12,14 +13,15 @@
 //! [`Waker`] registered with the loop's poller, so the loop wakes at
 //! once instead of on its next tick.
 //!
-//! Evaluation model: [`ServerConfig::shards`] engine shards, each a
-//! [`Shard`] owning a private [`fveval_core::EvalEngine`] drained by
-//! one worker thread. Jobs route by the request's task-content digest
-//! ([`TaskSetRef::route_digest`] mod shard count), so a repeated task
-//! set always lands on the same shard: its worker builds the set once
-//! and reuses it from its `TaskMemo` on every later job, and that
-//! shard engine's verdict and compiled-design caches answer the
-//! repeat. (A `ProofSession` lives inside one case group's scoring and
+//! Evaluation model: one [`fveval_core::EvalEngine`], preloaded once
+//! from the store, behind [`ServerConfig::shards`] shards, each a
+//! bounded job queue drained by one worker thread. Jobs route by the
+//! request's task-content digest ([`TaskSetRef::route_digest`] mod
+//! shard count), so a repeated task set always lands on the same
+//! shard: its worker builds the set once and reuses it from its
+//! `TaskMemo` on every later job, and the engine's verdict and
+//! compiled-design caches answer the repeat on whichever shard it
+//! lands. (A `ProofSession` lives inside one case group's scoring and
 //! is dropped with it, so no session outlives a job.) Every shard
 //! queue is bounded ([`ServerConfig::queue_depth`]); a submit that
 //! finds its shard full is answered `429 Too Many Requests` with a
@@ -28,13 +30,13 @@
 //! background whenever every shard is idle, instead of only at
 //! shutdown.
 //!
-//! Determinism is unchanged from the single-engine server: shards
-//! partition *jobs*, not cases, and every engine computes the same
-//! verdicts — so a served table is byte-identical across `--shards 1`
-//! and `--shards 4`, and a restarted server re-serves warm work from
-//! the store with zero prover calls. After every finished job the
-//! shard's newly computed verdicts are flushed to the store *before*
-//! the job is reported done.
+//! Shards partition *jobs*, not cases, and the engine's verdicts do
+//! not depend on which worker asks, so a served table is
+//! byte-identical across `--shards 1` and `--shards 4`, and a
+//! restarted server re-serves warm work from the store with zero
+//! prover calls. After every finished job the engine's newly computed
+//! verdicts are flushed to the store *before* the job is reported
+//! done.
 
 use crate::http;
 use crate::json::{parse, Json};
@@ -43,9 +45,7 @@ use crate::protocol::{EvalRequest, EvalResult, JobState, JobView, TaskSetRef};
 use crate::shard::{shard_of, Shard, TaskMemo, MEMO_TASKS};
 use crate::store::VerdictStore;
 use fv_core::{CounterGroup, ProverStats};
-use fveval_core::{
-    generated_task_specs, human_task_specs, machine_task_specs, CacheStats, EvalEngine,
-};
+use fveval_core::{generated_task_specs, human_task_specs, machine_task_specs, EvalEngine};
 use fveval_data::{
     generate_machine_cases, human_cases, machine_signal_table, signal_table_for, testbenches,
     MachineGenConfig, SuiteConfig,
@@ -65,14 +65,16 @@ use std::time::{Duration, Instant};
 pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:8642` (`:0` picks a free port).
     pub addr: String,
-    /// Engine shards. Each owns a private engine and one worker
-    /// thread; jobs route by task-content digest. Clamped to ≥ 1.
+    /// Shards: each a bounded job queue and one worker thread, all
+    /// evaluating on the server's one engine; jobs route by
+    /// task-content digest. Clamped to ≥ 1.
     pub shards: usize,
     /// Per-shard bound on `queued + in-flight` jobs; submissions
     /// beyond it are answered `429` with a retry hint. Clamped to ≥ 1.
     pub queue_depth: usize,
-    /// Worker threads *inside* each engine, for the case groups its
-    /// verdict cache does not answer (`--jobs`; 0 = all CPUs).
+    /// Threads each job fans out to inside the engine, for the case
+    /// groups its verdict cache does not answer (`--jobs`; 0 = all
+    /// CPUs).
     pub engine_jobs: usize,
     /// Verdict-store directory; `None` disables persistence.
     pub cache_dir: Option<PathBuf>,
@@ -81,9 +83,8 @@ pub struct ServerConfig {
     /// [`Server::bind`] rejects `0`, which would evict every result
     /// before its poller could read it.
     pub retain_finished: usize,
-    /// Design2SVA proving configuration for every shard engine (the
-    /// CLI's `--engine` flag); the default is
-    /// the plain bounded schedule.
+    /// Design2SVA proving configuration for the engine (the CLI's
+    /// `--engine` flag); the default is the plain bounded schedule.
     pub prove_cfg: fv_core::ProveConfig,
 }
 
@@ -148,6 +149,8 @@ struct State {
 
 #[derive(Debug)]
 struct Shared {
+    /// The one engine every shard worker evaluates on.
+    engine: EvalEngine,
     shards: Vec<Shard>,
     /// Wakes the event loop whenever a job changes (see
     /// [`Shared::bump`]).
@@ -241,8 +244,8 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listener, opens the verdict store, preloads every
-    /// shard engine with the stored verdicts, and starts one worker
+    /// Binds the listener, opens the verdict store, preloads the
+    /// engine with the stored verdicts once, and starts one worker
     /// thread per shard plus the store-maintenance thread.
     ///
     /// # Errors
@@ -263,30 +266,23 @@ impl Server {
         // `/metrics` has latency data from the first request. Timing
         // is a side channel: results and counters are unaffected.
         fv_trace::set_timing_enabled(true);
-        let mut preloaded = 0usize;
-        let (store, records) = match &config.cache_dir {
-            Some(dir) => {
-                let store = VerdictStore::open(dir)
-                    .map_err(|e| format!("cannot open store {}: {e}", dir.display()))?;
-                let records = store.records();
-                preloaded = records.len();
-                (Some(store), records)
-            }
-            None => (None, Vec::new()),
+        let store = match &config.cache_dir {
+            Some(dir) => Some(
+                VerdictStore::open(dir)
+                    .map_err(|e| format!("cannot open store {}: {e}", dir.display()))?,
+            ),
+            None => None,
         };
+        let engine = EvalEngine::with_jobs(config.engine_jobs).with_prove_config(config.prove_cfg);
+        let preloaded = store
+            .as_ref()
+            .map_or(0, |store| engine.load_verdicts(store.records()));
         let shards: Vec<Shard> = (0..config.shards.max(1))
-            .map(|index| {
-                let engine =
-                    EvalEngine::with_jobs(config.engine_jobs).with_prove_config(config.prove_cfg);
-                // Every shard preloads the full store: routing decides
-                // who serves a design, but warm restarts must answer
-                // from disk no matter how the shard count changed.
-                engine.load_verdicts(records.iter().cloned());
-                Shard::new(index, engine, config.queue_depth)
-            })
+            .map(|index| Shard::new(index, config.queue_depth))
             .collect();
         let waker = Waker::new().map_err(|e| format!("cannot create waker: {e}"))?;
         let shared = Arc::new(Shared {
+            engine,
             shards,
             waker,
             store: Mutex::new(store),
@@ -329,7 +325,7 @@ impl Server {
         self.listener.local_addr().expect("listener has an address")
     }
 
-    /// Number of verdicts preloaded into each shard from the
+    /// Number of verdicts preloaded into the engine from the
     /// persistent store.
     pub fn preloaded(&self) -> usize {
         self.shared.preloaded
@@ -783,24 +779,6 @@ fn job_status(shared: &Arc<Shared>, id: u64, wait_ms: Option<&str>) -> Action {
     }
 }
 
-/// Reads every shard engine's cache and prover counters once and
-/// merges them: `(cache total, prover total, per-shard rows)`. Both
-/// stats surfaces render the totals and the rows from one such read,
-/// so a total always equals the sum of its rows, even while jobs run.
-fn engine_snapshot(shared: &Shared) -> (CacheStats, ProverStats, Vec<(CacheStats, ProverStats)>) {
-    let rows: Vec<_> = shared
-        .shards
-        .iter()
-        .map(|shard| (shard.engine.cache_stats(), shard.engine.prover_stats()))
-        .collect();
-    let (mut cache, mut prover) = (CacheStats::default(), ProverStats::default());
-    for (shard_cache, shard_prover) in &rows {
-        cache.merge(shard_cache);
-        prover.merge(shard_prover);
-    }
-    (cache, prover, rows)
-}
-
 /// A `/v1/stats` block: `head`, then every counter of `group` under
 /// its field name.
 fn counter_block(
@@ -816,9 +794,7 @@ fn counter_block(
 }
 
 fn stats_json(shared: &Arc<Shared>) -> Json {
-    // Aggregate across shards: the cache/prover blocks keep their
-    // pre-shard key paths, computed as the merge of every shard.
-    let (cache, prover, shard_counters) = engine_snapshot(shared);
+    let (cache, prover) = (shared.engine.cache_stats(), shared.engine.prover_stats());
     let (queued, running): (usize, usize) = shared
         .shards
         .iter()
@@ -843,8 +819,7 @@ fn stats_json(shared: &Arc<Shared>) -> Json {
     let shard_rows: Vec<(String, Json)> = shared
         .shards
         .iter()
-        .zip(&shard_counters)
-        .map(|(shard, (shard_cache, shard_prover))| {
+        .map(|shard| {
             (
                 shard.index.to_string(),
                 Json::obj([
@@ -855,20 +830,6 @@ fn stats_json(shared: &Arc<Shared>) -> Json {
                     ("failed", shard.failed().into()),
                     ("rejected", shard.rejected().into()),
                     ("retry_after_ms", shard.retry_after_ms().into()),
-                    (
-                        "cache",
-                        counter_block(
-                            [
-                                ("hits", shard_cache.hits.into()),
-                                ("persisted_hits", shard_cache.persisted_hits.into()),
-                                ("misses", shard_cache.misses.into()),
-                                ("entries", shard_cache.entries.into()),
-                            ],
-                            shard_prover,
-                            CounterGroup::Cache,
-                        ),
-                    ),
-                    ("prover_queries", shard_prover.queries().into()),
                 ]),
             )
         })
@@ -953,13 +914,13 @@ fn hist_json() -> Json {
 }
 
 /// Renders the Prometheus `/metrics` exposition. Prover and cache
-/// totals come from the same [`engine_snapshot`] as [`stats_json`], so
+/// series come from the same engine counters as [`stats_json`], so
 /// `/metrics`, `/v1/stats`, and a direct run's `prover_stats.csv` for
-/// the same work reconcile exactly. Per-shard series carry a `shard`
-/// label; the trailing registry snapshot adds the span-duration
-/// histograms.
+/// the same work reconcile exactly. Per-shard traffic series carry a
+/// `shard` label; the trailing registry snapshot adds the
+/// span-duration histograms.
 fn metrics_text(shared: &Arc<Shared>) -> String {
-    let (cache, prover, shard_counters) = engine_snapshot(shared);
+    let (cache, prover) = (shared.engine.cache_stats(), shared.engine.prover_stats());
     let mut prom = fv_trace::prometheus::PromText::new();
     prom.counter("prover.queries", &[], prover.queries());
     for (counter, value) in prover.counters() {
@@ -1006,7 +967,7 @@ fn metrics_text(shared: &Arc<Shared>) -> String {
             shared.compactions.load(Ordering::Relaxed),
         );
     }
-    for (shard, (shard_cache, shard_prover)) in shared.shards.iter().zip(&shard_counters) {
+    for shard in &shared.shards {
         let label = shard.index.to_string();
         let labels: [(&str, &str); 1] = [("shard", label.as_str())];
         prom.counter("shard.accepted", &labels, shard.accepted());
@@ -1015,14 +976,6 @@ fn metrics_text(shared: &Arc<Shared>) -> String {
         prom.counter("shard.rejected", &labels, shard.rejected());
         prom.gauge("shard.depth", &labels, shard.depth() as i64);
         prom.gauge("shard.in_flight", &labels, shard.in_flight() as i64);
-        prom.counter("shard.prover_queries", &labels, shard_prover.queries());
-        prom.counter("shard.prover_sat_calls", &labels, shard_prover.sat_calls);
-        prom.counter(
-            "shard.cache_hits",
-            &labels,
-            shard_cache.hits + shard_cache.persisted_hits,
-        );
-        prom.counter("shard.cache_misses", &labels, shard_cache.misses);
     }
     // Everything the fv-trace registry collected: span-duration
     // histograms (serve.job, store.flush, prove.check, sat.solve, …).
@@ -1031,10 +984,10 @@ fn metrics_text(shared: &Arc<Shared>) -> String {
 }
 
 /// One shard's worker: pops queued job ids, evaluates them on the
-/// shard-private engine with per-case progress reporting, and flushes
-/// freshly computed verdicts to the store *before* marking the job
-/// done — so a client that sees `done` can rely on the verdicts
-/// surviving a `kill -9` right after.
+/// shared engine with per-case progress reporting, and flushes freshly
+/// computed verdicts to the store *before* marking the job done — so a
+/// client that sees `done` can rely on the verdicts surviving a
+/// `kill -9` right after.
 fn worker_loop(shared: &Arc<Shared>, index: usize) {
     let shard = &shared.shards[index];
     // Routing sends each task set to exactly one shard, so this
@@ -1056,16 +1009,25 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
         let outcome = {
             let _span = fv_trace::span!("serve.job", shard = index, job = id);
             match request {
-                Some(request) => run_job(shared, shard, &mut memo, id, &request),
+                Some(request) => run_job(shared, index, &mut memo, id, &request),
                 // Evicted before it ran (tiny retain bound): nothing to do.
                 None => Err("job evicted before it ran".to_string()),
             }
         };
-        let fresh = shard.engine.take_unpersisted();
-        if let Some(store) = shared.store.lock().expect("store poisoned").as_mut() {
-            let _span = fv_trace::span!("store.flush", shard = index, records = fresh.len());
-            if let Err(e) = store.append(&fresh) {
-                eprintln!("[serve] store flush failed: {e}");
+        // Drain under the store lock. The engine is shared, so this
+        // drain may take verdicts another worker computed for a job
+        // still running; holding the lock until they are appended
+        // means that worker's own flush cannot finish, and its job
+        // cannot be reported done, before they are on disk. Without a
+        // store the drain still runs, so the pending queue stays empty.
+        {
+            let mut store = shared.store.lock().expect("store poisoned");
+            let fresh = shared.engine.take_unpersisted();
+            if let Some(store) = store.as_mut() {
+                let _span = fv_trace::span!("store.flush", shard = index, records = fresh.len());
+                if let Err(e) = store.append(&fresh) {
+                    eprintln!("[serve] store flush failed: {e}");
+                }
             }
         }
         let ok = outcome.is_ok();
@@ -1100,13 +1062,13 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
 
 fn run_job(
     shared: &Arc<Shared>,
-    shard: &Shard,
+    shard: usize,
     memo: &mut TaskMemo,
     id: u64,
     request: &EvalRequest,
 ) -> Result<EvalResult, String> {
     let tasks = {
-        let _span = fv_trace::span!("serve.build", shard = shard.index, job = id);
+        let _span = fv_trace::span!("serve.build", shard = shard, job = id);
         memo.get_or_build(&request.tasks, build_tasks)?
     };
     let models = resolve_backends(&request.models)?;
@@ -1129,7 +1091,7 @@ fn run_job(
             }
         }
     };
-    let rows = shard.engine.run_matrix_with_progress(
+    let rows = shared.engine.run_matrix_with_progress(
         &backends,
         &tasks,
         &request.cfg,

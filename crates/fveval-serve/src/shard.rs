@@ -1,18 +1,14 @@
-//! Engine shards: the unit of parallelism and cache affinity in the
-//! sharded server.
+//! Shards: the unit of queueing and task-set affinity in the server.
 //!
-//! Each [`Shard`] owns a private [`EvalEngine`] fed by one bounded
-//! queue and drained by one worker thread. Jobs route to shards by
-//! [`shard_of`] over the request's task-content digest
+//! Each [`Shard`] is one bounded job queue, its traffic counters and
+//! the one worker thread that drains it. Every worker evaluates on the
+//! server's one shared [`fveval_core::EvalEngine`]. Jobs route to
+//! shards by [`shard_of`] over the request's task-content digest
 //! ([`crate::TaskSetRef::route_digest`]), so repeated evaluations of
-//! the same design always land on the same shard — its engine's
-//! verdict and compiled-design caches stay hot, and no design state
-//! ever migrates across engines. (A `ProofSession` is opened per case
-//! group and dropped with it, so no session outlives a job.) The
-//! queue bound is the backpressure surface: a submit that finds
-//! `queued + in-flight` at the bound is rejected (`429`) with a
-//! [`Shard::retry_after_ms`] hint derived from an EWMA of recent job
-//! durations on that shard.
+//! the same task set always land on the same shard. The queue bound is
+//! the backpressure surface: a submit that finds `queued + in-flight`
+//! at the bound is rejected (`429`) with a [`Shard::retry_after_ms`]
+//! hint derived from an EWMA of recent job durations on that shard.
 //!
 //! Routing also means each task set is built on one shard only: a
 //! shard worker keeps the sets it built in a `TaskMemo`, so a task
@@ -20,7 +16,6 @@
 //! re-proved) on every job.
 
 use crate::protocol::TaskSetRef;
-use fveval_core::EvalEngine;
 use fveval_llm::TaskSpec;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -35,16 +30,13 @@ pub fn shard_of(digest: u64, shards: usize) -> usize {
     (digest % shards.max(1) as u64) as usize
 }
 
-/// One engine shard: a private engine, a bounded job-id queue, its
-/// worker's wake signal, and the shard-local traffic counters that
-/// `GET /v1/stats` reports per shard.
+/// One shard: a bounded job-id queue, its worker's wake signal, and
+/// the shard-local traffic counters that `GET /v1/stats` reports per
+/// shard.
 #[derive(Debug)]
-pub struct Shard {
+pub(crate) struct Shard {
     /// This shard's index (the value [`shard_of`] routes to).
-    pub index: usize,
-    /// The shard-private engine; only this shard's worker evaluates
-    /// on it, so per-design sessions never cross shards.
-    pub engine: EvalEngine,
+    pub(crate) index: usize,
     /// Queued job ids awaiting this shard's worker.
     queue: Mutex<VecDeque<u64>>,
     /// Wakes the worker when work arrives or shutdown begins.
@@ -61,11 +53,10 @@ pub struct Shard {
 }
 
 impl Shard {
-    /// Builds a shard around its own engine.
-    pub fn new(index: usize, engine: EvalEngine, queue_depth: usize) -> Shard {
+    /// An empty shard bounded at `queue_depth` (clamped to ≥ 1).
+    pub(crate) fn new(index: usize, queue_depth: usize) -> Shard {
         Shard {
             index,
-            engine,
             queue: Mutex::new(VecDeque::new()),
             cv: Condvar::new(),
             queue_depth: queue_depth.max(1),
@@ -81,7 +72,7 @@ impl Shard {
     /// Enqueues a job id unless the shard is at its bound. Returns
     /// `false` (counting the rejection) when `queued + in-flight` is
     /// at the bound — the caller answers `429`.
-    pub fn try_enqueue(&self, id: u64) -> bool {
+    pub(crate) fn try_enqueue(&self, id: u64) -> bool {
         let mut queue = self.queue.lock().expect("shard queue poisoned");
         if queue.len() + self.in_flight.load(Ordering::Acquire) >= self.queue_depth {
             self.rejected.fetch_add(1, Ordering::Relaxed);
@@ -97,7 +88,7 @@ impl Shard {
     /// Blocks the shard worker until a job id is available (marking it
     /// in-flight) or `shutdown` is set with an empty queue (`None`:
     /// the worker exits).
-    pub fn pop(&self, shutdown: &AtomicBool) -> Option<u64> {
+    pub(crate) fn pop(&self, shutdown: &AtomicBool) -> Option<u64> {
         let mut queue = self.queue.lock().expect("shard queue poisoned");
         loop {
             if let Some(id) = queue.pop_front() {
@@ -116,13 +107,13 @@ impl Shard {
     }
 
     /// Wakes the worker so it can observe a shutdown request.
-    pub fn wake(&self) {
+    pub(crate) fn wake(&self) {
         self.cv.notify_all();
     }
 
     /// Records a finished job: outcome counter, in-flight release, and
     /// the duration EWMA behind [`Shard::retry_after_ms`].
-    pub fn note_finished(&self, ok: bool, elapsed: Duration) {
+    pub(crate) fn note_finished(&self, ok: bool, elapsed: Duration) {
         let ms = elapsed.as_millis().min(u128::from(u64::MAX)) as u64;
         let old = self.ewma_job_ms.load(Ordering::Relaxed);
         let next = if old == 0 { ms } else { (3 * old + ms) / 4 };
@@ -138,14 +129,14 @@ impl Shard {
     /// How long a rejected client should wait before retrying, in
     /// milliseconds: one EWMA job duration per occupied slot, floored
     /// at 50 ms (a fresh shard has no history yet).
-    pub fn retry_after_ms(&self) -> u64 {
+    pub(crate) fn retry_after_ms(&self) -> u64 {
         let ewma = self.ewma_job_ms.load(Ordering::Relaxed).max(50);
         let occupied = self.depth() + self.in_flight();
         ewma.saturating_mul(occupied.max(1) as u64).min(60_000)
     }
 
     /// Queue position of `id` (0 = next), if it is still queued.
-    pub fn position_of(&self, id: u64) -> Option<u64> {
+    pub(crate) fn position_of(&self, id: u64) -> Option<u64> {
         self.queue
             .lock()
             .expect("shard queue poisoned")
@@ -155,42 +146,42 @@ impl Shard {
     }
 
     /// Currently queued job count.
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.queue.lock().expect("shard queue poisoned").len()
     }
 
     /// Jobs currently being evaluated (0 or 1: one worker per shard).
-    pub fn in_flight(&self) -> usize {
+    pub(crate) fn in_flight(&self) -> usize {
         self.in_flight.load(Ordering::Acquire)
     }
 
     /// Nothing queued and nothing in flight.
-    pub fn idle(&self) -> bool {
+    pub(crate) fn idle(&self) -> bool {
         self.in_flight() == 0 && self.depth() == 0
     }
 
     /// Jobs this shard accepted (queued successfully).
-    pub fn accepted(&self) -> u64 {
+    pub(crate) fn accepted(&self) -> u64 {
         self.accepted.load(Ordering::Relaxed)
     }
 
     /// Jobs this shard finished successfully.
-    pub fn served(&self) -> u64 {
+    pub(crate) fn served(&self) -> u64 {
         self.served.load(Ordering::Relaxed)
     }
 
     /// Jobs this shard finished with an error.
-    pub fn failed(&self) -> u64 {
+    pub(crate) fn failed(&self) -> u64 {
         self.failed.load(Ordering::Relaxed)
     }
 
     /// Submissions bounced off the full queue.
-    pub fn rejected(&self) -> u64 {
+    pub(crate) fn rejected(&self) -> u64 {
         self.rejected.load(Ordering::Relaxed)
     }
 
     /// The configured `queued + in-flight` bound.
-    pub fn queue_depth(&self) -> usize {
+    pub(crate) fn queue_depth(&self) -> usize {
         self.queue_depth
     }
 }
@@ -271,7 +262,7 @@ mod tests {
 
     #[test]
     fn queue_bound_rejects_and_recovers() {
-        let shard = Shard::new(0, EvalEngine::with_jobs(1), 2);
+        let shard = Shard::new(0, 2);
         assert!(shard.try_enqueue(1));
         assert!(shard.try_enqueue(2));
         assert!(!shard.try_enqueue(3), "bound of 2 rejects the 3rd");
@@ -302,7 +293,7 @@ mod tests {
 
     #[test]
     fn retry_hint_tracks_job_durations() {
-        let shard = Shard::new(0, EvalEngine::with_jobs(1), 4);
+        let shard = Shard::new(0, 4);
         // No history: the floor applies.
         assert_eq!(shard.retry_after_ms(), 50);
         let shutdown = AtomicBool::new(false);

@@ -2,10 +2,10 @@
 //! round-trips arbitrary values, the verdict store round-trips
 //! arbitrary record batches — including recovery from a truncated
 //! (torn) segment tail — long-poll progress frames survive the wire
-//! codec, shard routing is a pure total function of the task digest,
-//! and per-shard cache stats merge to the aggregate.
+//! codec, and shard routing is a pure total function of the task
+//! digest.
 
-use fveval_core::{CacheStats, SampleEval, VerdictRecord};
+use fveval_core::{SampleEval, VerdictRecord};
 use fveval_serve::json::{parse, Json};
 use fveval_serve::testutil::TempDir;
 use fveval_serve::{shard_of, JobState, JobView, VerdictStore};
@@ -222,31 +222,5 @@ proptest! {
         prop_assert_eq!(shard, shard_of(digest, shards));
         // One shard degenerates to the unsharded server.
         prop_assert_eq!(shard_of(digest, 1), 0);
-    }
-
-    #[test]
-    fn per_shard_cache_stats_merge_to_the_aggregate(seed in 0u64..u64::MAX, n in 1usize..9) {
-        let mut mix = Mix(seed);
-        let per_shard: Vec<CacheStats> = (0..n)
-            .map(|_| CacheStats {
-                hits: mix.below(1 << 30),
-                persisted_hits: mix.below(1 << 30),
-                misses: mix.below(1 << 30),
-                entries: mix.below(1 << 20) as usize,
-            })
-            .collect();
-        let mut merged = CacheStats::default();
-        for stats in &per_shard {
-            merged.merge(stats);
-        }
-        // The aggregate `/v1/stats` cache block is exactly the field-wise
-        // sum of the shard blocks — nothing dropped, nothing counted twice.
-        prop_assert_eq!(merged.hits, per_shard.iter().map(|s| s.hits).sum::<u64>());
-        prop_assert_eq!(
-            merged.persisted_hits,
-            per_shard.iter().map(|s| s.persisted_hits).sum::<u64>()
-        );
-        prop_assert_eq!(merged.misses, per_shard.iter().map(|s| s.misses).sum::<u64>());
-        prop_assert_eq!(merged.entries, per_shard.iter().map(|s| s.entries).sum::<usize>());
     }
 }
