@@ -3,8 +3,9 @@
 //! parallel speed-up and verdict-cache behaviour.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fv_aig::Aig;
+use fv_aig::{Aig, BitVec, CnfEmitter};
 use fv_core::{check_equivalence, prove, DesignTraceEnv, EquivConfig, ProveConfig, SignalTable};
+use fv_sat::Solver;
 use fveval_bench::pigeonhole;
 use fveval_core::{compile_design, design_task_specs, machine_task_specs, EvalEngine};
 use fveval_data::{
@@ -142,6 +143,48 @@ fn bench_model_checking(c: &mut Criterion) {
                         DesignTraceEnv::new(FrameExpander::new(design.netlist()).unwrap());
                     env.ensure_frames(&mut aig, 7);
                     black_box(aig.num_nodes());
+                }
+            })
+        });
+    }
+    // Tseitin clause intake: every atom bit of the same 8-frame
+    // unrollings, emitted into a fresh solver through one emitter per
+    // design. The unrollings are built outside the timing.
+    for (family, cases) in [
+        ("pipelines", pipeline_sweep(96, 0xFEED)),
+        ("fsms", fsm_sweep(96, 0xFEED + 1)),
+    ] {
+        let unrollings: Vec<_> = cases
+            .iter()
+            .map(|case| {
+                let design = compile_design(case).unwrap();
+                let netlist = design.netlist();
+                let expander = FrameExpander::new(netlist).unwrap();
+                let mut aig = Aig::new();
+                let mut state = netlist
+                    .regs()
+                    .map(|(id, def)| (id, BitVec::input(&mut aig, def.width as usize)))
+                    .collect();
+                let mut bits = Vec::new();
+                for _ in 0..8 {
+                    let frame = expander.expand(&mut aig, &state, &mut |g, _, w| {
+                        BitVec::input(g, w as usize)
+                    });
+                    bits.extend(frame.atoms.iter().flat_map(|v| v.bits().iter().copied()));
+                    state = frame.reg_next;
+                }
+                (aig, bits)
+            })
+            .collect();
+        g.bench_function(format!("cnf_intake/{family}"), |b| {
+            b.iter(|| {
+                for (aig, bits) in &unrollings {
+                    let mut solver = Solver::new();
+                    let mut em = CnfEmitter::new();
+                    for &bit in bits {
+                        em.emit(aig, bit, &mut solver);
+                    }
+                    black_box(solver.num_clauses());
                 }
             })
         });

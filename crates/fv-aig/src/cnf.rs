@@ -2,13 +2,13 @@
 
 use crate::aig::{Aig, AigLit, Node, NodeId};
 use fv_sat::{Lit, Solver, Var};
-use sv_ast::SymbolMap;
 
 /// Emits AIG cones into CNF with memoization.
 ///
 /// Each emitter owns one node-to-variable map, so every node is encoded
 /// once: the cones of many queries against one growing graph share
-/// their clauses in the solver.
+/// their clauses in the solver. The map is a dense vector indexed by
+/// node, grown with the graph.
 ///
 /// # Examples
 ///
@@ -28,7 +28,12 @@ use sv_ast::SymbolMap;
 /// ```
 #[derive(Debug, Default)]
 pub struct CnfEmitter {
-    map: SymbolMap<NodeId, Var>,
+    /// Per node index: its solver variable's index + 1, or 0 while the
+    /// node is not emitted.
+    vars: Vec<u32>,
+    /// The DFS stack of [`CnfEmitter::emit`], kept to reuse its
+    /// allocation.
+    stack: Vec<(NodeId, bool)>,
 }
 
 impl CnfEmitter {
@@ -56,51 +61,60 @@ impl CnfEmitter {
 
     /// Returns the solver variable already assigned to a node, if any.
     pub fn lookup(&self, id: NodeId) -> Option<Var> {
-        self.map.get(&id).copied()
+        match self.vars.get(id.index()) {
+            Some(&v) if v > 0 => Some(Var(v - 1)),
+            _ => None,
+        }
+    }
+
+    /// The variable of a node emitted earlier.
+    fn var(&self, id: NodeId) -> Var {
+        self.lookup(id).expect("node emitted before its users")
     }
 
     fn emit_node(&mut self, g: &Aig, id: NodeId, solver: &mut Solver) -> Var {
-        if let Some(&v) = self.map.get(&id) {
+        if let Some(v) = self.lookup(id) {
             return v;
         }
+        if self.vars.len() < g.num_nodes() {
+            self.vars.resize(g.num_nodes(), 0);
+        }
         // Iterative DFS to avoid recursion depth limits on deep cones.
-        let mut stack = vec![(id, false)];
+        let mut stack = std::mem::take(&mut self.stack);
+        stack.push((id, false));
         while let Some((n, expanded)) = stack.pop() {
-            if self.map.contains_key(&n) {
+            if self.vars[n.index()] > 0 {
                 continue;
             }
-            match g.node(n) {
+            let v = match g.node(n) {
                 Node::False => {
                     let v = solver.new_var();
                     solver.add_clause([Lit::neg(v)]);
-                    self.map.insert(n, v);
+                    v
                 }
-                Node::Input(_) => {
-                    let v = solver.new_var();
-                    self.map.insert(n, v);
-                }
+                Node::Input(_) => solver.new_var(),
                 Node::And(a, b) => {
-                    if expanded {
-                        let va = self.map[&a.node()];
-                        let vb = self.map[&b.node()];
-                        let la = Lit::new(va, a.is_inverted());
-                        let lb = Lit::new(vb, b.is_inverted());
-                        let v = solver.new_var();
-                        let lv = Lit::pos(v);
-                        // v <-> la & lb
-                        solver.add_clause([!lv, la]);
-                        solver.add_clause([!lv, lb]);
-                        solver.add_clause([lv, !la, !lb]);
-                        self.map.insert(n, v);
-                    } else {
+                    if !expanded {
                         stack.push((n, true));
                         stack.push((a.node(), false));
                         stack.push((b.node(), false));
+                        continue;
                     }
+                    let la = Lit::new(self.var(a.node()), a.is_inverted());
+                    let lb = Lit::new(self.var(b.node()), b.is_inverted());
+                    let v = solver.new_var();
+                    let lv = Lit::pos(v);
+                    // v <-> la & lb
+                    solver.add_clause([!lv, la]);
+                    solver.add_clause([!lv, lb]);
+                    solver.add_clause([lv, !la, !lb]);
+                    v
                 }
-            }
+            };
+            self.vars[n.index()] = v.0 + 1;
         }
-        self.map[&id]
+        self.stack = stack;
+        self.var(id)
     }
 }
 

@@ -91,14 +91,16 @@ counters! {
     /// [`crate::EquivSession`]): `sessions_opened` counts how many shared
     /// contexts (unrolled AIG + solver, or reference encoding + solver)
     /// were built, `session_checks` how many distinct candidate assertions
-    /// streamed through them, `check_repeats` how many candidates a
-    /// session had already checked and answered from its memo, and
-    /// `unroll_reuse_hits` how much already-built encoding state (unrolled
-    /// time frames, cached reference monitors) was served to a check
-    /// instead of being rebuilt. A compile-once / score-many workload
-    /// shows `sessions_opened` far below `session_checks +
-    /// check_repeats`; the legacy one-shot entry points open one session
-    /// per check, so there `sessions_opened` equals `session_checks`.
+    /// streamed through them, `check_repeats` how many candidates had
+    /// already been checked in their case and were answered from a memo
+    /// (the session's, or `fveval_core::Scorer`'s response-text memo in
+    /// front of it), and `unroll_reuse_hits` how much already-built
+    /// encoding state (unrolled time frames, cached reference monitors)
+    /// was served to a check instead of being rebuilt. A compile-once /
+    /// score-many workload shows `sessions_opened` far below
+    /// `session_checks + check_repeats`; the legacy one-shot entry points
+    /// open one session per check, so there `sessions_opened` equals
+    /// `session_checks`.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct ProverStats {
         /// Queries discharged by the CDCL SAT solver.
@@ -120,9 +122,12 @@ counters! {
         sessions_opened: "Sessions opened", Prover;
         /// Candidate assertions checked through a session.
         session_checks: "Assertions checked", Prover;
-        /// Candidates a session had already checked, answered from its
+        /// Candidates already checked in their case, answered from a
         /// memo of earlier results with no encoding, simulation or
-        /// solver work (and not counted under `session_checks`).
+        /// solver work (and not counted under `session_checks`): the
+        /// session's memo, keyed by the parsed candidate, or the
+        /// scorer's response-text memo in front of it, which reports
+        /// the same delta without parsing the text again.
         check_repeats: "Check repeats", Prover;
         /// Already-built session state (unrolled time frames, cached
         /// reference-assertion encodings) served to a check instead of

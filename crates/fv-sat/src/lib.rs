@@ -31,7 +31,7 @@ mod heap;
 mod luby;
 mod solver;
 
-pub use clause::{Clause, ClauseRef};
+pub use clause::ClauseRef;
 pub use solver::{SolveResult, Solver, SolverStats};
 
 /// A boolean variable, identified by a dense non-negative index.

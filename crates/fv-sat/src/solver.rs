@@ -108,6 +108,9 @@ pub struct Solver {
     cla_inc: f64,
     /// Scratch: seen markers for conflict analysis.
     seen: Vec<bool>,
+    /// Scratch: the clause [`Solver::add_clause`] sorts and simplifies
+    /// before copying it into the arena.
+    add_buf: Vec<Lit>,
     /// `true` once an empty clause was added at level 0.
     unsat_at_root: bool,
     stats: SolverStats,
@@ -143,6 +146,7 @@ impl Solver {
             order: VarHeap::new(),
             cla_inc: 1.0,
             seen: Vec::new(),
+            add_buf: Vec::new(),
             unsat_at_root: false,
             stats: SolverStats::default(),
             max_learnt: 1000.0,
@@ -208,13 +212,24 @@ impl Solver {
         if self.unsat_at_root {
             return false;
         }
-        let mut lits: Vec<Lit> = lits.into_iter().collect();
+        let mut buf = std::mem::take(&mut self.add_buf);
+        buf.clear();
+        buf.extend(lits);
+        let added = self.add_buffered(&mut buf);
+        self.add_buf = buf;
+        added
+    }
+
+    /// [`Solver::add_clause`] of the clause in the scratch buffer, at
+    /// the root level: sorts and dedups `lits`, drops literals false at
+    /// level 0, then copies the rest into the arena and attaches them.
+    fn add_buffered(&mut self, lits: &mut Vec<Lit>) -> bool {
         lits.sort_unstable();
         lits.dedup();
-        // Tautology / falsified-literal simplification at level 0.
-        let mut simplified = Vec::with_capacity(lits.len());
-        let mut i = 0;
-        while i < lits.len() {
+        // Tautology / falsified-literal simplification at level 0, in
+        // place: literals left of `kept` are the clause so far.
+        let mut kept = 0;
+        for i in 0..lits.len() {
             let l = lits[i];
             if i + 1 < lits.len() && lits[i + 1] == !l {
                 return true; // tautology
@@ -222,17 +237,19 @@ impl Solver {
             match self.lit_value(l) {
                 LBool::True => return true, // already satisfied at level 0
                 LBool::False => {}          // drop falsified literal
-                LBool::Undef => simplified.push(l),
+                LBool::Undef => {
+                    lits[kept] = l;
+                    kept += 1;
+                }
             }
-            i += 1;
         }
-        match simplified.len() {
+        match kept {
             0 => {
                 self.unsat_at_root = true;
                 false
             }
             1 => {
-                self.enqueue(simplified[0], ClauseRef::UNDEF);
+                self.enqueue(lits[0], ClauseRef::UNDEF);
                 if self.propagate().is_defined() {
                     self.unsat_at_root = true;
                     false
@@ -241,7 +258,7 @@ impl Solver {
                 }
             }
             _ => {
-                let cref = self.db.alloc(simplified, false);
+                let cref = self.db.alloc(&lits[..kept], false);
                 self.attach(cref);
                 true
             }
@@ -379,18 +396,16 @@ impl Solver {
     }
 
     fn attach(&mut self, cref: ClauseRef) {
-        let c = self.db.get(cref);
+        let c = self.db.lits(cref);
         debug_assert!(c.len() >= 2);
-        let l0 = c.lits()[0];
-        let l1 = c.lits()[1];
+        let (l0, l1) = (c[0], c[1]);
         self.watches[(!l0).index()].push(Watcher { cref, blocker: l1 });
         self.watches[(!l1).index()].push(Watcher { cref, blocker: l0 });
     }
 
     fn detach(&mut self, cref: ClauseRef) {
-        let c = self.db.get(cref);
-        let l0 = c.lits()[0];
-        let l1 = c.lits()[1];
+        let c = self.db.lits(cref);
+        let (l0, l1) = (c[0], c[1]);
         self.watches[(!l0).index()].retain(|w| w.cref != cref);
         self.watches[(!l1).index()].retain(|w| w.cref != cref);
     }
@@ -424,16 +439,14 @@ impl Solver {
                     continue;
                 }
                 let cref = w.cref;
-                {
-                    let c = self.db.get_mut(cref);
-                    // Normalize: the falsified watch is lits[1].
-                    let false_lit = !p;
-                    if c.lits()[0] == false_lit {
-                        c.lits_mut().swap(0, 1);
-                    }
-                    debug_assert_eq!(c.lits()[1], false_lit);
+                let c = self.db.lits_mut(cref);
+                // Normalize: the falsified watch is lits[1].
+                let false_lit = !p;
+                if c[0] == false_lit {
+                    c.swap(0, 1);
                 }
-                let first = self.db.get(cref).lits()[0];
+                debug_assert_eq!(c[1], false_lit);
+                let first = c[0];
                 if first != w.blocker && self.lit_value(first) == LBool::True {
                     ws[i] = Watcher {
                         cref,
@@ -443,12 +456,11 @@ impl Solver {
                     continue;
                 }
                 // Look for a new literal to watch.
-                let len = self.db.get(cref).len();
+                let len = self.db.len(cref);
                 for k in 2..len {
-                    let lk = self.db.get(cref).lits()[k];
+                    let lk = self.db.lits(cref)[k];
                     if self.lit_value(lk) != LBool::False {
-                        let c = self.db.get_mut(cref);
-                        c.lits_mut().swap(1, k);
+                        self.db.lits_mut(cref).swap(1, k);
                         self.watches[(!lk).index()].push(Watcher {
                             cref,
                             blocker: first,
@@ -491,9 +503,9 @@ impl Solver {
         loop {
             debug_assert!(conflict.is_defined());
             self.bump_clause(conflict);
-            let lits: Vec<Lit> = self.db.get(conflict).lits().to_vec();
-            let skip = usize::from(p.is_some());
-            for &q in lits.iter().skip(skip) {
+            // Read the clause in place: nothing below touches the arena.
+            for k in usize::from(p.is_some())..self.db.len(conflict) {
+                let q = self.db.lits(conflict)[k];
                 let v = q.var();
                 if !self.seen[v.index()] && self.var_data[v.index()].level > 0 {
                     self.seen[v.index()] = true;
@@ -567,7 +579,7 @@ impl Solver {
         if !vd.reason.is_defined() {
             return false;
         }
-        self.db.get(vd.reason).lits().iter().skip(1).all(|&q| {
+        self.db.lits(vd.reason).iter().skip(1).all(|&q| {
             let qd = self.var_data[q.var().index()];
             self.seen[q.var().index()] || qd.level == 0
         })
@@ -607,16 +619,11 @@ impl Solver {
     }
 
     fn bump_clause(&mut self, cref: ClauseRef) {
-        let c = self.db.get_mut(cref);
-        if !c.learnt {
+        if !self.db.is_learnt(cref) {
             return;
         }
-        c.activity += self.cla_inc;
-        if c.activity > RESCALE_LIMIT {
-            let refs: Vec<ClauseRef> = self.db.learnt_refs().collect();
-            for r in refs {
-                self.db.get_mut(r).activity *= 1.0 / RESCALE_LIMIT;
-            }
+        if self.db.bump_activity(cref, self.cla_inc) > RESCALE_LIMIT {
+            self.db.scale_activities(1.0 / RESCALE_LIMIT);
             self.cla_inc *= 1.0 / RESCALE_LIMIT;
         }
     }
@@ -639,7 +646,7 @@ impl Solver {
         let mut learnts: Vec<(f64, ClauseRef)> = self
             .db
             .learnt_refs()
-            .map(|r| (self.db.get(r).activity, r))
+            .map(|r| (self.db.activity(r), r))
             .collect();
         learnts.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
         let target = learnts.len() / 2;
@@ -648,22 +655,21 @@ impl Solver {
             if removed >= target {
                 break;
             }
-            if self.is_reason(cref) || self.db.get(cref).len() <= 2 {
+            if self.is_reason(cref) || self.db.len(cref) <= 2 {
                 continue;
             }
             self.detach(cref);
             self.db.free(cref);
             removed += 1;
         }
+        self.db.collect_garbage();
         self.stats.learnt = self.db.learnt_count() as u64;
     }
 
     fn is_reason(&self, cref: ClauseRef) -> bool {
-        let c = self.db.get(cref);
-        if c.is_empty() {
+        let Some(&l0) = self.db.lits(cref).first() else {
             return false;
-        }
-        let l0 = c.lits()[0];
+        };
         self.lit_value(l0) == LBool::True && self.var_data[l0.var().index()].reason == cref
     }
 
@@ -707,7 +713,7 @@ impl Solver {
                         self.enqueue(asserting, ClauseRef::UNDEF);
                     }
                 } else {
-                    let cref = self.db.alloc(learnt, true);
+                    let cref = self.db.alloc(&learnt, true);
                     self.attach(cref);
                     self.bump_clause(cref);
                     self.enqueue(asserting, cref);
@@ -1003,6 +1009,101 @@ mod tests {
         // clause database and trail survived the interruption.
         s.set_conflict_budget(None);
         assert!(s.solve_with(&[sel]).is_unsat());
+    }
+
+    /// Checks the references a compaction must preserve: every watcher
+    /// points at a live clause watching its literal, and every implied
+    /// literal on the trail heads its reason clause.
+    fn assert_refs_intact(s: &Solver) {
+        for (idx, ws) in s.watches.iter().enumerate() {
+            let watched = !Lit::from_index(idx);
+            for w in ws {
+                let c = s.db.lits(w.cref);
+                assert!(c.len() >= 2, "watcher of {watched} on a deleted clause");
+                assert!(c[..2].contains(&watched), "{watched} not watched in {c:?}");
+            }
+        }
+        for &l in &s.trail {
+            let reason = s.var_data[l.var().index()].reason;
+            if reason.is_defined() {
+                assert_eq!(s.db.lits(reason).first(), Some(&l), "reason of {l}");
+            }
+        }
+    }
+
+    /// Whether some assignment of `n` variables satisfies every clause
+    /// and every assumption.
+    fn brute_force_sat(n: u32, clauses: &[Vec<Lit>], assumptions: &[Lit]) -> bool {
+        (0..1u32 << n).any(|bits| {
+            let holds = |l: &Lit| (bits >> l.var().0 & 1 == 1) != l.is_neg();
+            assumptions.iter().all(holds) && clauses.iter().all(|c| c.iter().any(holds))
+        })
+    }
+
+    #[test]
+    fn incremental_queries_agree_with_brute_force_through_compactions() {
+        let mut seed = 0x2545F4914F6CDD1Du64;
+        let next = |seed: &mut u64, m: u64| {
+            *seed ^= *seed << 13;
+            *seed ^= *seed >> 7;
+            *seed ^= *seed << 17;
+            *seed % m
+        };
+        let (mut reductions, mut compactions) = (0, 0);
+        for round in 0..12 {
+            let mut s = Solver::new();
+            let vars: Vec<Var> = (0..8).map(|_| s.new_var()).collect();
+            let selectors = [s.new_selector(), s.new_selector()];
+            let mut clauses: Vec<Vec<Lit>> = Vec::new();
+            let mut consistent = true;
+            for step in 0..400 {
+                let random_lit =
+                    |seed: &mut u64| Lit::new(vars[next(seed, 8) as usize], next(seed, 2) == 1);
+                // Clauses arrive fast at first, then rarely, so later
+                // queries mostly re-search a fixed formula.
+                if step < 10 || step % 30 == 0 {
+                    let clause: Vec<Lit> = (0..3).map(|_| random_lit(&mut seed)).collect();
+                    if step % 3 == 0 {
+                        let sel = selectors[step % 2];
+                        s.add_clause_selected(sel, clause.iter().copied());
+                        clauses.push(clause.into_iter().chain([!sel]).collect());
+                    } else {
+                        consistent &= s.add_clause(clause.iter().copied());
+                        clauses.push(clause);
+                    }
+                    // `false` means the formula is unsatisfiable at the
+                    // root; `true` promises nothing.
+                    assert!(consistent || !brute_force_sat(10, &clauses, &[]));
+                }
+                let mut assumptions: Vec<Lit> = (0..next(&mut seed, 4))
+                    .map(|_| random_lit(&mut seed))
+                    .collect();
+                assumptions.extend(selectors.iter().filter(|_| next(&mut seed, 2) == 1));
+                // A tiny learned-clause limit reduces the database after
+                // almost every conflict, so garbage piles up and the
+                // arena is compacted mid-search.
+                s.max_learnt = 1.0;
+                let garbage = s.db.garbage();
+                let result = s.solve_with(&assumptions);
+                reductions += usize::from(s.max_learnt > 1.0);
+                compactions += usize::from(s.db.garbage() < garbage);
+                let expected = brute_force_sat(10, &clauses, &assumptions);
+                assert_eq!(result.is_sat(), expected, "round {round} step {step}");
+                if result.is_sat() {
+                    assert!(assumptions
+                        .iter()
+                        .all(|&l| s.lit_value_model(l) == Some(true)));
+                    for c in &clauses {
+                        assert!(c.iter().any(|&l| s.lit_value_model(l) == Some(true)));
+                    }
+                }
+                assert_refs_intact(&s);
+            }
+        }
+        assert!(
+            reductions > 0 && compactions > 0,
+            "{reductions} {compactions}"
+        );
     }
 
     #[test]

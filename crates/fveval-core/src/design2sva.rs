@@ -33,14 +33,16 @@ pub fn compile_design(case: &DesignCase) -> Result<CompiledDesign, String> {
 
 /// Scores one response against `compiled`. `session` is the shared
 /// proof session over the base netlist, opened here on the first
-/// helper-free response.
+/// helper-free response. The flag is `true` when the response carried
+/// helper items, so that its score came from a one-shot session of its
+/// own.
 pub(crate) fn score<'c>(
     compiled: &'c CompiledDesign,
     cfg: ProveConfig,
     session: &mut Option<Box<ProofSession<'c>>>,
     response: &str,
-) -> (SampleEval, ProverStats) {
-    let failed = (SampleEval::failed(), ProverStats::default());
+) -> (SampleEval, ProverStats, bool) {
+    let failed = (SampleEval::failed(), ProverStats::default(), false);
     let items = match parse_snippet(response) {
         Ok(items) => items,
         Err(_) => return failed,
@@ -87,12 +89,17 @@ pub(crate) fn score<'c>(
         let proof = session.as_mut().expect("session opened above");
         let before = proof.stats();
         match proof.check(&assertion) {
-            Err(_) => (SampleEval::failed(), proof.stats().delta_since(&before)),
-            Ok((result, stats)) => (sample(&result), stats),
+            Err(_) => (
+                SampleEval::failed(),
+                proof.stats().delta_since(&before),
+                false,
+            ),
+            Ok((result, stats)) => (sample(&result), stats, false),
         }
     } else {
         // Helper items change the design: a private netlist via the
         // cheap split-elaboration bind, proven one-shot.
+        let failed = (SampleEval::failed(), ProverStats::default(), true);
         let netlist = match compiled.bind_extras(&helpers) {
             Ok(nl) => nl,
             Err(_) => return failed,
@@ -101,10 +108,11 @@ pub(crate) fn score<'c>(
             Ok(open) => open,
             Err(_) => return failed,
         };
-        match one_shot.check(&assertion) {
-            Err(_) => (SampleEval::failed(), one_shot.stats()),
-            Ok((result, _)) => (sample(&result), one_shot.stats()),
-        }
+        let eval = match one_shot.check(&assertion) {
+            Err(_) => SampleEval::failed(),
+            Ok((result, _)) => sample(&result),
+        };
+        (eval, one_shot.stats(), true)
     }
 }
 

@@ -32,6 +32,7 @@ use crate::score::Scorer;
 use fv_core::{CompiledDesign, ProveConfig, ProverStats, SignalTable};
 use fveval_data::{DesignCase, HumanCase, MachineCase};
 use fveval_llm::{Backend, InferenceConfig, Request, TaskSpec};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -199,18 +200,23 @@ impl VerdictCache {
         found.map(|c| c.eval)
     }
 
+    /// Caches a computed verdict and queues it for the store, unless
+    /// the key is already cached: two jobs that overlap in time can
+    /// both miss a key and both score it, and only the first to insert
+    /// queues a record. Decided under the map lock, so a key is queued
+    /// at most once.
     fn insert(&self, key: VerdictKey, eval: SampleEval) {
-        self.pending
-            .lock()
-            .expect("verdict pending queue poisoned")
-            .push(VerdictRecord::from_parts(&key, eval));
-        self.map.lock().expect("verdict cache poisoned").insert(
-            key,
-            CachedVerdict {
+        let mut map = self.map.lock().expect("verdict cache poisoned");
+        if let Entry::Vacant(slot) = map.entry(key) {
+            self.pending
+                .lock()
+                .expect("verdict pending queue poisoned")
+                .push(VerdictRecord::from_parts(slot.key(), eval));
+            slot.insert(CachedVerdict {
                 eval,
                 persisted: false,
-            },
-        );
+            });
+        }
     }
 
     fn preload(&self, records: impl IntoIterator<Item = VerdictRecord>) -> usize {
@@ -343,11 +349,11 @@ impl EvalEngine {
     }
 
     /// Drains every verdict computed (not preloaded) since the engine
-    /// was built or this method last ran, sorted by cache key so the
-    /// result is deterministic for any `jobs` setting. The caller —
-    /// typically the `fveval-serve` crate's `VerdictStore`, via the
-    /// server or the `fveval` CLI — appends these to disk so the next
-    /// process starts warm.
+    /// was built or this method last ran, one record per cache key,
+    /// sorted by cache key so the result is deterministic for any
+    /// `jobs` setting. The caller — typically the `fveval-serve`
+    /// crate's `VerdictStore`, via the server or the `fveval` CLI —
+    /// appends these to disk so the next process starts warm.
     pub fn take_unpersisted(&self) -> Vec<VerdictRecord> {
         self.verdicts.take_pending()
     }
@@ -432,8 +438,10 @@ impl EvalEngine {
     ///
     /// Every lookup happens before any verdict is computed, so a
     /// work-list that repeats a `(task id, content digest)` pair scores
-    /// both copies. No list built by this crate, the `fveval` CLI or
-    /// the server repeats one.
+    /// both copies; the cache keeps the first verdict per key, and
+    /// [`EvalEngine::take_unpersisted`] hands back one record per key.
+    /// No list built by this crate, the `fveval` CLI or the server
+    /// repeats one.
     pub fn run_matrix(
         &self,
         backends: &[&dyn Backend],
@@ -1280,6 +1288,73 @@ mod tests {
         let mut sorted = seq.clone();
         sorted.sort_by_key(|record| record.key());
         assert_eq!(seq, sorted);
+    }
+
+    #[test]
+    fn a_key_inserted_twice_queues_one_record() {
+        let cache = VerdictCache::default();
+        let key: VerdictKey = ("m".into(), "t".into(), 7, "cfg".into(), 0);
+        let eval = SampleEval::failed();
+        cache.insert(key.clone(), eval);
+        cache.insert(key.clone(), eval);
+        assert_eq!(
+            cache.take_pending(),
+            [VerdictRecord::from_parts(&key, eval)]
+        );
+        assert_eq!(cache.stats().entries, 1);
+        // A key computed again after the drain is still cached: it is
+        // not queued a second time.
+        cache.insert(key, eval);
+        assert!(cache.take_pending().is_empty());
+    }
+
+    #[test]
+    fn a_work_list_that_repeats_a_task_drains_one_record_per_key() {
+        let tasks = machine_tasks(4);
+        let repeated: Vec<Arc<TaskSpec>> = tasks.iter().chain(&tasks).cloned().collect();
+        let models = profiles();
+        let cfg = InferenceConfig::sampling();
+        for jobs in [1, 4] {
+            let engine = EvalEngine::with_jobs(jobs);
+            let evals = engine.run(&models[0], &repeated, &cfg, 2);
+            assert_eq!(evals[..4], evals[4..], "jobs={jobs}");
+            // Both copies were looked up before either was scored.
+            let stats = engine.cache_stats();
+            assert_eq!((stats.misses, stats.entries), (16, 8), "jobs={jobs}");
+            let records = engine.take_unpersisted();
+            let mut keys: Vec<VerdictKey> = records.iter().map(VerdictRecord::key).collect();
+            keys.dedup();
+            assert_eq!((records.len(), keys.len()), (8, 8), "jobs={jobs}");
+        }
+    }
+
+    #[test]
+    fn prover_stats_over_repeated_responses_are_jobs_invariant() {
+        // Table 4's shape: NL2SVA-Machine cases, three models, 3-shot
+        // sampling, five samples each; simulated models repeat many
+        // responses within a case.
+        let tasks = machine_tasks(24);
+        let models: Vec<_> = profiles()
+            .into_iter()
+            .filter(|m| ["gpt-4o", "gemini-1.5-flash", "llama-3.1-70b"].contains(&m.name()))
+            .collect();
+        let backends: Vec<&dyn Backend> = models.iter().map(|m| m as &dyn Backend).collect();
+        assert_eq!(backends.len(), 3);
+        let cfg = InferenceConfig::sampling().with_shots(3);
+        let run = |jobs| {
+            let engine = EvalEngine::with_jobs(jobs);
+            let evals = engine.run_matrix(&backends, &tasks, &cfg, 5);
+            (evals, engine.prover_stats())
+        };
+        let (seq, seq_stats) = run(1);
+        let (par, par_stats) = run(4);
+        assert_eq!(seq, par);
+        assert_eq!(seq_stats, par_stats);
+        let scored = seq_stats.session_checks + seq_stats.check_repeats;
+        assert!(
+            3 * seq_stats.check_repeats > scored,
+            "over a third of the parsed responses repeat: {seq_stats:?}"
+        );
     }
 
     #[test]

@@ -6,6 +6,7 @@ use crate::{design2sva, nl2sva};
 use fv_core::{
     CompiledDesign, EquivConfig, EquivSession, ProofSession, ProveConfig, ProverStats, SignalTable,
 };
+use std::collections::HashMap;
 use sv_parser::parse_assertion_str;
 
 /// One case's scoring state.
@@ -21,6 +22,14 @@ use sv_parser::parse_assertion_str;
 /// one solver. A one-shot score is a scorer used once; the session
 /// changes how much work a check costs, never its verdict.
 ///
+/// A response text the scorer has already scored gets its first
+/// verdict back without being parsed, BLEU-scored or checked again. Its
+/// counter delta is what the session's own check memo reports for a
+/// repeat: one [`ProverStats::check_repeats`] if the first scoring
+/// reached a session check, nothing otherwise. Design2SVA responses
+/// that carry helper items are the exception: each one binds its
+/// helpers and opens a one-shot session of its own, every time.
+///
 /// # Examples
 ///
 /// ```
@@ -35,6 +44,9 @@ use sv_parser::parse_assertion_str;
 /// ```
 pub struct Scorer<'a> {
     state: State<'a>,
+    /// Per response text scored so far: its verdict, and whether its
+    /// first scoring reached a session check.
+    scored: HashMap<String, (SampleEval, bool)>,
 }
 
 enum State<'a> {
@@ -70,26 +82,29 @@ impl<'a> Scorer<'a> {
             },
             Err(_) => State::Failed,
         };
-        Scorer { state }
+        Scorer::with_state(state)
     }
 
     /// Scores Design2SVA responses against `compiled` with the proving
     /// engine `cfg` selects.
     pub fn design(compiled: &'a CompiledDesign, cfg: ProveConfig) -> Scorer<'a> {
-        Scorer {
-            state: State::Design {
-                compiled,
-                cfg,
-                session: None,
-            },
-        }
+        Scorer::with_state(State::Design {
+            compiled,
+            cfg,
+            session: None,
+        })
     }
 
     /// A scorer that fails every response, for a design whose
     /// collateral does not compile.
     pub(crate) fn failed() -> Scorer<'a> {
+        Scorer::with_state(State::Failed)
+    }
+
+    fn with_state(state: State<'a>) -> Scorer<'a> {
         Scorer {
-            state: State::Failed,
+            state,
+            scored: HashMap::new(),
         }
     }
 
@@ -106,15 +121,31 @@ impl<'a> Scorer<'a> {
     /// BLEU is taken against the NL2SVA reference (Design2SVA has none
     /// and scores 0).
     pub fn score(&mut self, response: &str) -> (SampleEval, ProverStats) {
-        match &mut self.state {
-            State::Failed => (SampleEval::failed(), ProverStats::default()),
-            State::Nl { bleu, equiv } => nl2sva::score(equiv, bleu, response),
+        if let Some(&(eval, checked)) = self.scored.get(response) {
+            let stats = if checked {
+                ProverStats::repeat()
+            } else {
+                ProverStats::default()
+            };
+            return (eval, stats);
+        }
+        let (eval, stats, helpers) = match &mut self.state {
+            State::Failed => (SampleEval::failed(), ProverStats::default(), false),
+            State::Nl { bleu, equiv } => {
+                let (eval, stats) = nl2sva::score(equiv, bleu, response);
+                (eval, stats, false)
+            }
             State::Design {
                 compiled,
                 cfg,
                 session,
             } => design2sva::score(compiled, *cfg, session, response),
+        };
+        if !helpers {
+            let checked = stats.session_checks + stats.check_repeats > 0;
+            self.scored.insert(response.to_owned(), (eval, checked));
         }
+        (eval, stats)
     }
 }
 
@@ -197,6 +228,87 @@ mod tests {
             (stats.session_checks, stats.check_repeats),
             (checked, checked)
         );
+    }
+
+    /// Scores `response` twice and checks that the repeat returns the
+    /// first verdict with `repeat_stats` as its counter delta.
+    fn assert_repeat(scorer: &mut Scorer<'_>, response: &str, repeat_stats: ProverStats) {
+        let (first, _) = scorer.score(response);
+        let (again, again_stats) = scorer.score(response);
+        assert_eq!(again, first, "{response}");
+        assert_eq!(again_stats, repeat_stats, "{response}");
+    }
+
+    #[test]
+    fn a_repeated_text_reports_what_the_session_memo_reports() {
+        // NL2SVA: a parse failure never reaches the session; every
+        // response that parses is checked once, even when the check
+        // errors or the clocks differ, and a repeat counts one
+        // `check_repeats`.
+        let t = table();
+        let mut nl = Scorer::nl("assert property (@(posedge clk) a |-> ##1 b);", &t);
+        for (response, repeat_stats) in [
+            ("assert property (@(posedge clk) (a", ProverStats::default()),
+            (
+                "assert property (@(posedge clk) a |-> ghost);",
+                ProverStats::repeat(),
+            ),
+            (
+                "assert property (@(negedge clk) a |-> ##1 b);",
+                ProverStats::repeat(),
+            ),
+            ("assert property (@(posedge clk) b);", ProverStats::repeat()),
+            (
+                "assert property (@(posedge clk) a |=> b);",
+                ProverStats::repeat(),
+            ),
+        ] {
+            assert_repeat(&mut nl, response, repeat_stats);
+        }
+        // Respacing a text makes a new text but the same candidate: the
+        // session's own memo answers it, with the same delta.
+        let respaced = "assert property (@(posedge clk)  a |=> b);";
+        assert_eq!(nl.score(respaced).1, ProverStats::repeat());
+        assert_repeat(&mut nl, respaced, ProverStats::repeat());
+
+        // Design2SVA, the same; and a helper-carrying response binds
+        // and proves in a one-shot session of its own every time.
+        let case = generate_fsm(&FsmParams {
+            n_states: 4,
+            n_edges: 3,
+            width: 8,
+            guard_depth: 1,
+            seed: 21,
+        });
+        let compiled = compile_design(&case).unwrap();
+        let mut design = Scorer::design(&compiled, ProveConfig::default());
+        for (response, repeat_stats) in [
+            (
+                "assert property (@(posedge clk) (fsm_out",
+                ProverStats::default(),
+            ),
+            ("logic x;", ProverStats::default()),
+            (
+                "assert property (@(posedge clk) state == S0);",
+                ProverStats::repeat(),
+            ),
+            (
+                "assert property (@(posedge clk) disable iff (tb_reset) fsm_out == S1);",
+                ProverStats::repeat(),
+            ),
+            (case.golden[0].as_str(), ProverStats::repeat()),
+        ] {
+            assert_repeat(&mut design, response, repeat_stats);
+        }
+        let helper = "logic [FSM_WIDTH-1:0] mirror;\nassign mirror = fsm_out;\n\
+                      assert property (@(posedge clk) mirror == fsm_out);";
+        let (first, first_stats) = design.score(helper);
+        assert!(first.syntax && first.func, "{first:?}");
+        assert_eq!(
+            (first_stats.sessions_opened, first_stats.session_checks),
+            (1, 1)
+        );
+        assert_repeat(&mut design, helper, first_stats);
     }
 
     #[test]
