@@ -30,6 +30,7 @@ mod clause;
 mod heap;
 mod luby;
 mod solver;
+mod watch;
 
 pub use clause::ClauseRef;
 pub use solver::{SolveResult, Solver, SolverStats};

@@ -3,6 +3,7 @@
 use crate::clause::{ClauseDb, ClauseRef};
 use crate::heap::VarHeap;
 use crate::luby::luby;
+use crate::watch::{WatchArena, Watcher};
 use crate::{LBool, Lit, Var};
 
 /// Outcome of a [`Solver::solve`] call.
@@ -56,13 +57,6 @@ pub struct SolverStats {
 }
 
 #[derive(Debug, Clone, Copy)]
-struct Watcher {
-    cref: ClauseRef,
-    /// The *other* watched literal (blocking literal optimization).
-    blocker: Lit,
-}
-
-#[derive(Debug, Clone, Copy)]
 struct VarData {
     reason: ClauseRef,
     level: u32,
@@ -93,8 +87,8 @@ pub struct Solver {
     /// Saved phase per variable.
     phase: Vec<bool>,
     var_data: Vec<VarData>,
-    /// Watch lists indexed by literal index.
-    watches: Vec<Vec<Watcher>>,
+    /// Watch lists indexed by literal index, all in one arena.
+    watches: WatchArena,
     /// Assignment trail.
     trail: Vec<Lit>,
     /// Indices into `trail` where each decision level starts.
@@ -137,7 +131,7 @@ impl Solver {
             assigns: Vec::new(),
             phase: Vec::new(),
             var_data: Vec::new(),
-            watches: Vec::new(),
+            watches: WatchArena::new(),
             trail: Vec::new(),
             trail_lim: Vec::new(),
             qhead: 0,
@@ -173,8 +167,7 @@ impl Solver {
             reason: ClauseRef::UNDEF,
             level: 0,
         });
-        self.watches.push(Vec::new());
-        self.watches.push(Vec::new());
+        self.watches.add_var();
         self.activity.push(0.0);
         self.seen.push(false);
         self.order.grow_to(self.assigns.len());
@@ -258,6 +251,8 @@ impl Solver {
                 }
             }
             _ => {
+                // A safe point to re-pack: no watch span is held here.
+                self.watches.collect_garbage();
                 let cref = self.db.alloc(&lits[..kept], false);
                 self.attach(cref);
                 true
@@ -399,15 +394,17 @@ impl Solver {
         let c = self.db.lits(cref);
         debug_assert!(c.len() >= 2);
         let (l0, l1) = (c[0], c[1]);
-        self.watches[(!l0).index()].push(Watcher { cref, blocker: l1 });
-        self.watches[(!l1).index()].push(Watcher { cref, blocker: l0 });
+        self.watches
+            .push((!l0).index(), Watcher { cref, blocker: l1 });
+        self.watches
+            .push((!l1).index(), Watcher { cref, blocker: l0 });
     }
 
     fn detach(&mut self, cref: ClauseRef) {
         let c = self.db.lits(cref);
         let (l0, l1) = (c[0], c[1]);
-        self.watches[(!l0).index()].retain(|w| w.cref != cref);
-        self.watches[(!l1).index()].retain(|w| w.cref != cref);
+        self.watches.retain((!l0).index(), |w| w.cref != cref);
+        self.watches.retain((!l1).index(), |w| w.cref != cref);
     }
 
     fn enqueue(&mut self, l: Lit, reason: ClauseRef) {
@@ -422,6 +419,11 @@ impl Solver {
     }
 
     /// Unit propagation. Returns the conflicting clause, or UNDEF.
+    ///
+    /// Walks each propagated literal's watch list in place in the
+    /// arena. Pushes go to other literals' lists only (a clause never
+    /// holds both `p` and `!p`), so the list's span stays put while
+    /// swap-removes shorten it.
     fn propagate(&mut self) -> ClauseRef {
         let mut conflict = ClauseRef::UNDEF;
         while self.qhead < self.trail.len() {
@@ -429,10 +431,10 @@ impl Solver {
             self.qhead += 1;
             self.stats.propagations += 1;
 
-            let mut ws = std::mem::take(&mut self.watches[p.index()]);
+            let (start, mut watching) = self.watches.span(p.index());
             let mut i = 0;
-            'watches: while i < ws.len() {
-                let w = ws[i];
+            'watches: while i < watching {
+                let w = self.watches.at(start + i);
                 // Blocking-literal fast path.
                 if self.lit_value(w.blocker) == LBool::True {
                     i += 1;
@@ -448,10 +450,13 @@ impl Solver {
                 debug_assert_eq!(c[1], false_lit);
                 let first = c[0];
                 if first != w.blocker && self.lit_value(first) == LBool::True {
-                    ws[i] = Watcher {
-                        cref,
-                        blocker: first,
-                    };
+                    self.watches.set_at(
+                        start + i,
+                        Watcher {
+                            cref,
+                            blocker: first,
+                        },
+                    );
                     i += 1;
                     continue;
                 }
@@ -461,19 +466,27 @@ impl Solver {
                     let lk = self.db.lits(cref)[k];
                     if self.lit_value(lk) != LBool::False {
                         self.db.lits_mut(cref).swap(1, k);
-                        self.watches[(!lk).index()].push(Watcher {
-                            cref,
-                            blocker: first,
-                        });
-                        ws.swap_remove(i);
+                        debug_assert_ne!(!lk, p, "a clause never holds both p and !p");
+                        self.watches.push(
+                            (!lk).index(),
+                            Watcher {
+                                cref,
+                                blocker: first,
+                            },
+                        );
+                        self.watches.swap_remove(p.index(), i);
+                        watching -= 1;
                         continue 'watches;
                     }
                 }
                 // No new watch: clause is unit or conflicting.
-                ws[i] = Watcher {
-                    cref,
-                    blocker: first,
-                };
+                self.watches.set_at(
+                    start + i,
+                    Watcher {
+                        cref,
+                        blocker: first,
+                    },
+                );
                 i += 1;
                 if self.lit_value(first) == LBool::False {
                     conflict = cref;
@@ -483,9 +496,6 @@ impl Solver {
                     self.enqueue(first, cref);
                 }
             }
-            let mut existing = std::mem::take(&mut self.watches[p.index()]);
-            ws.append(&mut existing);
-            self.watches[p.index()] = ws;
             if conflict.is_defined() {
                 break;
             }
@@ -663,6 +673,7 @@ impl Solver {
             removed += 1;
         }
         self.db.collect_garbage();
+        self.watches.collect_garbage();
         self.stats.learnt = self.db.learnt_count() as u64;
     }
 
@@ -1015,7 +1026,7 @@ mod tests {
     /// points at a live clause watching its literal, and every implied
     /// literal on the trail heads its reason clause.
     fn assert_refs_intact(s: &Solver) {
-        for (idx, ws) in s.watches.iter().enumerate() {
+        for (idx, ws) in s.watches.lists().enumerate() {
             let watched = !Lit::from_index(idx);
             for w in ws {
                 let c = s.db.lits(w.cref);
@@ -1040,6 +1051,11 @@ mod tests {
         })
     }
 
+    /// `(decisions, propagations, conflicts)` summed over the rounds
+    /// of the test below, as the solver made them with one `Vec` per
+    /// watch list.
+    const PINNED_SEARCH: (u64, u64, u64) = (21_511, 45_016, 247);
+
     #[test]
     fn incremental_queries_agree_with_brute_force_through_compactions() {
         let mut seed = 0x2545F4914F6CDD1Du64;
@@ -1050,6 +1066,7 @@ mod tests {
             *seed % m
         };
         let (mut reductions, mut compactions) = (0, 0);
+        let mut searched = (0, 0, 0);
         for round in 0..12 {
             let mut s = Solver::new();
             let vars: Vec<Var> = (0..8).map(|_| s.new_var()).collect();
@@ -1099,10 +1116,20 @@ mod tests {
                 }
                 assert_refs_intact(&s);
             }
+            let st = s.stats();
+            searched.0 += st.decisions;
+            searched.1 += st.propagations;
+            searched.2 += st.conflicts;
         }
         assert!(
             reductions > 0 && compactions > 0,
             "{reductions} {compactions}"
+        );
+        // The search itself is pinned: watch-list storage must not move
+        // a single decision, propagation or conflict.
+        assert_eq!(
+            searched, PINNED_SEARCH,
+            "(decisions, propagations, conflicts)"
         );
     }
 
