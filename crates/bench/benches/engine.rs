@@ -2,9 +2,11 @@
 //! equivalence, BMC/k-induction scaling, and the evaluation engine's
 //! parallel speed-up and verdict-cache behaviour.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use fv_aig::{Aig, BitVec, CnfEmitter};
-use fv_core::{check_equivalence, prove, DesignTraceEnv, EquivConfig, ProveConfig, SignalTable};
+use fv_core::{
+    check_equivalence, prove, DesignTraceEnv, EquivConfig, ProveConfig, SignalTable, TraceEnv,
+};
 use fv_sat::Solver;
 use fveval_bench::pigeonhole;
 use fveval_core::{compile_design, design_task_specs, machine_task_specs, EvalEngine};
@@ -145,6 +147,35 @@ fn bench_model_checking(c: &mut Criterion) {
                     black_box(aig.num_nodes());
                 }
             })
+        });
+    }
+    // A narrow read by cone: one net at frame 7 through a fresh
+    // `DesignTraceEnv`, for each of the same 96 designs — a pipeline's
+    // 1-bit `out_vld`, and an FSM's `fsm_out` (its narrowest net that
+    // is not a clock or reset). The expanders, and so the templates,
+    // are built outside the timing.
+    for (family, cases, net) in [
+        ("pipelines", pipeline_sweep(96, 0xFEED), "out_vld"),
+        ("fsms", fsm_sweep(96, 0xFEED + 1), "fsm_out"),
+    ] {
+        let designs: Vec<_> = cases.iter().map(|c| compile_design(c).unwrap()).collect();
+        let expanders: Vec<_> = designs
+            .iter()
+            .map(|d| FrameExpander::new(d.netlist()).unwrap())
+            .collect();
+        g.bench_function(format!("cone_read/{family}"), |b| {
+            b.iter_batched(
+                || expanders.clone(),
+                |expanders| {
+                    for expander in expanders {
+                        let mut aig = Aig::new();
+                        let mut env = DesignTraceEnv::new(expander);
+                        black_box(env.read(&mut aig, net, 7).unwrap());
+                        black_box(aig.num_nodes());
+                    }
+                },
+                BatchSize::LargeInput,
+            )
         });
     }
     // Tseitin clause intake: every atom bit of the same 8-frame

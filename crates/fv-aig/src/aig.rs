@@ -54,6 +54,21 @@ impl AigLit {
         }
     }
 
+    /// The AIGER encoding of this literal, `node << 1 | inverted`: a
+    /// 4-byte key for tables indexed by literal.
+    #[inline]
+    pub fn raw(self) -> u32 {
+        self.0
+    }
+
+    /// The literal whose [`AigLit::raw`] encoding is `raw`. It names a
+    /// node only if the graph it is used with has one at
+    /// `raw >> 1`.
+    #[inline]
+    pub fn from_raw(raw: u32) -> AigLit {
+        AigLit(raw)
+    }
+
     /// Builds a constant literal from a boolean.
     #[inline]
     pub fn constant(b: bool) -> AigLit {
@@ -73,8 +88,10 @@ impl std::ops::Not for AigLit {
     }
 }
 
+/// What a node of an [`Aig`] is ([`Aig::nodes`]). Both operands of an
+/// and gate point at nodes with smaller ids.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Node {
+pub enum Node {
     /// Constant false (node 0 only).
     False,
     /// Primary input, by dense input index.
@@ -130,6 +147,11 @@ impl Aig {
             .iter()
             .filter(|n| matches!(n, Node::And(..)))
             .count()
+    }
+
+    /// Every node, indexed by node id: node 0 is [`Node::False`].
+    pub fn nodes(&self) -> &[Node] {
+        &self.nodes
     }
 
     /// The primary-input nodes, in creation order.

@@ -26,7 +26,7 @@ mod cnf;
 mod eval;
 mod sim;
 
-pub use aig::{Aig, AigLit, NodeId};
+pub use aig::{Aig, AigLit, Node, NodeId};
 pub use bitvec::BitVec;
 pub use cnf::CnfEmitter;
 pub use eval::AigEvaluator;

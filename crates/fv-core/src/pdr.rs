@@ -172,9 +172,12 @@ impl<'n> Pdr<'n> {
             env.bind_const(n.clone(), *w, *v);
         }
         let mut g = Aig::new();
+        // Frame 0 whole before the monitor: its state and next-state
+        // bits pair up in netlist register order, and the graph's
+        // first nodes are the single step's.
+        env.ensure_frames(&mut g, 0);
         let horizon = design_horizon(assertion);
         let holds = encode_assertion_at(&mut g, assertion, 0, horizon, &mut env)?;
-        env.ensure_frames(&mut g, 0);
         let mut solver = Solver::new();
         solver.set_conflict_budget(Some(QUERY_CONFLICT_BUDGET));
         let mut em = CnfEmitter::new();

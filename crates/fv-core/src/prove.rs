@@ -256,10 +256,11 @@ pub fn prove_with_stats(
 /// candidate amortizes across the whole stream:
 ///
 /// - **Time frames**: the free-initial-state unrolling lives in the
-///   session's [`DesignTraceEnv`]; a candidate needing `k` frames
-///   reuses every frame an earlier candidate already expanded
-///   ([`ProverStats::unroll_reuse_hits`] counts the frames served this
-///   way).
+///   session's [`DesignTraceEnv`], built by cone: a candidate's reads
+///   copy only the template logic they depend on, and reuse every node
+///   an earlier candidate already built ([`ProverStats::unroll_reuse_hits`]
+///   counts the frames a candidate revisited that were already
+///   allocated).
 /// - **Monitors**: candidate monitors are appended to the shared
 ///   structurally-hashed [`Aig`], so subterms that candidates share
 ///   (two spellings of one property, say) fold to the same literals

@@ -3,8 +3,8 @@
 //! The build environment has no registry access, so this workspace
 //! ships a minimal harness with the same surface the benches use:
 //! benchmark groups, `sample_size`/`measurement_time`, `bench_function`
-//! / `bench_with_input`, [`BenchmarkId`], and the `criterion_group!` /
-//! `criterion_main!` macros. Each benchmark is run `sample_size` times
+//! / `bench_with_input`, `iter` / `iter_batched`, [`BenchmarkId`], and
+//! the `criterion_group!` / `criterion_main!` macros. Each benchmark is run `sample_size` times
 //! (bounded by the group's measurement-time budget) and the mean,
 //! minimum, and maximum wall-clock per iteration are printed in a
 //! stable one-line format.
@@ -84,6 +84,45 @@ impl Bencher {
         for _ in 0..self.sample_size {
             let t0 = Instant::now();
             std::hint::black_box(routine());
+            self.samples.push(t0.elapsed());
+            if started.elapsed() > self.budget {
+                break;
+            }
+        }
+    }
+}
+
+/// How many inputs [`Bencher::iter_batched`] builds per batch. The
+/// shim builds one per sample whatever the size; the variants exist for
+/// source compatibility with criterion.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchSize {
+    /// Inputs that are cheap to hold many of.
+    SmallInput,
+    /// Inputs too large to hold many of.
+    LargeInput,
+    /// One input per iteration.
+    PerIteration,
+}
+
+impl Bencher {
+    /// Like [`Bencher::iter`], but each sample first builds a fresh
+    /// input with `setup`, untimed, and times only `routine` over it.
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, size: BatchSize)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
+        let _ = size;
+        let runs = if self.test_mode { 1 } else { self.sample_size };
+        if !self.test_mode {
+            std::hint::black_box(routine(setup()));
+        }
+        let started = Instant::now();
+        for _ in 0..runs {
+            let input = setup();
+            let t0 = Instant::now();
+            std::hint::black_box(routine(input));
             self.samples.push(t0.elapsed());
             if started.elapsed() > self.budget {
                 break;

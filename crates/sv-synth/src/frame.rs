@@ -7,10 +7,16 @@
 //! the way AIGER-style model checkers unroll, and the caller stitches
 //! register values between frames. This is exactly the shape BMC,
 //! k-induction, and the bounded equivalence prover need.
+//!
+//! [`FrameExpander::expand`] copies a whole frame. A caller that needs
+//! only some nets can walk the template itself instead
+//! ([`FrameExpander::template`], [`FrameExpander::template_input`]) and
+//! copy just the nodes those nets read, as `fv-core`'s design trace
+//! environment does.
 
 use crate::netexpr::{Nx, NxBin, NxRed};
 use crate::netlist::{AtomId, AtomKind, NetBinding, Netlist};
-use fv_aig::{Aig, AigLit, BitVec};
+use fv_aig::{Aig, BitVec};
 use std::collections::HashMap;
 
 /// Values of every atom (and register next-state) for one clock cycle.
@@ -41,7 +47,7 @@ impl FrameValues {
 }
 
 /// Expands netlist clock cycles into an AIG.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FrameExpander<'a> {
     netlist: &'a Netlist,
     /// The transition function, bit-blasted once. Its inputs are the
@@ -49,9 +55,12 @@ pub struct FrameExpander<'a> {
     template: Aig,
     /// Every atom's value in the template, indexed by atom id.
     atoms: Vec<BitVec>,
-    /// Every register's next state in the template, in
-    /// [`Netlist::regs`] order.
-    reg_next: Vec<(AtomId, BitVec)>,
+    /// Every register's next state in the template, indexed by atom id
+    /// (`None` for the other atoms).
+    next: Vec<Option<BitVec>>,
+    /// Template input `k` stands for bit `input_bits[k].1` of atom
+    /// `input_bits[k].0`: the one statement of that numbering.
+    input_bits: Vec<(AtomId, u32)>,
 }
 
 impl<'a> FrameExpander<'a> {
@@ -66,28 +75,65 @@ impl<'a> FrameExpander<'a> {
     pub fn new(netlist: &'a Netlist) -> Result<FrameExpander<'a>, String> {
         let topo = netlist.comb_topo_order()?;
         let mut template = Aig::new();
+        let mut input_bits = Vec::new();
         let atoms = netlist
             .atoms
             .iter()
-            .map(|def| match def.kind {
+            .enumerate()
+            .map(|(i, def)| match def.kind {
                 AtomKind::Input | AtomKind::Reg { .. } => {
+                    input_bits.extend((0..def.width).map(|bit| (AtomId(i as u32), bit)));
                     Some(BitVec::input(&mut template, def.width as usize))
                 }
                 AtomKind::Comb(_) => None,
             })
             .collect();
         let (atoms, reg_next) = Self::blast_frame(&mut template, netlist, &topo, atoms);
+        let mut next = vec![None; netlist.atoms.len()];
+        for (id, v) in reg_next {
+            next[id.index()] = Some(v);
+        }
         Ok(FrameExpander {
             netlist,
             template,
             atoms,
-            reg_next,
+            next,
+            input_bits,
         })
     }
 
     /// The underlying netlist.
     pub fn netlist(&self) -> &'a Netlist {
         self.netlist
+    }
+
+    /// The transition function, bit-blasted once: one primary input per
+    /// bit of every input and register atom ([`FrameExpander::template_input`]).
+    pub fn template(&self) -> &Aig {
+        &self.template
+    }
+
+    /// The atom bit that template input `k` stands for: `(atom, bit)`.
+    /// Inputs run over the input and register atoms in atom order, LSB
+    /// first, and each is a plain (uninverted) input literal of
+    /// [`FrameExpander::atom_template`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is not a template input.
+    pub fn template_input(&self, k: u32) -> (AtomId, u32) {
+        self.input_bits[k as usize]
+    }
+
+    /// An atom's value in the template, LSB first.
+    pub fn atom_template(&self, id: AtomId) -> &BitVec {
+        &self.atoms[id.index()]
+    }
+
+    /// A register's next state in the template, LSB first; `None` for
+    /// atoms that are not registers.
+    pub fn next_state_template(&self, id: AtomId) -> Option<&BitVec> {
+        self.next[id.index()].as_ref()
     }
 
     /// Expands one cycle by copying the template into `g`.
@@ -110,27 +156,31 @@ impl<'a> FrameExpander<'a> {
         reg_values: &HashMap<AtomId, BitVec>,
         input_fn: &mut dyn FnMut(&mut Aig, AtomId, u32) -> BitVec,
     ) -> FrameValues {
-        let mut inputs = Vec::with_capacity(self.template.num_inputs());
-        for (i, def) in self.netlist.atoms.iter().enumerate() {
-            let id = AtomId(i as u32);
-            let width = def.width as usize;
-            let start = inputs.len();
-            match def.kind {
-                AtomKind::Input => inputs.extend_from_slice(input_fn(g, id, def.width).bits()),
-                AtomKind::Reg { .. } => match reg_values.get(&id) {
-                    Some(v) => inputs.extend_from_slice(v.bits()),
-                    None => inputs.resize(start + width, AigLit::FALSE),
-                },
-                AtomKind::Comb(_) => continue,
-            }
-            assert_eq!(inputs.len() - start, width, "width of atom '{}'", def.name);
+        let mut inputs = Vec::with_capacity(self.input_bits.len());
+        for bits in self.input_bits.chunk_by(|a, b| a.0 == b.0) {
+            let id = bits[0].0;
+            let def = self.netlist.atom(id);
+            let value = match def.kind {
+                AtomKind::Input => input_fn(g, id, def.width),
+                _ => reg_values
+                    .get(&id)
+                    .cloned()
+                    .unwrap_or_else(|| BitVec::constant(def.width as usize, 0)),
+            };
+            assert_eq!(value.width(), bits.len(), "width of atom '{}'", def.name);
+            inputs.extend(bits.iter().map(|&(_, bit)| value.bit(bit as usize)));
         }
         let image = self.template.instantiate(g, &inputs);
         let copy =
             |v: &BitVec| BitVec::from_bits(v.bits().iter().map(|l| l.image(&image)).collect());
         FrameValues {
             atoms: self.atoms.iter().map(copy).collect(),
-            reg_next: self.reg_next.iter().map(|(id, v)| (*id, copy(v))).collect(),
+            reg_next: self
+                .next
+                .iter()
+                .enumerate()
+                .filter_map(|(i, v)| Some((AtomId(i as u32), copy(v.as_ref()?))))
+                .collect(),
         }
     }
 

@@ -9,9 +9,10 @@
 //!    loops, hierarchy) into a [`Netlist`] of *atoms* — inputs,
 //!    registers, and combinational definitions at word level.
 //! 2. [`FrameExpander`] bit-blasts the netlist's transition function
-//!    once into a template [`fv_aig::Aig`] and copies it into the
-//!    caller's graph once per clock cycle; `fv-core` builds BMC and
-//!    k-induction queries on top.
+//!    once into a template [`fv_aig::Aig`], which is copied into the
+//!    caller's graph per clock cycle: whole, or by cone through the
+//!    exposed template, as `fv-core`'s provers copy it to build BMC,
+//!    k-induction and PDR queries.
 //! 3. [`Simulator`] interprets the same netlist directly; property tests
 //!    check it against the bit-blasted form bit-for-bit.
 //!
