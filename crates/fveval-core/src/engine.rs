@@ -20,7 +20,11 @@
 //! - the **verdict cache**, keyed by `(model, task-id, content digest,
 //!   cfg, sample)`, skips inference *and* formal scoring for cases
 //!   shared between experiments (Tables 1/2 and Figure 6 all reuse
-//!   the human set);
+//!   the human set). Behind its one lock, an interner holds each
+//!   model name, task id and cfg key once, and the map and the store
+//!   flush queue hold a 24-byte `Copy` key of their symbols, the
+//!   digest and the sample; the cache pass takes that lock once per
+//!   case group;
 //! - the **compiled-design cache**, content-addressed by `(id, source
 //!   digest)`, reuses each Design2SVA case's [`CompiledDesign`]
 //!   (whole-file elaboration + DUT binding) across all backends,
@@ -34,8 +38,9 @@ use fveval_data::{DesignCase, HumanCase, MachineCase};
 use fveval_llm::{Backend, InferenceConfig, Request, TaskSpec};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
+use sv_ast::{Interner, Symbol, SymbolMap};
 
 /// Verdict-cache counters (monotonic over the engine's lifetime).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -125,20 +130,29 @@ pub type VerdictKey = (String, String, u64, String, u32);
 type CompiledKey = (String, u64);
 type SharedCompiled = Arc<Result<CompiledDesign, String>>;
 
-/// The verdict key of `backend`'s sample `sample` on `task`.
-fn verdict_key(
-    backend: &dyn Backend,
-    task: &TaskSpec,
-    digest: u64,
-    cfg_key: &str,
+/// The cache's form of a [`VerdictKey`]: its strings as symbols of the
+/// cache's interner, which lives behind the same lock as every map and
+/// queue that holds a `Key`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct Key {
+    model: Symbol,
+    task: Symbol,
+    cfg: Symbol,
     sample: u32,
-) -> VerdictKey {
+    digest: u64,
+}
+
+// The map and the flush queue each hold one `Key` per verdict.
+const _: () = assert!(std::mem::size_of::<Key>() <= 24);
+
+/// The order [`EvalEngine::take_unpersisted`] drains in: [`VerdictKey`]'s.
+fn record_order(record: &VerdictRecord) -> (&str, &str, u64, &str, u32) {
     (
-        backend.name().to_string(),
-        task.id().to_string(),
-        digest,
-        cfg_key.to_string(),
-        sample,
+        &record.model,
+        &record.task_id,
+        record.digest,
+        &record.cfg,
+        record.sample,
     )
 }
 
@@ -159,7 +173,8 @@ struct ColdGroup {
     /// The task's position in the work-list.
     index: usize,
     digest: u64,
-    cfg_key: String,
+    task: Symbol,
+    cfg: Symbol,
     /// Per backend, per sample: the cached verdict, or `None`.
     cached: Vec<Vec<Option<SampleEval>>>,
 }
@@ -173,58 +188,70 @@ struct CachedVerdict {
     persisted: bool,
 }
 
+/// The verdict cache. The engine keeps it behind one `Mutex`, which
+/// therefore guards the interner together with every [`Key`] minted
+/// from it.
 #[derive(Debug, Default)]
 struct VerdictCache {
-    map: Mutex<HashMap<VerdictKey, CachedVerdict>>,
+    /// Backend names, task ids and cfg keys.
+    names: Interner,
+    map: SymbolMap<Key, CachedVerdict>,
     /// Verdicts computed since the last [`VerdictCache::take_pending`],
     /// in insertion order — the flush queue for a persistent store.
-    pending: Mutex<Vec<VerdictRecord>>,
-    hits: AtomicU64,
-    persisted_hits: AtomicU64,
-    misses: AtomicU64,
+    pending: Vec<(Key, SampleEval)>,
+    /// Lookup counters; `entries` is read off the map.
+    counts: CacheStats,
 }
 
 impl VerdictCache {
-    fn get(&self, key: &VerdictKey) -> Option<SampleEval> {
-        let found = self
-            .map
-            .lock()
-            .expect("verdict cache poisoned")
-            .get(key)
-            .copied();
+    /// The key of a verdict, interning its strings.
+    fn key(&mut self, model: &str, task_id: &str, digest: u64, cfg: &str, sample: u32) -> Key {
+        Key {
+            model: self.names.intern(model),
+            task: self.names.intern(task_id),
+            cfg: self.names.intern(cfg),
+            sample,
+            digest,
+        }
+    }
+
+    fn get(&mut self, key: Key) -> Option<SampleEval> {
+        let found = self.map.get(&key).copied();
         match found {
-            Some(c) if c.persisted => self.persisted_hits.fetch_add(1, Ordering::Relaxed),
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
+            Some(c) if c.persisted => self.counts.persisted_hits += 1,
+            Some(_) => self.counts.hits += 1,
+            None => self.counts.misses += 1,
+        }
         found.map(|c| c.eval)
     }
 
     /// Caches a computed verdict and queues it for the store, unless
     /// the key is already cached: two jobs that overlap in time can
     /// both miss a key and both score it, and only the first to insert
-    /// queues a record. Decided under the map lock, so a key is queued
-    /// at most once.
-    fn insert(&self, key: VerdictKey, eval: SampleEval) {
-        let mut map = self.map.lock().expect("verdict cache poisoned");
-        if let Entry::Vacant(slot) = map.entry(key) {
-            self.pending
-                .lock()
-                .expect("verdict pending queue poisoned")
-                .push(VerdictRecord::from_parts(slot.key(), eval));
+    /// queues it. Decided under the cache lock, so a key is queued at
+    /// most once.
+    fn insert(&mut self, key: Key, eval: SampleEval) {
+        if let Entry::Vacant(slot) = self.map.entry(key) {
             slot.insert(CachedVerdict {
                 eval,
                 persisted: false,
             });
+            self.pending.push((key, eval));
         }
     }
 
-    fn preload(&self, records: impl IntoIterator<Item = VerdictRecord>) -> usize {
-        let mut map = self.map.lock().expect("verdict cache poisoned");
+    fn preload(&mut self, records: impl IntoIterator<Item = VerdictRecord>) -> usize {
         let mut loaded = 0usize;
         for record in records {
-            map.insert(
-                record.key(),
+            let key = self.key(
+                &record.model,
+                &record.task_id,
+                record.digest,
+                &record.cfg,
+                record.sample,
+            );
+            self.map.insert(
+                key,
                 CachedVerdict {
                     eval: record.eval,
                     persisted: true,
@@ -235,21 +262,26 @@ impl VerdictCache {
         loaded
     }
 
-    fn take_pending(&self) -> Vec<VerdictRecord> {
-        let mut pending =
-            std::mem::take(&mut *self.pending.lock().expect("verdict pending queue poisoned"));
-        // Parallel workers race on insertion order; sort so the drain
-        // (and therefore a store segment's contents) is deterministic.
-        pending.sort_by_key(|record| record.key());
-        pending
+    /// Drains the flush queue into records, in queue order.
+    fn take_pending(&mut self) -> Vec<VerdictRecord> {
+        let names = &self.names;
+        std::mem::take(&mut self.pending)
+            .into_iter()
+            .map(|(key, eval)| VerdictRecord {
+                model: names.resolve(key.model).to_string(),
+                task_id: names.resolve(key.task).to_string(),
+                digest: key.digest,
+                cfg: names.resolve(key.cfg).to_string(),
+                sample: key.sample,
+                eval,
+            })
+            .collect()
     }
 
     fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            persisted_hits: self.persisted_hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.map.lock().expect("verdict cache poisoned").len(),
+            entries: self.map.len(),
+            ..self.counts
         }
     }
 }
@@ -284,7 +316,7 @@ impl VerdictCache {
 pub struct EvalEngine {
     jobs: usize,
     prove_cfg: ProveConfig,
-    verdicts: VerdictCache,
+    verdicts: Mutex<VerdictCache>,
     compiled: Mutex<HashMap<CompiledKey, SharedCompiled>>,
     /// Aggregate formal-core work counters, merged under one lock per
     /// scored sample (each of which just did parse + formal work, so
@@ -315,7 +347,7 @@ impl EvalEngine {
                 jobs
             },
             prove_cfg: ProveConfig::default(),
-            verdicts: VerdictCache::default(),
+            verdicts: Mutex::default(),
             compiled: Mutex::new(HashMap::new()),
             prover: Mutex::new(ProverStats::default()),
         }
@@ -335,7 +367,11 @@ impl EvalEngine {
 
     /// Verdict-cache counters so callers can report hit rates.
     pub fn cache_stats(&self) -> CacheStats {
-        self.verdicts.stats()
+        self.verdicts().stats()
+    }
+
+    fn verdicts(&self) -> MutexGuard<'_, VerdictCache> {
+        self.verdicts.lock().expect("verdict cache poisoned")
     }
 
     /// Preloads verdicts from a persistent store into the cache.
@@ -345,17 +381,24 @@ impl EvalEngine {
     /// loaded. A record whose key is already cached is overwritten
     /// (last load wins), so load before running.
     pub fn load_verdicts(&self, records: impl IntoIterator<Item = VerdictRecord>) -> usize {
-        self.verdicts.preload(records)
+        self.verdicts().preload(records)
     }
 
     /// Drains every verdict computed (not preloaded) since the engine
     /// was built or this method last ran, one record per cache key,
-    /// sorted by cache key so the result is deterministic for any
-    /// `jobs` setting. The caller — typically the `fveval-serve`
-    /// crate's `VerdictStore`, via the server or the `fveval` CLI —
-    /// appends these to disk so the next process starts warm.
+    /// sorted by [`VerdictKey`] so the result is deterministic for any
+    /// `jobs` setting. The cache queues compact keys; a drained
+    /// verdict's strings are copied into its record only here. The
+    /// caller — typically the `fveval-serve` crate's `VerdictStore`,
+    /// via the server or the `fveval` CLI — appends these to disk so
+    /// the next process starts warm.
     pub fn take_unpersisted(&self) -> Vec<VerdictRecord> {
-        self.verdicts.take_pending()
+        let mut records = self.verdicts().take_pending();
+        // Parallel workers race on queue order; sort, outside the
+        // lock, so the drain (and so a store segment) is deterministic.
+        // Keys are distinct, so the unstable sort is total.
+        records.sort_unstable_by(|a, b| record_order(a).cmp(&record_order(b)));
+        records
     }
 
     /// Aggregate formal-core work counters over the engine's lifetime:
@@ -478,22 +521,40 @@ impl EvalEngine {
             return backends.iter().map(|_| Vec::new()).collect();
         }
         // ---- Cache pass: settle every group the cache answers. ----
+        let models: Vec<Symbol> = {
+            let mut cache = self.verdicts();
+            backends
+                .iter()
+                .map(|b| cache.names.intern(b.name()))
+                .collect()
+        };
         let mut groups: Vec<Option<Vec<CaseEvals>>> = Vec::with_capacity(tasks.len());
         let mut cold: Vec<ColdGroup> = Vec::new();
         for (index, task) in tasks.iter().enumerate() {
             let digest = task.content_digest();
             let cfg_key = self.verdict_cfg(task, cfg);
-            let cached: Vec<Vec<Option<SampleEval>>> = backends
+            // One lock per group: intern its names, then look up every
+            // (backend, sample) verdict.
+            let mut cache = self.verdicts();
+            let task_sym = cache.names.intern(task.id());
+            let cfg_sym = cache.names.intern(&cfg_key);
+            let cached: Vec<Vec<Option<SampleEval>>> = models
                 .iter()
-                .map(|backend| {
+                .map(|&model| {
                     (0..n_samples)
                         .map(|sample| {
-                            self.verdicts
-                                .get(&verdict_key(*backend, task, digest, &cfg_key, sample))
+                            cache.get(Key {
+                                model,
+                                task: task_sym,
+                                cfg: cfg_sym,
+                                sample,
+                                digest,
+                            })
                         })
                         .collect()
                 })
                 .collect();
+            drop(cache);
             if cached.iter().flatten().all(Option::is_some) {
                 groups.push(Some(
                     cached
@@ -506,7 +567,8 @@ impl EvalEngine {
                 cold.push(ColdGroup {
                     index,
                     digest,
-                    cfg_key,
+                    task: task_sym,
+                    cfg: cfg_sym,
                     cached,
                 });
             }
@@ -519,7 +581,14 @@ impl EvalEngine {
         // ---- Work pass: infer and score the rest. ----
         let done = AtomicUsize::new(warm);
         let run_group = |group: &ColdGroup| {
-            let evals = self.eval_group(backends, &tasks[group.index], group, cfg, n_samples);
+            let evals = self.eval_group(
+                backends,
+                &models,
+                &tasks[group.index],
+                group,
+                cfg,
+                n_samples,
+            );
             progress(done.fetch_add(1, Ordering::AcqRel) + 1, tasks.len());
             evals
         };
@@ -576,6 +645,7 @@ impl EvalEngine {
     fn eval_group(
         &self,
         backends: &[&dyn Backend],
+        models: &[Symbol],
         task: &Arc<TaskSpec>,
         group: &ColdGroup,
         cfg: &InferenceConfig,
@@ -597,8 +667,12 @@ impl EvalEngine {
             span.attr("mutation", tag);
         }
         let digest = group.digest;
-        let key = |backend: &dyn Backend, sample: u32| {
-            verdict_key(backend, task, digest, &group.cfg_key, sample)
+        let key = |model: Symbol, sample: u32| Key {
+            model,
+            task: group.task,
+            cfg: group.cfg,
+            sample,
+            digest,
         };
         // ---- Phase 1: inference for the misses. ----
         struct PreparedUnit {
@@ -607,7 +681,7 @@ impl EvalEngine {
             missing: Vec<(u32, String)>,
         }
         let mut prepared: Vec<PreparedUnit> = Vec::with_capacity(backends.len());
-        for (backend, cached) in backends.iter().zip(&group.cached) {
+        for ((backend, &model), cached) in backends.iter().zip(models).zip(&group.cached) {
             let mut samples = cached.clone();
             let missing_idx: Vec<u32> = (0..n_samples)
                 .filter(|&i| samples[i as usize].is_none())
@@ -623,9 +697,10 @@ impl EvalEngine {
                     _ => false,
                 };
                 if broken_design {
+                    let eval = SampleEval::failed();
+                    let mut cache = self.verdicts();
                     for &sample_idx in &missing_idx {
-                        let eval = SampleEval::failed();
-                        self.verdicts.insert(key(*backend, sample_idx), eval);
+                        cache.insert(key(model, sample_idx), eval);
                         samples[sample_idx as usize] = Some(eval);
                     }
                 } else {
@@ -656,10 +731,10 @@ impl EvalEngine {
         if prepared.iter().any(|p| !p.missing.is_empty()) {
             let mut compiled = None;
             let mut scorer = self.open_scorer(task, digest, &mut compiled);
-            for (backend, unit) in backends.iter().zip(&mut prepared) {
+            for (&model, unit) in models.iter().zip(&mut prepared) {
                 for (sample_idx, response) in &unit.missing {
                     let eval = self.score_with(&mut scorer, response);
-                    self.verdicts.insert(key(*backend, *sample_idx), eval);
+                    self.verdicts().insert(key(model, *sample_idx), eval);
                     unit.samples[*sample_idx as usize] = Some(eval);
                 }
             }
@@ -1292,20 +1367,108 @@ mod tests {
 
     #[test]
     fn a_key_inserted_twice_queues_one_record() {
-        let cache = VerdictCache::default();
-        let key: VerdictKey = ("m".into(), "t".into(), 7, "cfg".into(), 0);
+        let mut cache = VerdictCache::default();
+        let key = cache.key("m", "t", 7, "cfg", 0);
         let eval = SampleEval::failed();
-        cache.insert(key.clone(), eval);
-        cache.insert(key.clone(), eval);
+        cache.insert(key, eval);
+        cache.insert(key, eval);
+        let strings: VerdictKey = ("m".into(), "t".into(), 7, "cfg".into(), 0);
         assert_eq!(
             cache.take_pending(),
-            [VerdictRecord::from_parts(&key, eval)]
+            [VerdictRecord::from_parts(&strings, eval)]
         );
         assert_eq!(cache.stats().entries, 1);
         // A key computed again after the drain is still cached: it is
         // not queued a second time.
         cache.insert(key, eval);
         assert!(cache.take_pending().is_empty());
+    }
+
+    #[test]
+    fn key_strings_that_recur_across_fields_stay_apart() {
+        // One interner holds every field's strings: "x" names a model
+        // and a task, "y" too, and one task id equals the cfg key.
+        struct Named(&'static str);
+        impl Backend for Named {
+            fn name(&self) -> &str {
+                self.0
+            }
+            fn generate(&self, _req: &Request) -> String {
+                "assert property (@(posedge clk) 1'b1);".into()
+            }
+        }
+        let cfg = InferenceConfig::greedy();
+        let fingerprint = cfg.fingerprint();
+        let base = &generate_machine_cases(MachineGenConfig {
+            count: 1,
+            ..Default::default()
+        })[0];
+        let cases: Vec<MachineCase> = ["x", "y", fingerprint.as_str()]
+            .into_iter()
+            .map(|id| MachineCase {
+                id: id.to_string(),
+                ..base.clone()
+            })
+            .collect();
+        let tasks = machine_task_specs(&cases, &machine_signal_table());
+        let (x, y) = (Named("x"), Named("y"));
+        let backends: Vec<&dyn Backend> = vec![&x, &y];
+        let fresh = EvalEngine::with_jobs(1).run_matrix(&backends, &tasks, &cfg, 1);
+        // Three stored verdicts, each with a BLEU no scorer gives, so
+        // an answer shows which key it came from.
+        let stored = [("x", 1, 10.0), ("y", 0, 20.0), ("x", 2, 30.0)];
+        let record = |model: &str, task: usize, eval: SampleEval| VerdictRecord {
+            model: model.to_string(),
+            task_id: tasks[task].id().to_string(),
+            digest: tasks[task].content_digest(),
+            cfg: fingerprint.clone(),
+            sample: 0,
+            eval,
+        };
+        let engine = EvalEngine::with_jobs(1);
+        let loaded = engine.load_verdicts(stored.iter().map(|&(model, task, bleu)| {
+            record(
+                model,
+                task,
+                SampleEval {
+                    bleu,
+                    ..SampleEval::failed()
+                },
+            )
+        }));
+        assert_eq!(loaded, 3);
+        let mut expected = fresh.clone();
+        for &(model, task, bleu) in &stored {
+            let row = if model == "x" { 0 } else { 1 };
+            expected[row][task].samples[0] = SampleEval {
+                bleu,
+                ..SampleEval::failed()
+            };
+        }
+        assert_eq!(
+            engine.run_matrix(&backends, &tasks, &cfg, 1),
+            expected,
+            "each stored verdict answers only its own key"
+        );
+        assert_eq!(
+            engine.cache_stats(),
+            CacheStats {
+                hits: 0,
+                persisted_hits: 3,
+                misses: 3,
+                entries: 6,
+            }
+        );
+        // The three computed verdicts drain with their own strings, in
+        // `VerdictKey` order.
+        assert_eq!(
+            engine.take_unpersisted(),
+            [
+                record("x", 0, fresh[0][0].samples[0]),
+                record("y", 2, fresh[1][2].samples[0]),
+                record("y", 1, fresh[1][1].samples[0]),
+            ]
+        );
     }
 
     #[test]
