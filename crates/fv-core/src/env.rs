@@ -210,6 +210,11 @@ impl<'a> DesignTraceEnv<'a> {
         }
     }
 
+    /// The expander this environment copies frames from.
+    pub(crate) fn expander(&self) -> &FrameExpander<'a> {
+        &self.expander
+    }
+
     /// Adds a constant binding visible to assertions.
     pub fn bind_const(&mut self, name: impl Into<String>, width: u32, value: u128) {
         self.consts.insert(name.into(), (width, value));

@@ -79,15 +79,16 @@ type Cube = Vec<(usize, bool)>;
 /// Engine entry point of a session's PDR checks
 /// ([`crate::ProveEngine::Pdr`] and [`crate::ProveEngine::Portfolio`]),
 /// reached after [`crate::ProofSession::check`] has answered unbounded
-/// operators. A run cut short by the query or conflict budget comes
-/// back `Undetermined`.
+/// operators. `expander` is a copy of the session's, so the design's
+/// template is built once per session, not once per check. A run cut
+/// short by the query or conflict budget comes back `Undetermined`.
 pub(crate) fn run_pdr(
-    netlist: &Netlist,
+    expander: FrameExpander<'_>,
     assertion: &Assertion,
     consts: &[(String, u32, u128)],
     stats: &mut ProverStats,
 ) -> Result<ProveResult, EncodeError> {
-    let mut engine = Pdr::build(netlist, assertion, consts)?;
+    let mut engine = Pdr::build(expander, assertion, consts)?;
     let mut span = fv_trace::span!("pdr.run");
     let result = engine.run();
     if span.is_active() {
@@ -161,12 +162,11 @@ struct Pdr<'n> {
 
 impl<'n> Pdr<'n> {
     fn build(
-        netlist: &'n Netlist,
+        expander: FrameExpander<'n>,
         assertion: &'n Assertion,
         consts: &'n [(String, u32, u128)],
     ) -> Result<Pdr<'n>, EncodeError> {
-        let expander = FrameExpander::new(netlist)
-            .map_err(|n| EncodeError::Unsupported(format!("combinational cycle through '{n}'")))?;
+        let netlist = expander.netlist();
         let mut env = DesignTraceEnv::new(expander);
         for (n, w, v) in consts {
             env.bind_const(n.clone(), *w, *v);
@@ -545,7 +545,7 @@ mod tests {
         // v0 state bits: from reset (cnt = 0), cnt' = 4 is impossible.
         let nl = wrapping_counter();
         let a = parse_assertion_str("assert property (@(posedge clk) q != 3'd4);").unwrap();
-        let mut e = Pdr::build(&nl, &a, &[]).unwrap();
+        let mut e = Pdr::build(FrameExpander::new(&nl).unwrap(), &a, &[]).unwrap();
         let assm = vec![e.act[0], !e.v1[0], !e.v1[1], e.v1[2]];
         let r = e.solver.solve_with(&assm);
         assert!(r.is_unsat(), "transition should forbid init->4, got {r:?}");
@@ -634,12 +634,12 @@ mod tests {
         // never to a verdict, and at the same query on every run.
         let nl = wrapping_counter();
         let a = parse_assertion_str("assert property (@(posedge clk) q != 3'd7);").unwrap();
-        let mut full = Pdr::build(&nl, &a, &[]).unwrap();
+        let mut full = Pdr::build(FrameExpander::new(&nl).unwrap(), &a, &[]).unwrap();
         assert!(full.run().unwrap().is_proven());
         let budget = full.sat_calls / 2;
         let runs: Vec<(u64, u64)> = (0..2)
             .map(|_| {
-                let mut e = Pdr::build(&nl, &a, &[]).unwrap();
+                let mut e = Pdr::build(FrameExpander::new(&nl).unwrap(), &a, &[]).unwrap();
                 e.query_budget = budget;
                 assert_eq!(e.run(), Ok(ProveResult::Undetermined));
                 assert!(e.interrupted);
@@ -659,7 +659,10 @@ mod tests {
         assert_eq!(stats.pdr_wins, 1, "{stats:?}");
         assert!(stats.pdr_clauses_learned >= 1, "{stats:?}");
         let mut direct = ProverStats::default();
-        assert_eq!(run_pdr(&nl, &a, &[], &mut direct).unwrap(), r);
+        assert_eq!(
+            run_pdr(FrameExpander::new(&nl).unwrap(), &a, &[], &mut direct).unwrap(),
+            r
+        );
         assert_eq!(direct.pdr_clauses_learned, stats.pdr_clauses_learned);
     }
 }

@@ -491,10 +491,11 @@ impl<'n> ProofSession<'n> {
 
     /// Discharges one check through the PDR engine alone. PDR builds
     /// its own single-step encoding (its frames are clause groups, not
-    /// unrolled time frames), so the session's shared unrolling is
-    /// untouched.
+    /// unrolled time frames) from a copy of the session's expander, so
+    /// the session's shared unrolling is untouched.
     fn check_pdr(&mut self, assertion: &Assertion) -> Result<ProveResult, EncodeError> {
-        let result = crate::pdr::run_pdr(self.netlist, assertion, &self.consts, &mut self.stats)?;
+        let expander = self.env.expander().clone();
+        let result = crate::pdr::run_pdr(expander, assertion, &self.consts, &mut self.stats)?;
         if !matches!(result, ProveResult::Undetermined) {
             self.stats.pdr_wins += 1;
         }
