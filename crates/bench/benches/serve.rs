@@ -39,7 +39,7 @@ fn bench_cold_vs_warm(c: &mut Criterion) {
     store
         .append(&seeder.take_unpersisted())
         .expect("store writes");
-    let records = store.records();
+    let records = store.load().expect("store reads");
     assert_eq!(records.len(), 3 * 60 * 5);
 
     g.bench_function("table4_scale_cold", |b| {
@@ -60,8 +60,8 @@ fn bench_cold_vs_warm(c: &mut Criterion) {
     g.finish();
 }
 
-/// Store load time at 10k entries: open + parse + index one compacted
-/// 10k-record segment (the server's startup cost).
+/// Store load time at 10k entries: open + load of one compacted
+/// 10k-record segment, parsed and sorted (the server's startup read).
 fn bench_store_load(c: &mut Criterion) {
     let mut g = c.benchmark_group("serve");
     g.sample_size(10).measurement_time(Duration::from_secs(10));
@@ -86,9 +86,10 @@ fn bench_store_load(c: &mut Criterion) {
     store.append(&records).expect("store writes");
     g.bench_function("store_load_10k_entries", |b| {
         b.iter(|| {
-            let store = VerdictStore::open(tmp.path()).expect("store opens");
-            assert_eq!(store.len(), 10_000);
-            black_box(store)
+            let mut store = VerdictStore::open(tmp.path()).expect("store opens");
+            let records = store.load().expect("store reads");
+            assert_eq!(records.len(), 10_000);
+            black_box(records)
         })
     });
     g.finish();

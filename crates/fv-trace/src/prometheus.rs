@@ -156,7 +156,7 @@ mod tests {
         text.counter("prover.sat_calls", &[], 42);
         text.counter("shard.jobs_served", &[("shard", "0")], 7);
         text.counter("shard.jobs_served", &[("shard", "1")], 9);
-        text.gauge("store.entries", &[], 123);
+        text.gauge("store.segments", &[], 123);
         let out = text.finish();
         assert!(out.contains("# TYPE fveval_prover_sat_calls_total counter\n"));
         assert!(out.contains("fveval_prover_sat_calls_total 42\n"));
@@ -167,7 +167,7 @@ mod tests {
             out.matches("# TYPE fveval_shard_jobs_served_total").count(),
             1
         );
-        assert!(out.contains("fveval_store_entries 123\n"));
+        assert!(out.contains("fveval_store_segments 123\n"));
     }
 
     #[test]

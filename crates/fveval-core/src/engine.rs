@@ -93,36 +93,23 @@ pub struct VerdictRecord {
 }
 
 impl VerdictRecord {
-    /// The record's cache key.
-    pub fn key(&self) -> VerdictKey {
+    /// The record's cache key, `(model, task-id, content digest, cfg,
+    /// sample)`, borrowed. The digest guards against id collisions
+    /// between differently-seeded dataset generations (machine case
+    /// ids are always `nl2sva_machine_0000..` regardless of the
+    /// generator seed). Its order is the one order records are written
+    /// in: [`EvalEngine::take_unpersisted`] drains by it, and a store
+    /// returns its live set sorted by it.
+    pub fn sort_key(&self) -> (&str, &str, u64, &str, u32) {
         (
-            self.model.clone(),
-            self.task_id.clone(),
+            &self.model,
+            &self.task_id,
             self.digest,
-            self.cfg.clone(),
+            &self.cfg,
             self.sample,
         )
     }
-
-    /// The record of `eval` under `key`.
-    pub fn from_parts(key: &VerdictKey, eval: SampleEval) -> VerdictRecord {
-        VerdictRecord {
-            model: key.0.clone(),
-            task_id: key.1.clone(),
-            digest: key.2,
-            cfg: key.3.clone(),
-            sample: key.4,
-            eval,
-        }
-    }
 }
-
-/// Cache key: `(model, task-id, content digest, cfg, sample)`, with
-/// `cfg` as in [`VerdictRecord::cfg`]. The digest guards against id
-/// collisions between differently-seeded dataset generations (machine
-/// case ids are always `nl2sva_machine_0000..` regardless of the
-/// generator seed).
-pub type VerdictKey = (String, String, u64, String, u32);
 
 /// Compiled-design cache key and value: `(design id, source digest)`
 /// to the shared compile outcome. Content-addressing by digest keeps
@@ -130,9 +117,9 @@ pub type VerdictKey = (String, String, u64, String, u32);
 type CompiledKey = (String, u64);
 type SharedCompiled = Arc<Result<CompiledDesign, String>>;
 
-/// The cache's form of a [`VerdictKey`]: its strings as symbols of the
-/// cache's interner, which lives behind the same lock as every map and
-/// queue that holds a `Key`.
+/// The cache's form of a [`VerdictRecord::sort_key`]: its strings as
+/// symbols of the cache's interner, which lives behind the same lock as
+/// every map and queue that holds a `Key`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Key {
     model: Symbol,
@@ -144,17 +131,6 @@ struct Key {
 
 // The map and the flush queue each hold one `Key` per verdict.
 const _: () = assert!(std::mem::size_of::<Key>() <= 24);
-
-/// The order [`EvalEngine::take_unpersisted`] drains in: [`VerdictKey`]'s.
-fn record_order(record: &VerdictRecord) -> (&str, &str, u64, &str, u32) {
-    (
-        &record.model,
-        &record.task_id,
-        record.digest,
-        &record.cfg,
-        record.sample,
-    )
-}
 
 /// One backend's settled samples for `task`.
 fn case_evals(task: &TaskSpec, samples: Vec<Option<SampleEval>>) -> CaseEvals {
@@ -386,18 +362,18 @@ impl EvalEngine {
 
     /// Drains every verdict computed (not preloaded) since the engine
     /// was built or this method last ran, one record per cache key,
-    /// sorted by [`VerdictKey`] so the result is deterministic for any
-    /// `jobs` setting. The cache queues compact keys; a drained
-    /// verdict's strings are copied into its record only here. The
-    /// caller — typically the `fveval-serve` crate's `VerdictStore`,
-    /// via the server or the `fveval` CLI — appends these to disk so
-    /// the next process starts warm.
+    /// sorted by [`VerdictRecord::sort_key`] so the result is
+    /// deterministic for any `jobs` setting. The cache queues compact
+    /// keys; a drained verdict's strings are copied into its record
+    /// only here. The caller — typically the `fveval-serve` crate's
+    /// `VerdictStore`, via the server or the `fveval` CLI — appends
+    /// these to disk so the next process starts warm.
     pub fn take_unpersisted(&self) -> Vec<VerdictRecord> {
         let mut records = self.verdicts().take_pending();
         // Parallel workers race on queue order; sort, outside the
         // lock, so the drain (and so a store segment) is deterministic.
         // Keys are distinct, so the unstable sort is total.
-        records.sort_unstable_by(|a, b| record_order(a).cmp(&record_order(b)));
+        records.sort_unstable_by(|a, b| a.sort_key().cmp(&b.sort_key()));
         records
     }
 
@@ -1361,7 +1337,7 @@ mod tests {
         assert_eq!(seq.len(), 32);
         assert_eq!(seq, par, "drain order is deterministic");
         let mut sorted = seq.clone();
-        sorted.sort_by_key(|record| record.key());
+        sorted.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
         assert_eq!(seq, sorted);
     }
 
@@ -1372,10 +1348,16 @@ mod tests {
         let eval = SampleEval::failed();
         cache.insert(key, eval);
         cache.insert(key, eval);
-        let strings: VerdictKey = ("m".into(), "t".into(), 7, "cfg".into(), 0);
         assert_eq!(
             cache.take_pending(),
-            [VerdictRecord::from_parts(&strings, eval)]
+            [VerdictRecord {
+                model: "m".into(),
+                task_id: "t".into(),
+                digest: 7,
+                cfg: "cfg".into(),
+                sample: 0,
+                eval,
+            }]
         );
         assert_eq!(cache.stats().entries, 1);
         // A key computed again after the drain is still cached: it is
@@ -1460,7 +1442,7 @@ mod tests {
             }
         );
         // The three computed verdicts drain with their own strings, in
-        // `VerdictKey` order.
+        // `sort_key` order.
         assert_eq!(
             engine.take_unpersisted(),
             [
@@ -1485,7 +1467,7 @@ mod tests {
             let stats = engine.cache_stats();
             assert_eq!((stats.misses, stats.entries), (16, 8), "jobs={jobs}");
             let records = engine.take_unpersisted();
-            let mut keys: Vec<VerdictKey> = records.iter().map(VerdictRecord::key).collect();
+            let mut keys: Vec<_> = records.iter().map(VerdictRecord::sort_key).collect();
             keys.dedup();
             assert_eq!((records.len(), keys.len()), (8, 8), "jobs={jobs}");
         }

@@ -738,9 +738,9 @@ fn open_store(args: &Args, engine: &EvalEngine) -> Option<VerdictStore> {
     if args.no_persist {
         return None;
     }
-    match VerdictStore::open(&args.cache_dir) {
-        Ok(store) => {
-            let loaded = engine.load_verdicts(store.records());
+    match VerdictStore::open(&args.cache_dir).and_then(|mut store| Ok((store.load()?, store))) {
+        Ok((records, store)) => {
+            let loaded = engine.load_verdicts(records);
             if loaded > 0 {
                 eprintln!(
                     "[cache: {} verdicts preloaded from {}]",

@@ -8,10 +8,12 @@
 //!
 //! 1. [`VerdictStore`] — a persistent, content-addressed verdict store:
 //!    append-only JSON-lines segments keyed by the engine's `(model,
-//!    task-id, content-digest, cfg, sample)` cache key, with atomic
-//!    tmp+rename writes, crash-safe torn-tail recovery, and
-//!    deterministic compaction. The `fveval` CLI flushes through it
-//!    too, so every run — not just the server — survives restarts.
+//!    task-id, content-digest, cfg, sample)` cache key, each written
+//!    to a tmp file and published by a no-clobber hard link, with
+//!    crash-safe torn-tail recovery and deterministic compaction. It
+//!    keeps no verdicts in memory; [`VerdictStore::load`] reads them
+//!    back. The `fveval` CLI flushes through it too, so every run —
+//!    not just the server — survives restarts.
 //! 2. [`Server`] — a non-blocking readiness-driven event loop ([`poll`]
 //!    wraps `epoll` with no new dependencies) in front of N shards,
 //!    each a bounded queue and one worker thread, all evaluating on
@@ -50,4 +52,4 @@ pub use client::{Client, SubmitOutcome};
 pub use protocol::{EvalRequest, EvalResult, JobState, JobView, TaskSetRef};
 pub use server::{build_tasks, resolve_backends, Server, ServerConfig, DEFAULT_RETAINED_FINISHED};
 pub use shard::shard_of;
-pub use store::{decode_record, encode_record, VerdictStore};
+pub use store::VerdictStore;

@@ -266,17 +266,16 @@ impl Server {
         // `/metrics` has latency data from the first request. Timing
         // is a side channel: results and counters are unaffected.
         fv_trace::set_timing_enabled(true);
-        let store = match &config.cache_dir {
-            Some(dir) => Some(
-                VerdictStore::open(dir)
-                    .map_err(|e| format!("cannot open store {}: {e}", dir.display()))?,
-            ),
-            None => None,
-        };
         let engine = EvalEngine::with_jobs(config.engine_jobs).with_prove_config(config.prove_cfg);
-        let preloaded = store
-            .as_ref()
-            .map_or(0, |store| engine.load_verdicts(store.records()));
+        let (store, preloaded) = match &config.cache_dir {
+            Some(dir) => {
+                let fail = |e: std::io::Error| format!("cannot open store {}: {e}", dir.display());
+                let mut store = VerdictStore::open(dir).map_err(fail)?;
+                let preloaded = engine.load_verdicts(store.load().map_err(fail)?);
+                (Some(store), preloaded)
+            }
+            None => (None, 0),
+        };
         let shards: Vec<Shard> = (0..config.shards.max(1))
             .map(|index| Shard::new(index, config.queue_depth))
             .collect();
@@ -804,7 +803,6 @@ fn stats_json(shared: &Arc<Shared>) -> Json {
     let store = shared.store.lock().expect("store poisoned");
     let store_json = match store.as_ref() {
         Some(store) => Json::obj([
-            ("entries", store.len().into()),
             ("segments", store.segment_count().into()),
             ("torn_lines", store.torn_lines().into()),
             ("preloaded", shared.preloaded.into()),
@@ -959,7 +957,6 @@ fn metrics_text(shared: &Arc<Shared>) -> String {
         shared.started.elapsed().as_secs() as i64,
     );
     if let Some(store) = shared.store.lock().expect("store poisoned").as_ref() {
-        prom.gauge("store.entries", &[], store.len() as i64);
         prom.gauge("store.segments", &[], store.segment_count() as i64);
         prom.counter(
             "store.compactions",
@@ -1110,7 +1107,7 @@ fn run_job(
 /// The background store maintainer: whenever the store has fragmented
 /// (see [`VerdictStore::compact_if_fragmented`]) and every shard is
 /// idle, fold it into one segment — while the server keeps serving.
-/// Compaction refreshes from disk first (see
+/// Compaction reads the segments back from disk first (see
 /// [`VerdictStore::compact`]), so a flush racing the fold can never be
 /// shadowed.
 fn maintenance_loop(shared: &Arc<Shared>) {

@@ -3,9 +3,11 @@
 //! A [`VerdictStore`] is a directory of append-only JSON-lines
 //! *segments* (`seg-<NNNNNN>.jsonl`), each line one
 //! [`VerdictRecord`] keyed by the engine's `(model, task-id,
-//! content-digest, cfg, sample)` cache key ([`VerdictKey`]). The
-//! format is designed
-//! around three guarantees:
+//! content-digest, cfg, sample)` cache key
+//! ([`VerdictRecord::sort_key`]). A handle keeps no verdicts in
+//! memory: it lists the segments, and [`VerdictStore::load`] reads
+//! them back whenever a caller asks. The format is designed around
+//! three guarantees:
 //!
 //! - **atomic writes**: a flush writes a complete new segment to a
 //!   process-unique hidden `*.tmp` file and publishes it with a
@@ -16,14 +18,13 @@
 //!   undecodable line is skipped and counted, never fatal — so a store
 //!   survives `kill -9` mid-write;
 //! - **deterministic compaction**: [`VerdictStore::compact`] rewrites
-//!   every live entry (deduplicated by key, later segments win) into a
+//!   every live entry (deduplicated by key, later writes win) into a
 //!   single segment sorted by key, then deletes the old segments.
 //!
 //! See `docs/SERVICE.md` for the on-disk format in full.
 
 use crate::json::{parse, Json};
-use fveval_core::{SampleEval, VerdictKey, VerdictRecord};
-use std::collections::HashMap;
+use fveval_core::{SampleEval, VerdictRecord};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -35,48 +36,59 @@ const MAX_SEGMENTS: usize = 4;
 #[derive(Debug)]
 pub struct VerdictStore {
     dir: PathBuf,
-    entries: HashMap<VerdictKey, SampleEval>,
+    /// The segments in replay order: ascending index.
     segments: Vec<PathBuf>,
     next_segment: u64,
     torn_lines: usize,
 }
 
 impl VerdictStore {
-    /// Opens (creating if needed) the store under `dir` and loads every
-    /// segment, skipping torn lines.
+    /// Opens (creating if needed) the store under `dir` and lists its
+    /// segments. It reads no verdicts: see [`VerdictStore::load`].
     ///
     /// # Errors
     ///
     /// Returns the underlying I/O error if the directory cannot be
-    /// created or listed, or a segment cannot be read. Undecodable
-    /// *lines* are recovery, not errors — see
-    /// [`VerdictStore::torn_lines`].
+    /// created or listed.
     pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<VerdictStore> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        let mut segments: Vec<PathBuf> = std::fs::read_dir(&dir)?
-            .filter_map(|entry| entry.ok().map(|e| e.path()))
-            .filter(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("seg-") && n.ends_with(".jsonl"))
-            })
-            .collect();
-        // Zero-padded names sort correctly as strings; replay segments
-        // in creation order so later writes win.
-        segments.sort();
         let mut store = VerdictStore {
-            dir,
-            entries: HashMap::new(),
-            next_segment: segments
-                .iter()
-                .filter_map(|p| segment_index(p))
-                .max()
-                .map_or(0, |n| n + 1),
-            segments: segments.clone(),
+            dir: dir.into(),
+            segments: Vec::new(),
+            next_segment: 0,
             torn_lines: 0,
         };
-        for segment in &segments {
+        std::fs::create_dir_all(&store.dir)?;
+        store.list_segments()?;
+        Ok(store)
+    }
+
+    /// Number of on-disk segments (compaction folds these into one).
+    pub fn segment_count(&self) -> usize {
+        self.segments.len()
+    }
+
+    /// Undecodable lines the last [`VerdictStore::load`] skipped — torn
+    /// tails from interrupted writes.
+    pub fn torn_lines(&self) -> usize {
+        self.torn_lines
+    }
+
+    /// Re-lists the segments — picking up those published by *other*
+    /// handles or processes — and reads them in index order. Returns
+    /// every live verdict, the last line written for each key, sorted
+    /// by [`VerdictRecord::sort_key`] (deterministic — feed this to
+    /// [`fveval_core::EvalEngine::load_verdicts`]). Undecodable lines
+    /// are skipped and counted in [`VerdictStore::torn_lines`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying I/O error if the directory cannot be
+    /// listed or a segment cannot be read.
+    pub fn load(&mut self) -> std::io::Result<Vec<VerdictRecord>> {
+        self.list_segments()?;
+        self.torn_lines = 0;
+        let mut records = Vec::new();
+        for segment in &self.segments {
             // Bytes, not a String: a torn tail can end mid-UTF-8
             // sequence, which must count as one skipped line, not an
             // unreadable store.
@@ -86,50 +98,17 @@ impl VerdictStore {
                     continue;
                 }
                 match std::str::from_utf8(line).ok().and_then(decode_record) {
-                    Some(record) => {
-                        store.entries.insert(record.key(), record.eval);
-                    }
-                    None => store.torn_lines += 1,
+                    Some(record) => records.push(record),
+                    None => self.torn_lines += 1,
                 }
             }
         }
-        Ok(store)
-    }
-
-    /// The directory this store lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Number of live (deduplicated) verdicts.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the store holds no verdicts.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Number of on-disk segments (compaction folds these into one).
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
-    }
-
-    /// Undecodable lines skipped during [`VerdictStore::open`] — torn
-    /// tails from interrupted writes.
-    pub fn torn_lines(&self) -> usize {
-        self.torn_lines
-    }
-
-    /// Every live verdict, sorted by key (deterministic — feed this to
-    /// [`fveval_core::EvalEngine::load_verdicts`]).
-    pub fn records(&self) -> Vec<VerdictRecord> {
-        let mut keys: Vec<&VerdictKey> = self.entries.keys().collect();
-        keys.sort();
-        keys.into_iter()
-            .map(|key| VerdictRecord::from_parts(key, self.entries[key]))
-            .collect()
+        // Newest write first; the stable sort keeps that order within
+        // a key, so the dedup keeps each key's last write.
+        records.reverse();
+        records.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
+        records.dedup_by(|a, b| a.sort_key() == b.sort_key());
+        Ok(records)
     }
 
     /// Appends a batch of verdicts as one new segment, staged in a
@@ -140,34 +119,13 @@ impl VerdictStore {
     ///
     /// Returns the underlying I/O error; on failure the store's
     /// on-disk state is unchanged (the tmp file may remain and is
-    /// ignored by [`VerdictStore::open`]).
+    /// ignored by [`VerdictStore::load`]).
     pub fn append(&mut self, records: &[VerdictRecord]) -> std::io::Result<()> {
         if records.is_empty() {
             return Ok(());
         }
         let path = self.write_segment(records)?;
         self.segments.push(path);
-        for record in records {
-            self.entries.insert(record.key(), record.eval);
-        }
-        Ok(())
-    }
-
-    /// Re-reads the directory, replaying every on-disk segment in name
-    /// order — picking up segments published by *other* handles or
-    /// processes since this one opened. The next-segment index only
-    /// moves forward, so a refreshed handle never reuses a name it
-    /// already advanced past.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error from re-reading the directory.
-    pub fn refresh(&mut self) -> std::io::Result<()> {
-        let fresh = VerdictStore::open(&self.dir)?;
-        self.next_segment = self.next_segment.max(fresh.next_segment);
-        self.entries = fresh.entries;
-        self.segments = fresh.segments;
-        self.torn_lines = fresh.torn_lines;
         Ok(())
     }
 
@@ -175,11 +133,10 @@ impl VerdictStore {
     /// deletes the old segments. Idempotent; a store compacted twice
     /// is byte-identical to one compacted once.
     ///
-    /// The entry set is [`VerdictStore::refresh`]ed from disk first:
-    /// the compacted segment gets the highest index and would shadow
-    /// anything older on replay, so compacting a stale in-memory view
-    /// would otherwise resurrect old values over segments another
-    /// handle published concurrently.
+    /// The live set is [`VerdictStore::load`]ed from disk first: the
+    /// compacted segment gets the highest index and would shadow
+    /// anything older on replay, so it must fold in the segments other
+    /// handles published since this one last listed them.
     ///
     /// # Errors
     ///
@@ -188,21 +145,17 @@ impl VerdictStore {
     /// compaction only leaves redundant (shadowed) segments behind,
     /// never data loss.
     pub fn compact(&mut self) -> std::io::Result<()> {
-        self.refresh()?;
-        let live = self.records();
-        let old = std::mem::take(&mut self.segments);
+        let live = self.load()?;
         if live.is_empty() {
-            self.segments = old;
             return Ok(());
         }
         let path = self.write_segment(&live)?;
-        for segment in &old {
+        for segment in std::mem::replace(&mut self.segments, vec![path]) {
             // Removal failures are non-fatal: the shadowing order
-            // (segments replay in name order, and the new segment has
+            // (segments replay in index order, and the new segment has
             // the highest index) keeps the store correct.
             let _ = std::fs::remove_file(segment);
         }
-        self.segments = vec![path];
         Ok(())
     }
 
@@ -219,6 +172,26 @@ impl VerdictStore {
         }
         self.compact()?;
         Ok(true)
+    }
+
+    /// Lists the files named `seg-<n>.jsonl` in index order. The
+    /// next-segment index only moves forward, so a handle never reuses
+    /// a name it already advanced past.
+    fn list_segments(&mut self) -> std::io::Result<()> {
+        let mut segments: Vec<(u64, PathBuf)> = std::fs::read_dir(&self.dir)?
+            .filter_map(|entry| {
+                let path = entry.ok()?.path();
+                Some((segment_index(&path)?, path))
+            })
+            .collect();
+        // By index, not by name: `seg-1000000` sorts before
+        // `seg-999999` as a string, and later segments must win replay.
+        segments.sort_unstable();
+        if let Some((last, _)) = segments.last() {
+            self.next_segment = self.next_segment.max(last + 1);
+        }
+        self.segments = segments.into_iter().map(|(_, path)| path).collect();
+        Ok(())
     }
 
     /// Writes `records` to a process-unique hidden tmp file, then
@@ -279,7 +252,7 @@ fn segment_index(path: &Path) -> Option<u64> {
 
 /// Encodes one verdict as its on-disk JSON object. The digest is hex
 /// text because JSON numbers cannot hold all 64 bits exactly.
-pub fn encode_record(record: &VerdictRecord) -> Json {
+fn encode_record(record: &VerdictRecord) -> Json {
     Json::obj([
         ("model", record.model.as_str().into()),
         ("task", record.task_id.as_str().into()),
@@ -295,7 +268,7 @@ pub fn encode_record(record: &VerdictRecord) -> Json {
 
 /// Decodes one store line; `None` means the line is torn or malformed
 /// and should be skipped during recovery.
-pub fn decode_record(line: &str) -> Option<VerdictRecord> {
+fn decode_record(line: &str) -> Option<VerdictRecord> {
     let value = parse(line).ok()?;
     Some(VerdictRecord {
         model: value.get("model")?.as_str()?.to_string(),
@@ -333,6 +306,14 @@ mod tests {
         }
     }
 
+    /// The live verdict for `r`'s key in `records`.
+    fn find<'a>(records: &'a [VerdictRecord], r: &VerdictRecord) -> &'a VerdictRecord {
+        records
+            .iter()
+            .find(|b| b.sort_key() == r.sort_key())
+            .expect("key is live")
+    }
+
     #[test]
     fn round_trips_across_reopen() {
         let tmp = TempDir::new("store-roundtrip");
@@ -341,17 +322,14 @@ mod tests {
         store.append(&records[..10]).unwrap();
         store.append(&records[10..]).unwrap();
         assert_eq!(store.segment_count(), 2);
-        let reopened = VerdictStore::open(tmp.path()).unwrap();
-        assert_eq!(reopened.len(), 20);
+        let mut reopened = VerdictStore::open(tmp.path()).unwrap();
+        let back = reopened.load().unwrap();
+        assert_eq!(back.len(), 20);
         assert_eq!(reopened.torn_lines(), 0);
-        assert_eq!(reopened.records(), store.records());
+        assert_eq!(back, store.load().unwrap());
         // BLEU survives bit-for-bit.
-        let back = reopened.records();
         for r in &records {
-            let found = back
-                .iter()
-                .find(|b| b.task_id == r.task_id && b.sample == r.sample);
-            assert_eq!(found.unwrap().eval.bleu.to_bits(), r.eval.bleu.to_bits());
+            assert_eq!(find(&back, r).eval.bleu.to_bits(), r.eval.bleu.to_bits());
         }
     }
 
@@ -367,14 +345,13 @@ mod tests {
         let text = std::fs::read_to_string(&segment).unwrap();
         let cut = text.len() - 17;
         std::fs::write(&segment, &text[..cut]).unwrap();
-        let recovered = VerdictStore::open(tmp.path()).unwrap();
-        assert_eq!(recovered.len(), 4, "intact lines survive");
+        let mut recovered = VerdictStore::open(tmp.path()).unwrap();
+        assert_eq!(recovered.load().unwrap().len(), 4, "intact lines survive");
         assert_eq!(recovered.torn_lines(), 1, "the torn tail is counted");
         // The recovered store keeps working: append + reopen is clean.
-        let mut recovered = recovered;
         recovered.append(&records[4..]).unwrap();
-        let healed = VerdictStore::open(tmp.path()).unwrap();
-        assert_eq!(healed.len(), 5);
+        let mut healed = VerdictStore::open(tmp.path()).unwrap();
+        assert_eq!(healed.load().unwrap().len(), 5);
     }
 
     #[test]
@@ -386,23 +363,48 @@ mod tests {
         new.eval.func = !old.eval.func;
         store.append(&[old.clone(), record(2, 0.2)]).unwrap();
         store.append(&[new.clone(), record(3, 0.3)]).unwrap();
-        assert_eq!(store.len(), 3, "same key deduplicates");
+        assert_eq!(store.load().unwrap().len(), 3, "same key deduplicates");
         store.compact().unwrap();
         assert_eq!(store.segment_count(), 1);
-        assert_eq!(store.len(), 3);
-        let reopened = VerdictStore::open(tmp.path()).unwrap();
-        let kept = reopened
-            .records()
-            .into_iter()
-            .find(|r| r.task_id == new.task_id && r.sample == new.sample)
-            .unwrap();
-        assert_eq!(kept.eval, new.eval, "the later write won");
+        let mut reopened = VerdictStore::open(tmp.path()).unwrap();
+        let live = reopened.load().unwrap();
+        assert_eq!(live.len(), 3);
+        assert_eq!(find(&live, &new).eval, new.eval, "the later write won");
         // Compaction is deterministic: compacting again changes nothing.
         let before = std::fs::read_to_string(&reopened.segments[0]).unwrap();
-        let mut again = reopened;
-        again.compact().unwrap();
-        let after = std::fs::read_to_string(&again.segments[0]).unwrap();
+        reopened.compact().unwrap();
+        let after = std::fs::read_to_string(&reopened.segments[0]).unwrap();
         assert_eq!(before, after);
+    }
+
+    #[test]
+    fn a_later_line_of_one_segment_wins() {
+        let tmp = TempDir::new("store-later-line");
+        let mut store = VerdictStore::open(tmp.path()).unwrap();
+        let old = record(1, 0.1);
+        let mut new = record(1, 0.9);
+        new.eval.func = !old.eval.func;
+        store.append(&[old, record(2, 0.2), new.clone()]).unwrap();
+        let live = store.load().unwrap();
+        assert_eq!(live.len(), 2);
+        assert_eq!(find(&live, &new).eval, new.eval);
+    }
+
+    #[test]
+    fn segments_replay_in_index_order_past_six_digits() {
+        let tmp = TempDir::new("store-seven-digits");
+        let old = record(1, 0.1);
+        let mut new = record(1, 0.9);
+        new.eval.func = !old.eval.func;
+        // As strings, `seg-1000000` sorts before `seg-999999`.
+        for (index, r) in [(999_999, &old), (1_000_000, &new)] {
+            let line = encode_record(r).encode() + "\n";
+            std::fs::write(tmp.path().join(format!("seg-{index:06}.jsonl")), line).unwrap();
+        }
+        let mut store = VerdictStore::open(tmp.path()).unwrap();
+        assert_eq!(store.load().unwrap(), [new]);
+        store.append(&[record(2, 0.2)]).unwrap();
+        assert!(tmp.path().join("seg-1000001.jsonl").exists());
     }
 
     #[test]
@@ -415,11 +417,14 @@ mod tests {
         assert!(!store.compact_if_fragmented().unwrap());
         assert_eq!(store.segment_count(), 4);
         store.append(&[record(4, 0.5)]).unwrap();
-        let before = store.records();
+        let before = store.load().unwrap();
         assert!(store.compact_if_fragmented().unwrap());
         assert_eq!(store.segment_count(), 1);
-        assert_eq!(store.records(), before);
-        assert_eq!(VerdictStore::open(tmp.path()).unwrap().records(), before);
+        assert_eq!(store.load().unwrap(), before);
+        assert_eq!(
+            VerdictStore::open(tmp.path()).unwrap().load().unwrap(),
+            before
+        );
     }
 
     #[test]
@@ -433,8 +438,8 @@ mod tests {
         let mut b = VerdictStore::open(tmp.path()).unwrap();
         a.append(&[record(1, 0.1)]).unwrap();
         b.append(&[record(2, 0.2)]).unwrap();
-        let merged = VerdictStore::open(tmp.path()).unwrap();
-        assert_eq!(merged.len(), 2, "no batch was lost");
+        let mut merged = VerdictStore::open(tmp.path()).unwrap();
+        assert_eq!(merged.load().unwrap().len(), 2, "no batch was lost");
         assert_eq!(merged.segment_count(), 2);
         assert_eq!(merged.torn_lines(), 0);
     }
@@ -445,24 +450,23 @@ mod tests {
         let key1_old = record(1, 0.1);
         let mut key1_new = record(1, 0.9);
         key1_new.eval.func = !key1_old.eval.func;
-        // Handle A sees only the old value for key 1.
+        // Handle A has listed only the old value for key 1.
         let mut a = VerdictStore::open(tmp.path()).unwrap();
         a.append(std::slice::from_ref(&key1_old)).unwrap();
         // Handle B (a concurrent process) publishes a newer value.
         let mut b = VerdictStore::open(tmp.path()).unwrap();
         b.append(&[key1_new.clone(), record(2, 0.2)]).unwrap();
-        // A compacts with its stale in-memory view. The compacted
-        // segment has the highest index, so without the refresh
-        // pre-pass the stale 0.1 would win replay over B's 0.9.
+        // A compacts. The compacted segment has the highest index, so
+        // unless compaction reads the disk afresh the stale 0.1 would
+        // win replay over B's 0.9.
         a.compact().unwrap();
-        let merged = VerdictStore::open(tmp.path()).unwrap();
-        let kept = merged
-            .records()
-            .into_iter()
-            .find(|r| r.task_id == key1_new.task_id && r.sample == key1_new.sample)
-            .unwrap();
-        assert_eq!(kept.eval, key1_new.eval, "the concurrent write survives");
-        assert_eq!(merged.len(), 2, "no record lost");
+        let live = VerdictStore::open(tmp.path()).unwrap().load().unwrap();
+        assert_eq!(
+            find(&live, &key1_new).eval,
+            key1_new.eval,
+            "the concurrent write survives"
+        );
+        assert_eq!(live.len(), 2, "no record lost");
     }
 
     #[test]
@@ -492,21 +496,11 @@ mod tests {
                 }
             });
         });
-        let reopened = VerdictStore::open(tmp.path()).unwrap();
+        let mut reopened = VerdictStore::open(tmp.path()).unwrap();
+        let live = reopened.load().unwrap();
         assert_eq!(reopened.torn_lines(), 0);
-        let keys: std::collections::HashSet<String> = reopened
-            .records()
-            .into_iter()
-            .map(|r| format!("{}|{}|{}", r.model, r.task_id, r.sample))
-            .collect();
-        for batch in &batches {
-            for r in batch {
-                assert!(
-                    keys.contains(&format!("{}|{}|{}", r.model, r.task_id, r.sample)),
-                    "verdict {} survived flush+compact",
-                    r.task_id
-                );
-            }
+        for r in batches.iter().flatten() {
+            assert_eq!(find(&live, r), r, "verdict {} survived", r.task_id);
         }
     }
 
@@ -516,8 +510,8 @@ mod tests {
         let mut store = VerdictStore::open(tmp.path()).unwrap();
         store.append(&[record(0, 0.5)]).unwrap();
         std::fs::write(tmp.path().join("seg-000099.jsonl.tmp"), "garbage").unwrap();
-        let reopened = VerdictStore::open(tmp.path()).unwrap();
-        assert_eq!(reopened.len(), 1);
+        let mut reopened = VerdictStore::open(tmp.path()).unwrap();
+        assert_eq!(reopened.load().unwrap().len(), 1);
         assert_eq!(reopened.torn_lines(), 0);
     }
 }

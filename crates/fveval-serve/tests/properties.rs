@@ -127,24 +127,20 @@ proptest! {
         for batch in [&records[..cut_a], &records[cut_a..cut_b], &records[cut_b..]] {
             store.append(batch).map_err(|e| TestCaseError::fail(e.to_string()))?;
         }
-        let reopened = VerdictStore::open(tmp.path()).map_err(|e| TestCaseError::fail(e.to_string()))?;
+        // Every record comes back, in `sort_key` order.
+        let mut expected = records.clone();
+        expected.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
+        let mut reopened = VerdictStore::open(tmp.path()).map_err(|e| TestCaseError::fail(e.to_string()))?;
+        let loaded = reopened.load().map_err(|e| TestCaseError::fail(e.to_string()))?;
         prop_assert_eq!(reopened.torn_lines(), 0);
-        prop_assert_eq!(reopened.records(), store.records());
+        prop_assert_eq!(&loaded, &expected);
         // BLEU survives bit-exactly through text and back.
-        let by_task = |rs: &[VerdictRecord]| -> Vec<(String, u64)> {
-            let mut v: Vec<(String, u64)> = rs
-                .iter()
-                .map(|r| (format!("{}/{}/{}", r.task_id, r.sample, r.cfg), r.eval.bleu.to_bits()))
-                .collect();
-            v.sort();
-            v
-        };
-        prop_assert_eq!(by_task(&reopened.records()), by_task(&records));
+        let bleu_bits = |rs: &[VerdictRecord]| -> Vec<u64> { rs.iter().map(|r| r.eval.bleu.to_bits()).collect() };
+        prop_assert_eq!(bleu_bits(&loaded), bleu_bits(&expected));
         // Compaction preserves exactly the live set.
-        let mut compacted = reopened;
-        compacted.compact().map_err(|e| TestCaseError::fail(e.to_string()))?;
-        prop_assert_eq!(compacted.segment_count(), 1);
-        prop_assert_eq!(compacted.records(), store.records());
+        reopened.compact().map_err(|e| TestCaseError::fail(e.to_string()))?;
+        prop_assert_eq!(reopened.segment_count(), 1);
+        prop_assert_eq!(reopened.load().map_err(|e| TestCaseError::fail(e.to_string()))?, expected);
     }
 
     #[test]
@@ -169,16 +165,14 @@ proptest! {
         let content_len = (text.len() - 1 - last_line_start) as u64;
         let cut = last_line_start + 1 + mix.below(content_len - 1) as usize;
         std::fs::write(&segment, &text.as_bytes()[..cut]).unwrap();
-        let recovered = VerdictStore::open(tmp.path()).map_err(|e| TestCaseError::fail(e.to_string()))?;
+        let mut recovered = VerdictStore::open(tmp.path()).map_err(|e| TestCaseError::fail(e.to_string()))?;
+        let loaded = recovered.load().map_err(|e| TestCaseError::fail(e.to_string()))?;
         prop_assert_eq!(recovered.torn_lines(), 1, "exactly the torn tail is skipped");
-        prop_assert_eq!(recovered.len(), n - 1, "every intact line survives");
+        prop_assert_eq!(loaded.len(), n - 1, "every intact line survives");
         // The surviving records are a prefix of the original batch.
-        let expected: Vec<VerdictRecord> = {
-            let mut keep = records[..n - 1].to_vec();
-            keep.sort_by_key(|r| (r.model.clone(), r.task_id.clone(), r.digest, r.cfg.clone(), r.sample));
-            keep
-        };
-        prop_assert_eq!(recovered.records(), expected);
+        let mut expected = records[..n - 1].to_vec();
+        expected.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
+        prop_assert_eq!(loaded, expected);
     }
 
     #[test]
